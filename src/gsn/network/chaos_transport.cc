@@ -50,6 +50,10 @@ uint64_t LinkHash(const std::string& peer, ChaosTransport::Direction dir) {
   return FnvMix(hash, static_cast<uint64_t>(dir));
 }
 
+/// Inbound deliveries the current thread is inside (UnregisterNode must
+/// not wait on its own caller).
+thread_local int t_delivering = 0;
+
 }  // namespace
 
 const char* DirectionName(ChaosTransport::Direction direction) {
@@ -104,8 +108,13 @@ Status ChaosTransport::RegisterNode(const std::string& node_id,
 
 Status ChaosTransport::UnregisterNode(const std::string& node_id) {
   GSN_RETURN_IF_ERROR(inner_->UnregisterNode(node_id));
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   shims_.erase(node_id);
+  // A held frame may be delivering on the scheduler thread; wait it out
+  // so the caller may destroy the node, unless the caller is a delivery.
+  if (t_delivering == 0) {
+    inbound_done_.wait(lock, [this] { return inbound_in_flight_ == 0; });
+  }
   return Status::OK();
 }
 
@@ -180,8 +189,16 @@ void ChaosTransport::DeliverInbound(const std::string& node_id,
     auto it = shims_.find(node_id);
     if (it == shims_.end()) return;  // unregistered while frame was held
     target = it->second->target();
+    ++inbound_in_flight_;
   }
+  ++t_delivering;
   target->OnMessage(message);
+  --t_delivering;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --inbound_in_flight_;
+  }
+  inbound_done_.notify_all();
 }
 
 void ChaosTransport::SetRule(const std::string& peer, Direction direction,

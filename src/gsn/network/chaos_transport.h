@@ -213,6 +213,10 @@ class ChaosTransport : public Transport {
   uint64_t seed_;                                    // guarded by mu_
   std::map<std::pair<std::string, int>, LinkState> links_;  // guarded by mu_
   std::map<std::string, std::unique_ptr<InboundShim>> shims_;  // guarded by mu_
+  /// Inbound deliveries running outside mu_; UnregisterNode waits on
+  /// inbound_done_ for them to finish.
+  int inbound_in_flight_ = 0;  // guarded by mu_
+  std::condition_variable inbound_done_;
 
   std::mutex sched_mu_;
   std::condition_variable sched_cv_;

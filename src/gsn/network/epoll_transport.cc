@@ -264,9 +264,21 @@ Status EpollTransport::RegisterNode(const std::string& node_id,
 }
 
 Status EpollTransport::UnregisterNode(const std::string& node_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (local_nodes_.erase(node_id) == 0) {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = local_nodes_.find(node_id);
+  if (it == local_nodes_.end()) {
     return Status::NotFound("node not registered: " + node_id);
+  }
+  const NetworkNode* node = it->second;
+  local_nodes_.erase(it);
+  // Queued deliveries hold the raw node pointer. Drop them, and wait out
+  // a dispatch already in flight, so the caller may destroy the node on
+  // return. On the loop thread the caller is that dispatch.
+  std::erase_if(pending_deliveries_, [node](const PendingDelivery& d) {
+    return d.node == node;
+  });
+  if (std::this_thread::get_id() != loop_.get_id()) {
+    dispatch_done_.wait(lock, [this] { return !dispatching_; });
   }
   return Status::OK();
 }
@@ -1033,11 +1045,16 @@ void EpollTransport::FirePending() {
   ErrorCallback on_error;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (pending_deliveries_.empty() && pending_peer_ups_.empty() &&
+        pending_errors_.empty()) {
+      return;
+    }
     deliveries.swap(pending_deliveries_);
     peer_ups.swap(pending_peer_ups_);
     errors.swap(pending_errors_);
     peer_up = peer_up_callback_;
     on_error = error_callback_;
+    dispatching_ = true;
   }
   if (peer_up) {
     for (const std::string& peer : peer_ups) peer_up(peer);
@@ -1048,6 +1065,11 @@ void EpollTransport::FirePending() {
   if (on_error) {
     for (auto& [peer, status] : errors) on_error(peer, status);
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    dispatching_ = false;
+  }
+  dispatch_done_.notify_all();
 }
 
 }  // namespace gsn::network

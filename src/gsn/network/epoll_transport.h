@@ -2,6 +2,7 @@
 #define GSN_NETWORK_EPOLL_TRANSPORT_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -282,6 +283,10 @@ class EpollTransport : public Transport {
   std::vector<PendingDelivery> pending_deliveries_;   // guarded by mu_
   std::vector<std::string> pending_peer_ups_;         // guarded by mu_
   std::vector<std::pair<std::string, Status>> pending_errors_;
+  /// True while FirePending runs callbacks outside mu_; UnregisterNode
+  /// waits on dispatch_done_ for it to clear.
+  bool dispatching_ = false;  // guarded by mu_
+  std::condition_variable dispatch_done_;
   /// Running total of queued write bytes across connections.
   size_t total_out_bytes_ = 0;  // guarded by mu_
   Timestamp last_sweep_steady_ = 0;     // loop thread only

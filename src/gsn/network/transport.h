@@ -86,6 +86,9 @@ class Transport {
   /// Attaches a local delivery target under `node_id`.
   virtual Status RegisterNode(const std::string& node_id,
                               NetworkNode* node) = 0;
+  /// Detaches `node_id`. Once it returns, no delivery to the node is in
+  /// flight (save one the caller is itself running), so the node may be
+  /// destroyed.
   virtual Status UnregisterNode(const std::string& node_id) = 0;
 
   /// Queues one framed message for `to`. Asynchronous: an OK status

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "gsn/sql/parser.h"
@@ -101,6 +102,20 @@ Result<size_t> ResolveColumn(const Schema& schema, std::string_view qualifier,
   return found;
 }
 
+/// One group's aggregate results: `values[i]` is the value of
+/// `(*aggs)[i]` over the group.
+struct AggEnv {
+  const std::vector<const Expr*>* aggs = nullptr;
+  const Value* values = nullptr;
+
+  const Value* Find(const Expr* agg) const {
+    for (size_t i = 0; i < aggs->size(); ++i) {
+      if ((*aggs)[i] == agg) return &values[i];
+    }
+    return nullptr;
+  }
+};
+
 /// A row being evaluated, with an optional outer scope chain (for
 /// correlated subqueries) and an aggregate environment (for grouped
 /// evaluation).
@@ -108,7 +123,7 @@ struct RowBinding {
   const Schema* schema = nullptr;
   const Relation::Row* row = nullptr;
   const RowBinding* outer = nullptr;
-  const std::map<const Expr*, Value>* agg_env = nullptr;
+  const AggEnv* agg_env = nullptr;
 };
 
 }  // namespace
@@ -294,7 +309,7 @@ class Evaluator {
  public:
   explicit Evaluator(const TableResolver* resolver) : resolver_(resolver) {}
 
-  Result<Value> Eval(const Expr& e, const RowBinding& binding) const {
+  Result<Value> Eval(const Expr& e, const RowBinding& binding) {
     switch (e.kind) {
       case ExprKind::kLiteral:
         return e.literal;
@@ -348,13 +363,26 @@ class Evaluator {
   }
 
  private:
-  Result<Value> EvalColumnRef(const Expr& e, const RowBinding& binding) const {
-    for (const RowBinding* b = &binding; b != nullptr; b = b->outer) {
+  /// Where a column reference finds its value: `depth` outer hops up the
+  /// binding chain, at `slot` of that row.
+  struct ColumnSlot {
+    const Expr* ref;
+    const Schema* schema;  // innermost schema of the chain it resolved on
+    size_t depth;
+    size_t slot;
+  };
+
+  /// Resolves `e` by name against the chain, innermost scope first; an
+  /// ambiguous match is reported rather than masked by an outer scope.
+  static Result<ColumnSlot> ResolveSlot(const Expr& e,
+                                        const RowBinding& binding) {
+    size_t depth = 0;
+    for (const RowBinding* b = &binding; b != nullptr; b = b->outer, ++depth) {
       if (b->schema == nullptr) continue;
       Result<size_t> idx = ResolveColumn(*b->schema, e.qualifier, e.column);
-      if (idx.ok()) return (*b->row)[*idx];
+      if (idx.ok()) return ColumnSlot{&e, binding.schema, depth, *idx};
       if (idx.status().code() == StatusCode::kInvalidArgument) {
-        return idx.status();  // ambiguous — report, don't mask
+        return idx.status();
       }
     }
     const std::string full =
@@ -362,7 +390,30 @@ class Evaluator {
     return Status::NotFound("column not found: " + full);
   }
 
-  Result<Value> EvalUnary(const Expr& e, const RowBinding& binding) const {
+  /// Name resolution runs once per (reference, innermost schema); later
+  /// rows index by slot. Every caller binds a given schema under one
+  /// fixed outer chain for the evaluator's life, so the pair pins the
+  /// resolution. Few references per statement make a scan the cheapest
+  /// lookup.
+  Result<Value> EvalColumnRef(const Expr& e, const RowBinding& binding) {
+    const ColumnSlot* hit = nullptr;
+    for (const ColumnSlot& s : slots_) {
+      if (s.ref == &e && s.schema == binding.schema) {
+        hit = &s;
+        break;
+      }
+    }
+    if (hit == nullptr) {
+      GSN_ASSIGN_OR_RETURN(ColumnSlot resolved, ResolveSlot(e, binding));
+      slots_.push_back(resolved);
+      hit = &slots_.back();
+    }
+    const RowBinding* b = &binding;
+    for (size_t d = 0; d < hit->depth; ++d) b = b->outer;
+    return (*b->row)[hit->slot];
+  }
+
+  Result<Value> EvalUnary(const Expr& e, const RowBinding& binding) {
     GSN_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], binding));
     if (e.unary_op == UnaryOp::kNot) {
       if (v.is_null()) return Value::Null();
@@ -376,7 +427,7 @@ class Evaluator {
     return Status::ExecutionError("cannot negate " + v.ToString());
   }
 
-  Result<Value> EvalBinary(const Expr& e, const RowBinding& binding) const {
+  Result<Value> EvalBinary(const Expr& e, const RowBinding& binding) {
     // Kleene logic with short-circuiting for AND/OR.
     if (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr) {
       GSN_ASSIGN_OR_RETURN(Value lv, Eval(*e.children[0], binding));
@@ -408,7 +459,7 @@ class Evaluator {
     return EvalBinaryValues(e.binary_op, lhs, rhs);
   }
 
-  Result<Value> EvalBetween(const Expr& e, const RowBinding& binding) const {
+  Result<Value> EvalBetween(const Expr& e, const RowBinding& binding) {
     GSN_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], binding));
     GSN_ASSIGN_OR_RETURN(Value lo, Eval(*e.children[1], binding));
     GSN_ASSIGN_OR_RETURN(Value hi, Eval(*e.children[2], binding));
@@ -419,7 +470,7 @@ class Evaluator {
     return Value::Bool(in != e.negated);
   }
 
-  Result<Value> EvalInList(const Expr& e, const RowBinding& binding) const {
+  Result<Value> EvalInList(const Expr& e, const RowBinding& binding) {
     GSN_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], binding));
     if (v.is_null()) return Value::Null();
     bool saw_null = false;
@@ -437,7 +488,7 @@ class Evaluator {
   }
 
   Result<Value> EvalInSubquery(const Expr& e,
-                               const RowBinding& binding) const {
+                               const RowBinding& binding) {
     GSN_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], binding));
     if (v.is_null()) return Value::Null();
     GSN_ASSIGN_OR_RETURN(Relation rel,
@@ -458,7 +509,7 @@ class Evaluator {
     return Value::Bool(e.negated);
   }
 
-  Result<Value> EvalCase(const Expr& e, const RowBinding& binding) const {
+  Result<Value> EvalCase(const Expr& e, const RowBinding& binding) {
     size_t idx = 0;
     Value operand;
     if (e.case_has_operand) {
@@ -482,12 +533,11 @@ class Evaluator {
     return Value::Null();
   }
 
-  Result<Value> EvalFunction(const Expr& e, const RowBinding& binding) const {
+  Result<Value> EvalFunction(const Expr& e, const RowBinding& binding) {
     if (IsAggregateFunction(e.function)) {
       for (const RowBinding* b = &binding; b != nullptr; b = b->outer) {
         if (b->agg_env != nullptr) {
-          auto it = b->agg_env->find(&e);
-          if (it != b->agg_env->end()) return it->second;
+          if (const Value* v = b->agg_env->Find(&e)) return *v;
         }
       }
       return Status::ExecutionError("aggregate " + e.function +
@@ -639,6 +689,7 @@ class Evaluator {
   }
 
   const TableResolver* resolver_;
+  std::vector<ColumnSlot> slots_;
 };
 
 // ---------------------------------------------------------------------------
@@ -675,8 +726,94 @@ struct ValueLess {
   }
 };
 
-/// Computes one aggregate over the rows of a group.
-Result<Value> ComputeAggregate(const Evaluator& eval, const Expr& agg,
+/// Running COUNT/SUM/AVG/MIN/MAX over a group's non-NULL argument
+/// values, fed in input order. SUM stays integral while every value is
+/// an int or bool; the double sum runs alongside in the same order, so
+/// either result equals summing the gathered values afterwards.
+class Fold {
+ public:
+  enum class Kind { kCount, kSum, kAvg, kMin, kMax };
+
+  /// The fold computing aggregate `fn`; nullopt for the ones that need
+  /// every value first (STDDEV, VARIANCE).
+  static std::optional<Kind> KindOf(const std::string& fn) {
+    if (fn == "COUNT") return Kind::kCount;
+    if (fn == "SUM") return Kind::kSum;
+    if (fn == "AVG") return Kind::kAvg;
+    if (fn == "MIN") return Kind::kMin;
+    if (fn == "MAX") return Kind::kMax;
+    return std::nullopt;
+  }
+
+  explicit Fold(Kind kind) : kind_(kind) {}
+
+  void Add(Value v) {
+    ++count_;
+    switch (kind_) {
+      case Kind::kCount:
+        return;
+      case Kind::kMin:
+      case Kind::kMax: {
+        if (count_ == 1) {
+          best_ = std::move(v);
+          return;
+        }
+        const int c = v.Compare(best_);
+        if (kind_ == Kind::kMin ? c < 0 : c > 0) best_ = std::move(v);
+        return;
+      }
+      case Kind::kSum:
+      case Kind::kAvg: {
+        if (v.is_int() || v.is_bool()) {
+          // Wrapping add: a SUM that later turns double discards this
+          // partial sum, so its overflow must not trap.
+          int_sum_ += static_cast<uint64_t>(v.is_int() ? v.int_value()
+                                                       : v.bool_value());
+        } else {
+          all_int_ = false;
+        }
+        Result<double> d = v.AsDouble();
+        if (d.ok()) {
+          sum_ += *d;
+        } else if (not_numeric_.ok()) {
+          not_numeric_ = d.status();
+        }
+        return;
+      }
+    }
+  }
+
+  Result<Value> Finish() const {
+    if (kind_ == Kind::kCount) return Value::Int(count_);
+    if (count_ == 0) return Value::Null();
+    switch (kind_) {
+      case Kind::kMin:
+      case Kind::kMax:
+        return best_;
+      case Kind::kSum:
+        if (all_int_) return Value::Int(static_cast<int64_t>(int_sum_));
+        GSN_RETURN_IF_ERROR(not_numeric_);
+        return Value::Double(sum_);
+      default:
+        GSN_RETURN_IF_ERROR(not_numeric_);
+        return Value::Double(sum_ / static_cast<double>(count_));
+    }
+  }
+
+ private:
+  Kind kind_;
+  int64_t count_ = 0;
+  Value best_;
+  bool all_int_ = true;
+  uint64_t int_sum_ = 0;
+  double sum_ = 0;
+  Status not_numeric_;  // first SUM/AVG value without a numeric reading
+};
+
+/// Computes one aggregate over the rows of a group. COUNT/SUM/AVG/MIN/MAX
+/// fold each value as it is evaluated; DISTINCT, STDDEV and VARIANCE
+/// gather the non-NULL values first.
+Result<Value> ComputeAggregate(Evaluator& eval, const Expr& agg,
                                const Schema& schema,
                                const Relation::RowList& rows,
                                const RowBinding* outer) {
@@ -688,74 +825,50 @@ Result<Value> ComputeAggregate(const Evaluator& eval, const Expr& agg,
   if (agg.children.size() != 1) {
     return Status::ExecutionError(fn + " takes exactly one argument");
   }
-  // Gather non-NULL argument values.
+  const std::optional<Fold::Kind> kind = Fold::KindOf(fn);
+  const bool streams = kind.has_value() && !agg.distinct;
+  Fold fold(kind.value_or(Fold::Kind::kCount));
   std::vector<Value> values;
-  values.reserve(rows.size());
+  if (!streams) values.reserve(rows.size());
   for (const Relation::SharedRow& row : rows) {
     RowBinding binding{&schema, row.get(), outer, nullptr};
     GSN_ASSIGN_OR_RETURN(Value v, eval.Eval(*agg.children[0], binding));
-    if (!v.is_null()) values.push_back(std::move(v));
+    if (v.is_null()) continue;
+    if (streams) {
+      fold.Add(std::move(v));
+    } else {
+      values.push_back(std::move(v));
+    }
   }
+  if (streams) return fold.Finish();
   if (agg.distinct) {
     std::set<Value, ValueLess> uniq(values.begin(), values.end());
     values.assign(uniq.begin(), uniq.end());
   }
-  if (fn == "COUNT") return Value::Int(static_cast<int64_t>(values.size()));
+  if (kind.has_value()) {
+    for (Value& v : values) fold.Add(std::move(v));
+    return fold.Finish();
+  }
+  if (fn != "STDDEV" && fn != "VARIANCE") {
+    return Status::ExecutionError("unknown aggregate: " + fn);
+  }
   if (values.empty()) return Value::Null();
-
-  if (fn == "MIN" || fn == "MAX") {
-    Value best = values[0];
-    for (size_t i = 1; i < values.size(); ++i) {
-      const int c = values[i].Compare(best);
-      if ((fn == "MIN" && c < 0) || (fn == "MAX" && c > 0)) best = values[i];
-    }
-    return best;
+  double sum = 0;
+  for (const Value& v : values) {
+    GSN_ASSIGN_OR_RETURN(double d, v.AsDouble());
+    sum += d;
   }
-  if (fn == "SUM") {
-    bool all_int = true;
-    for (const Value& v : values) {
-      if (!v.is_int() && !v.is_bool()) {
-        all_int = false;
-        break;
-      }
-    }
-    if (all_int) {
-      int64_t sum = 0;
-      for (const Value& v : values) {
-        GSN_ASSIGN_OR_RETURN(int64_t i, v.AsInt());
-        sum += i;
-      }
-      return Value::Int(sum);
-    }
-    double sum = 0;
-    for (const Value& v : values) {
-      GSN_ASSIGN_OR_RETURN(double d, v.AsDouble());
-      sum += d;
-    }
-    return Value::Double(sum);
+  const double mean = sum / static_cast<double>(values.size());
+  double sq = 0;
+  for (const Value& v : values) {
+    GSN_ASSIGN_OR_RETURN(double d, v.AsDouble());
+    sq += (d - mean) * (d - mean);
   }
-  if (fn == "AVG" || fn == "STDDEV" || fn == "VARIANCE") {
-    double sum = 0;
-    for (const Value& v : values) {
-      GSN_ASSIGN_OR_RETURN(double d, v.AsDouble());
-      sum += d;
-    }
-    const double mean = sum / static_cast<double>(values.size());
-    if (fn == "AVG") return Value::Double(mean);
-    double sq = 0;
-    for (const Value& v : values) {
-      GSN_ASSIGN_OR_RETURN(double d, v.AsDouble());
-      sq += (d - mean) * (d - mean);
-    }
-    // Sample variance (n-1), matching MySQL's STDDEV_SAMP family used
-    // by GSN deployments; single-element groups yield 0.
-    const double var = values.size() > 1
-                           ? sq / static_cast<double>(values.size() - 1)
-                           : 0.0;
-    return fn == "VARIANCE" ? Value::Double(var)
-                            : Value::Double(std::sqrt(var));
-  }
-  return Status::ExecutionError("unknown aggregate: " + fn);
+  // Sample variance (n-1), matching MySQL's STDDEV_SAMP family used
+  // by GSN deployments; single-element groups yield 0.
+  const double var =
+      values.size() > 1 ? sq / static_cast<double>(values.size() - 1) : 0.0;
+  return fn == "VARIANCE" ? Value::Double(var) : Value::Double(std::sqrt(var));
 }
 
 // ---------------------------------------------------------------------------
@@ -967,7 +1080,7 @@ bool AsEquiKey(const Expr& conjunct, const Schema& left, const Schema& right,
 
 /// Evaluates the residual conjuncts over a joined row; true iff all
 /// pass (SQL three-valued: NULL filters out).
-Result<bool> ResidualPasses(const Evaluator& eval,
+Result<bool> ResidualPasses(Evaluator& eval,
                             const std::vector<const Expr*>& residual,
                             const Schema& combined, const Relation::Row& row,
                             const RowBinding* outer) {
@@ -983,7 +1096,7 @@ Result<bool> ResidualPasses(const Evaluator& eval,
 
 /// Inner/left equi-join via a hash table on the right input. NULL keys
 /// never match (SQL equality semantics).
-Result<Relation> HashJoin(const Evaluator& eval, const TableRef& ref,
+Result<Relation> HashJoin(Evaluator& eval, const TableRef& ref,
                           const Relation& left, const Relation& right,
                           const Schema& combined,
                           const std::vector<EquiKey>& keys,
@@ -1235,13 +1348,17 @@ Result<Relation> EvalFrom(const TableResolver* resolver,
   return acc;
 }
 
-/// Intermediate result carrying, for each projected row, the source row
-/// it came from (group representative for grouped queries) so ORDER BY
-/// can reference non-projected columns.
+/// Intermediate result. When the statement has ORDER BY it also
+/// carries, for each projected row, the source row it came from (the
+/// group representative for grouped queries) and that group's
+/// aggregate values, so sort keys can reference non-projected columns
+/// and aggregates.
 struct CoreResult {
   Relation projected;
   Schema source_schema;
   Relation::RowList source_rows;  // parallel to projected rows
+  std::vector<const Expr*> aggs;  // the statement's aggregate calls
+  std::vector<Value> agg_values;  // aggs.size() per projected row
 };
 
 bool IsAggregateQuery(const SelectStmt& stmt) {
@@ -1260,23 +1377,24 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
   GSN_ASSIGN_OR_RETURN(Relation input, EvalFrom(resolver, stmt, outer));
   const Schema& in_schema = input.schema();
 
-  // WHERE. Surviving rows are shared with the input relation.
+  // WHERE. Surviving rows move out of the input relation.
   Relation::RowList rows;
-  rows.reserve(input.NumRows());
-  for (size_t i = 0; i < input.NumRows(); ++i) {
-    if (stmt.where) {
-      const Relation::Row& row = input.row(i);
-      RowBinding binding{&in_schema, &row, outer, nullptr};
+  if (!stmt.where) {
+    rows = std::move(input.mutable_shared_rows());
+  } else {
+    rows.reserve(input.NumRows());
+    for (Relation::SharedRow& row : input.mutable_shared_rows()) {
+      RowBinding binding{&in_schema, row.get(), outer, nullptr};
       GSN_ASSIGN_OR_RETURN(Value v, eval.Eval(*stmt.where, binding));
       if (v.is_null()) continue;
       GSN_ASSIGN_OR_RETURN(Value b, v.CastTo(DataType::kBool));
       if (!b.bool_value()) continue;
+      rows.push_back(std::move(row));
     }
-    rows.push_back(input.shared_row(i));
-  }
-  if (t_analyze != nullptr && stmt.where != nullptr) {
-    t_analyze->Add(&stmt, AnalyzeCollector::Op::kFilter,
-                   static_cast<int64_t>(rows.size()), 0);
+    if (t_analyze != nullptr) {
+      t_analyze->Add(&stmt, AnalyzeCollector::Op::kFilter,
+                     static_cast<int64_t>(rows.size()), 0);
+    }
   }
 
   // Build output schema from select items.
@@ -1305,13 +1423,22 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
 
   CoreResult result;
   result.projected = Relation(out_schema);
-  result.source_schema = in_schema;
+  const bool keep_source = !stmt.order_by.empty();
+  if (keep_source) result.source_schema = in_schema;
+  // An unqualified `select *` outputs every input column in order, so
+  // the output row is the input row.
+  const bool pass_through = stmt.items.size() == 1 && stmt.items[0].is_star &&
+                            stmt.items[0].star_qualifier.empty();
 
   // Projection of a single logical row (with optional aggregate env).
   // The source row is kept by ref-count bump, not copied.
-  auto project_row =
-      [&](const Relation::SharedRow& src,
-          const std::map<const Expr*, Value>* agg_env) -> Status {
+  auto project_row = [&](const Relation::SharedRow& src,
+                         const AggEnv* agg_env) -> Status {
+    if (keep_source) result.source_rows.push_back(src);
+    if (pass_through) {
+      result.projected.AppendSharedRow(src);
+      return Status::OK();
+    }
     Relation::Row out_row;
     out_row.reserve(out_schema.size());
     RowBinding binding{&in_schema, src.get(), outer, agg_env};
@@ -1332,7 +1459,6 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
       }
     }
     result.projected.AppendRow(std::move(out_row));
-    result.source_rows.push_back(src);
     return Status::OK();
   };
 
@@ -1342,7 +1468,7 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
     }
   } else {
     // Collect aggregate expressions from items, HAVING, and ORDER BY.
-    std::vector<const Expr*> aggs;
+    std::vector<const Expr*>& aggs = result.aggs;
     for (const SelectItem& item : stmt.items) {
       if (!item.is_star) CollectAggregates(*item.expr, &aggs);
     }
@@ -1354,9 +1480,9 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
     // Group rows.
     std::map<std::vector<Value>, Relation::RowList, ValueVectorLess> groups;
     if (stmt.group_by.empty()) {
-      groups[{}] = rows;  // single group (possibly empty)
+      groups[{}] = std::move(rows);  // single group (possibly empty)
     } else {
-      for (const Relation::SharedRow& row : rows) {
+      for (Relation::SharedRow& row : rows) {
         RowBinding binding{&in_schema, row.get(), outer, nullptr};
         std::vector<Value> key;
         key.reserve(stmt.group_by.size());
@@ -1364,7 +1490,7 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
           GSN_ASSIGN_OR_RETURN(Value v, eval.Eval(*g, binding));
           key.push_back(std::move(v));
         }
-        groups[std::move(key)].push_back(row);
+        groups[std::move(key)].push_back(std::move(row));
       }
     }
     if (t_analyze != nullptr) {
@@ -1372,18 +1498,18 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
                      static_cast<int64_t>(groups.size()), 0);
     }
 
-    const Relation::SharedRow empty_row =
-        Relation::MakeRow(Relation::Row(in_schema.size(), Value::Null()));
+    std::vector<Value> values(aggs.size());
+    const AggEnv agg_env{&aggs, values.data()};
     for (const auto& [key, group_rows] : groups) {
-      std::map<const Expr*, Value> agg_env;
-      for (const Expr* agg : aggs) {
+      for (size_t a = 0; a < aggs.size(); ++a) {
         GSN_ASSIGN_OR_RETURN(
-            Value v,
-            ComputeAggregate(eval, *agg, in_schema, group_rows, outer));
-        agg_env[agg] = std::move(v);
+            values[a],
+            ComputeAggregate(eval, *aggs[a], in_schema, group_rows, outer));
       }
-      const Relation::SharedRow& rep =
-          group_rows.empty() ? empty_row : group_rows.front();
+      const Relation::SharedRow rep =
+          group_rows.empty() ? Relation::MakeRow(Relation::Row(
+                                   in_schema.size(), Value::Null()))
+                             : group_rows.front();
       if (stmt.having) {
         RowBinding binding{&in_schema, rep.get(), outer, &agg_env};
         GSN_ASSIGN_OR_RETURN(Value v, eval.Eval(*stmt.having, binding));
@@ -1392,46 +1518,70 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
         if (!b.bool_value()) continue;
       }
       GSN_RETURN_IF_ERROR(project_row(rep, &agg_env));
-      // ORDER BY with aggregates needs the env; stash it keyed by row
-      // index via source_rows parallelism (handled below by re-binding:
-      // aggregates in ORDER BY are evaluated against projected columns
-      // when possible). For simplicity aggregate ORDER BY keys are
-      // appended to the source row here.
+      if (keep_source) {
+        result.agg_values.insert(result.agg_values.end(), values.begin(),
+                                 values.end());
+      }
     }
   }
 
   // DISTINCT.
   if (stmt.distinct) {
+    const size_t naggs = result.agg_values.empty() ? 0 : result.aggs.size();
     std::set<std::vector<Value>, ValueVectorLess> seen;
     Relation deduped(result.projected.schema());
     Relation::RowList deduped_src;
+    std::vector<Value> deduped_aggs;
     for (size_t i = 0; i < result.projected.NumRows(); ++i) {
       const auto& row = result.projected.row(i);
       if (seen.insert(row).second) {
         deduped.AppendSharedRow(result.projected.shared_row(i));
-        deduped_src.push_back(result.source_rows[i]);
+        if (keep_source) {
+          deduped_src.push_back(result.source_rows[i]);
+          const auto first = result.agg_values.begin() + i * naggs;
+          deduped_aggs.insert(deduped_aggs.end(), first, first + naggs);
+        }
       }
     }
     result.projected = std::move(deduped);
     result.source_rows = std::move(deduped_src);
+    result.agg_values = std::move(deduped_aggs);
   }
 
   return result;
 }
 
+/// `v` clamped into [0, n].
+size_t ClampCount(int64_t v, size_t n) {
+  return v <= 0 ? 0 : static_cast<size_t>(std::min<uint64_t>(v, n));
+}
+
+/// One past the last of `n` rows that LIMIT/OFFSET keep. LIMIT and
+/// OFFSET are literals up to INT64_MAX, so their sum is never formed.
+size_t LimitEnd(const SelectStmt& stmt, size_t n) {
+  if (!stmt.limit.has_value()) return n;
+  const size_t begin = ClampCount(stmt.offset.value_or(0), n);
+  return begin + ClampCount(*stmt.limit, n - begin);
+}
+
 /// ORDER BY evaluation: resolve each key against the projected schema
-/// first (aliases / output columns), falling back to the source row.
+/// first (aliases / output columns), falling back to the source row and
+/// its group's aggregates. Only the rows LIMIT/OFFSET can keep are
+/// sorted into place; ties keep input order, as a stable sort does.
 Status ApplyOrderBy(const TableResolver* resolver, const SelectStmt& stmt,
                     CoreResult* core, const RowBinding* outer) {
   if (stmt.order_by.empty()) return Status::OK();
   Evaluator eval(resolver);
   const size_t n = core->projected.NumRows();
+  const size_t nkeys = stmt.order_by.size();
+  const size_t naggs = core->aggs.size();
   const bool have_source = core->source_rows.size() == n;
+  const bool have_aggs = naggs > 0 && core->agg_values.size() == n * naggs;
 
   // Resolve ordinal keys (standard SQL: ORDER BY 2 = second output
   // column) up front; -1 marks expression keys.
-  std::vector<int64_t> ordinals(stmt.order_by.size(), -1);
-  for (size_t k = 0; k < stmt.order_by.size(); ++k) {
+  std::vector<int64_t> ordinals(nkeys, -1);
+  for (size_t k = 0; k < nkeys; ++k) {
     const Expr& e = *stmt.order_by[k].expr;
     if (e.kind == ExprKind::kLiteral && e.literal.is_int()) {
       const int64_t ordinal = e.literal.int_value();
@@ -1445,59 +1595,66 @@ Status ApplyOrderBy(const TableResolver* resolver, const SelectStmt& stmt,
     }
   }
 
-  // Pre-compute sort keys.
-  std::vector<std::vector<Value>> keys(n);
+  // Pre-compute sort keys, row i's at [i * nkeys, (i + 1) * nkeys).
+  std::vector<Value> keys;
+  keys.reserve(n * nkeys);
   for (size_t i = 0; i < n; ++i) {
-    const Relation::Row& prow = core->projected.rows()[i];
+    const Relation::Row& prow = core->projected.row(i);
     RowBinding proj_binding{&core->projected.schema(), &prow, outer, nullptr};
     RowBinding src_binding;
+    AggEnv agg_env;
     if (have_source) {
       src_binding.schema = &core->source_schema;
       src_binding.row = core->source_rows[i].get();
       src_binding.outer = outer;
+      if (have_aggs) {
+        agg_env = AggEnv{&core->aggs, &core->agg_values[i * naggs]};
+        src_binding.agg_env = &agg_env;
+      }
       proj_binding.outer = &src_binding;  // projected first, then source
     }
-    for (size_t k = 0; k < stmt.order_by.size(); ++k) {
+    for (size_t k = 0; k < nkeys; ++k) {
       if (ordinals[k] >= 0) {
-        keys[i].push_back(prow[static_cast<size_t>(ordinals[k])]);
+        keys.push_back(prow[static_cast<size_t>(ordinals[k])]);
         continue;
       }
       GSN_ASSIGN_OR_RETURN(Value v,
                            eval.Eval(*stmt.order_by[k].expr, proj_binding));
-      keys[i].push_back(std::move(v));
+      keys.push_back(std::move(v));
     }
   }
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-      const int c = keys[a][k].Compare(keys[b][k]);
+  const auto less = [&](size_t a, size_t b) {
+    for (size_t k = 0; k < nkeys; ++k) {
+      const int c = keys[a * nkeys + k].Compare(keys[b * nkeys + k]);
       if (c != 0) return stmt.order_by[k].ascending ? c < 0 : c > 0;
     }
-    return false;
-  });
-  Relation sorted(core->projected.schema());
-  Relation::RowList sorted_src;
-  for (size_t idx : order) {
-    sorted.AppendSharedRow(core->projected.shared_row(idx));
-    if (have_source) sorted_src.push_back(core->source_rows[idx]);
+    return a < b;
+  };
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  const size_t keep = LimitEnd(stmt, n);
+  if (keep < n) {
+    std::partial_sort(order.begin(), order.begin() + keep, order.end(), less);
+  } else {
+    std::stable_sort(order.begin(), order.end(), less);
   }
-  core->projected = std::move(sorted);
-  core->source_rows = std::move(sorted_src);
+  Relation::RowList& rows = core->projected.mutable_shared_rows();
+  Relation::RowList sorted;
+  sorted.reserve(keep);
+  for (size_t j = 0; j < keep; ++j) sorted.push_back(std::move(rows[order[j]]));
+  rows = std::move(sorted);
+  core->source_rows.clear();
+  core->agg_values.clear();
   return Status::OK();
 }
 
 void ApplyLimitOffset(const SelectStmt& stmt, Relation* rel) {
   if (!stmt.limit.has_value() && !stmt.offset.has_value()) return;
-  const int64_t offset = stmt.offset.value_or(0);
-  const int64_t limit =
-      stmt.limit.value_or(static_cast<int64_t>(rel->NumRows()));
-  Relation::RowList out;
-  for (int64_t i = offset;
-       i < static_cast<int64_t>(rel->NumRows()) && i < offset + limit; ++i) {
-    out.push_back(rel->shared_row(static_cast<size_t>(i)));
-  }
-  *rel = Relation(rel->schema(), std::move(out));
+  Relation::RowList& rows = rel->mutable_shared_rows();
+  const size_t n = rows.size();
+  const size_t begin = ClampCount(stmt.offset.value_or(0), n);
+  rows.erase(rows.begin() + LimitEnd(stmt, n), rows.end());
+  rows.erase(rows.begin(), rows.begin() + begin);
 }
 
 Result<Relation> ApplySetOp(SetOp op, Relation lhs, Relation rhs) {
@@ -1571,7 +1728,9 @@ Result<Relation> ExecuteStmt(const TableResolver* resolver,
         Relation combined,
         ApplySetOp(stmt.set_op, std::move(core.projected), std::move(rhs)));
     core.projected = std::move(combined);
-    core.source_rows.clear();  // set result rows have no single source
+    // Set result rows have no single source.
+    core.source_rows.clear();
+    core.agg_values.clear();
   }
 
   GSN_RETURN_IF_ERROR(ApplyOrderBy(resolver, stmt, &core, outer));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -136,6 +137,32 @@ class RecordingNode : public NetworkNode {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Message> messages_;
+};
+
+/// Sleeps inside OnMessage, recording entry and exit, so a test can
+/// act while a delivery is in flight.
+class BlockingNode : public NetworkNode {
+ public:
+  void OnMessage(const Message&) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      entered_ = true;
+    }
+    cv_.notify_all();
+    std::this_thread::sleep_for(milliseconds(50));
+    exited_.store(true);
+  }
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, milliseconds(5000), [this] { return entered_; });
+  }
+  bool exited() const { return exited_.load(); }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  std::atomic<bool> exited_{false};
 };
 
 Message Msg(const std::string& from, const std::string& to,
@@ -368,6 +395,24 @@ TEST(ChaosTransportTest, InboundRulesGateDeliveriesToTheNode) {
   inner.Inject("me", Msg("remote", "me", "arrives"));
   ASSERT_TRUE(node.WaitForCount(1));
   ASSERT_TRUE(chaos.UnregisterNode("me").ok());
+}
+
+TEST(ChaosTransportTest, UnregisterWaitsForAHeldDelivery) {
+  FakeTransport inner;
+  ChaosTransport chaos(&inner);
+  BlockingNode node;
+  ASSERT_TRUE(chaos.RegisterNode("me", &node).ok());
+  ChaosTransport::Rule rule;
+  rule.delay_micros = 5 * kMicrosPerMilli;
+  chaos.SetRule("remote", ChaosTransport::Direction::kIn, rule);
+
+  // The held frame is delivered later, on the scheduler thread. Once
+  // UnregisterNode returns the node may be destroyed, so that delivery
+  // must have finished.
+  inner.Inject("me", Msg("remote", "me", "held"));
+  ASSERT_TRUE(node.WaitEntered());
+  ASSERT_TRUE(chaos.UnregisterNode("me").ok());
+  EXPECT_TRUE(node.exited());
 }
 
 TEST(ChaosTransportTest, BroadcastsAndForeignPeersPassThrough) {

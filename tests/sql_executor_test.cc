@@ -293,6 +293,40 @@ TEST_F(ExecutorTest, OrderByOrdinal) {
   EXPECT_FALSE(exec_.Query("select node from readings order by 0").ok());
 }
 
+TEST_F(ExecutorTest, OrderByAggregate) {
+  // Per-node counts: node 1 -> 2, node 2 -> 2, node 3 -> 1. The tie
+  // keeps group order.
+  Relation by_call = MustQuery(
+      "select node, count(*) as n from readings group by node "
+      "order by count(*) desc");
+  Relation by_alias = MustQuery(
+      "select node, count(*) as n from readings group by node "
+      "order by n desc");
+  ASSERT_EQ(by_call.NumRows(), 3u);
+  ASSERT_EQ(by_alias.NumRows(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(by_call.rows()[i][0], by_alias.rows()[i][0]) << i;
+    EXPECT_EQ(by_call.rows()[i][1], by_alias.rows()[i][1]) << i;
+  }
+  EXPECT_EQ(by_call.rows()[0][0], Value::Int(1));
+  EXPECT_EQ(by_call.rows()[2][0], Value::Int(3));
+
+  // An aggregate that is not projected still orders the groups.
+  Relation by_max = MustQuery(
+      "select node from readings group by node order by max(temp) desc");
+  ASSERT_EQ(by_max.NumRows(), 3u);
+  EXPECT_EQ(by_max.rows()[0][0], Value::Int(2));  // max 30
+  EXPECT_EQ(by_max.rows()[1][0], Value::Int(1));  // max 22
+  EXPECT_EQ(by_max.rows()[2][0], Value::Int(3));  // max 18
+
+  // Through DISTINCT and HAVING, with the top-k bound.
+  Relation top = MustQuery(
+      "select distinct node from readings group by node "
+      "having count(*) > 1 order by sum(light) limit 1");
+  ASSERT_EQ(top.NumRows(), 1u);
+  EXPECT_EQ(top.rows()[0][0], Value::Int(2));  // 170 < 210
+}
+
 TEST_F(ExecutorTest, LimitOffset) {
   Relation r =
       MustQuery("select temp from readings order by temp limit 2 offset 1");
@@ -304,6 +338,28 @@ TEST_F(ExecutorTest, LimitOffset) {
 TEST_F(ExecutorTest, LimitLargerThanResult) {
   Relation r = MustQuery("select * from nodes limit 100");
   EXPECT_EQ(r.NumRows(), 3u);
+}
+
+TEST_F(ExecutorTest, LimitOffsetNearInt64MaxKeepsRowCount) {
+  // OFFSET + LIMIT would overflow int64: every row past the offset is
+  // kept, with and without ORDER BY.
+  EXPECT_EQ(MustQuery("select temp from readings order by temp "
+                      "limit 9223372036854775807 offset 1")
+                .NumRows(),
+            4u);
+  EXPECT_EQ(MustQuery("select temp from readings "
+                      "limit 9223372036854775807 offset 1")
+                .NumRows(),
+            4u);
+  EXPECT_EQ(MustQuery("select temp from readings order by temp "
+                      "limit 9223372036854775807 offset 9223372036854775807")
+                .NumRows(),
+            0u);
+  Relation last = MustQuery(
+      "select temp from readings order by temp "
+      "limit 9223372036854775807 offset 4");
+  ASSERT_EQ(last.NumRows(), 1u);
+  EXPECT_EQ(last.rows()[0][0], Value::Int(30));
 }
 
 // ---------------------------------------------------------------- set ops

@@ -1,14 +1,26 @@
 // Property tests for the SQL engine: algebraic invariants that must
-// hold on randomly generated relations, and a differential test of the
-// constant folder against the executor.
+// hold on randomly generated relations, differential tests of the
+// executor's fast paths (bounded top-k, streaming aggregates, slot-bound
+// columns) against test-local slow paths, and a differential test of
+// the constant folder against the executor.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <numeric>
 #include <set>
+#include <thread>
 
+#include "gsn/container/query_manager.h"
 #include "gsn/sql/executor.h"
 #include "gsn/sql/optimizer.h"
 #include "gsn/sql/parser.h"
+#include "gsn/telemetry/metrics.h"
 #include "gsn/util/rng.h"
 
 namespace gsn::sql {
@@ -181,9 +193,298 @@ TEST_P(SqlPropertyTest, OffsetPagination) {
   EXPECT_EQ(paged, all.NumRows());
 }
 
+// ------------------------------------------------- executor differentials
+
+/// Same type and value; doubles compare bit for bit.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (*a.type() != *b.type()) return false;
+  if (a.is_double()) {
+    const double x = a.double_value();
+    const double y = b.double_value();
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  }
+  return a.Compare(b) == 0;
+}
+
+/// Row-for-row, column-for-column SameValue over two relations.
+::testing::AssertionResult SameRows(const Relation& got,
+                                    const Relation& want) {
+  if (got.NumRows() != want.NumRows()) {
+    return ::testing::AssertionFailure()
+           << got.NumRows() << " rows, want " << want.NumRows();
+  }
+  for (size_t i = 0; i < got.NumRows(); ++i) {
+    if (got.row(i).size() != want.row(i).size()) {
+      return ::testing::AssertionFailure() << "row " << i << " arity";
+    }
+    for (size_t c = 0; c < got.row(i).size(); ++c) {
+      if (!SameValue(got.row(i)[c], want.row(i)[c])) {
+        return ::testing::AssertionFailure()
+               << "row " << i << " col " << c << ": "
+               << got.row(i)[c].ToString() << " vs "
+               << want.row(i)[c].ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_P(SqlPropertyTest, TopKMatchesStableSortSlice) {
+  const Relation t = RandomRelation(GetParam(), 60);
+  const int64_t n = static_cast<int64_t>(t.NumRows());
+  static const char* kColumns[] = {"a", "b", "c", "s"};
+  Rng rng(GetParam() * 7919);
+  for (int round = 0; round < 6; ++round) {
+    // The first key is b or s (a handful of values plus NULL), so ties
+    // are common and must keep input order.
+    std::vector<std::pair<size_t, bool>> keys = {
+        {rng.NextBool(0.5) ? 1u : 3u, rng.NextBool(0.5)}};
+    if (rng.NextBool(0.5)) {
+      keys.push_back({static_cast<size_t>(rng.NextUint64(4)),
+                      rng.NextBool(0.5)});
+    }
+    std::string order_sql;
+    for (const auto& [col, asc] : keys) {
+      if (!order_sql.empty()) order_sql += ", ";
+      order_sql += std::string(kColumns[col]) + (asc ? " asc" : " desc");
+    }
+    std::vector<size_t> sorted(t.NumRows());
+    std::iota(sorted.begin(), sorted.end(), 0);
+    std::stable_sort(sorted.begin(), sorted.end(), [&](size_t x, size_t y) {
+      for (const auto& [col, asc] : keys) {
+        const int c = t.row(x)[col].Compare(t.row(y)[col]);
+        if (c != 0) return asc ? c < 0 : c > 0;
+      }
+      return false;
+    });
+    for (int64_t limit : {int64_t{0}, int64_t{1}, int64_t{5}, n - 1, n,
+                          n + 10, std::numeric_limits<int64_t>::max()}) {
+      for (int64_t offset : {int64_t{0}, int64_t{1}, int64_t{7}, n - 1, n,
+                             n + 5}) {
+        const std::string sql = "select * from t order by " + order_sql +
+                                " limit " + std::to_string(limit) +
+                                " offset " + std::to_string(offset);
+        const int64_t begin = std::min(offset, n);
+        const int64_t end = begin + std::min(limit, n - begin);
+        Relation want(t.schema());
+        for (int64_t i = begin; i < end; ++i) {
+          want.AppendSharedRow(t.shared_row(sorted[static_cast<size_t>(i)]));
+        }
+        EXPECT_TRUE(SameRows(Q(sql), want)) << sql;
+      }
+    }
+  }
+}
+
+/// COUNT/SUM/AVG/MIN/MAX over `values` (NULLs included) folded in input
+/// order after gathering the non-NULL ones, the way the executor
+/// computed them before it streamed.
+Value GatheredAggregate(const std::string& fn,
+                        const std::vector<Value>& values) {
+  std::vector<Value> present;
+  for (const Value& v : values) {
+    if (!v.is_null()) present.push_back(v);
+  }
+  if (fn == "count") return Value::Int(static_cast<int64_t>(present.size()));
+  if (present.empty()) return Value::Null();
+  if (fn == "min" || fn == "max") {
+    Value best = present[0];
+    for (size_t i = 1; i < present.size(); ++i) {
+      const int c = present[i].Compare(best);
+      if (fn == "min" ? c < 0 : c > 0) best = present[i];
+    }
+    return best;
+  }
+  const bool all_int = std::all_of(present.begin(), present.end(),
+                                   [](const Value& v) {
+                                     return v.is_int() || v.is_bool();
+                                   });
+  if (fn == "sum" && all_int) {
+    int64_t sum = 0;
+    for (const Value& v : present) sum += *v.AsInt();
+    return Value::Int(sum);
+  }
+  double sum = 0;
+  for (const Value& v : present) sum += *v.AsDouble();
+  if (fn == "sum") return Value::Double(sum);
+  return Value::Double(sum / static_cast<double>(present.size()));
+}
+
+TEST_P(SqlPropertyTest, StreamingAggregatesMatchGatheredFold) {
+  const Relation t = RandomRelation(GetParam(), 60);
+  static const char* kFns[] = {"count", "sum", "avg", "min", "max"};
+  // Argument expressions with their per-row reference value: an int
+  // column, a double column, and a mix of both (an int SUM that turns
+  // double part way through).
+  struct Arg {
+    const char* sql;
+    Value (*eval)(const Relation::Row& row);
+  };
+  const Arg kArgs[] = {
+      {"a", [](const Relation::Row& r) { return r[0]; }},
+      {"c", [](const Relation::Row& r) { return r[2]; }},
+      {"case when b > 2 then a else c end",
+       [](const Relation::Row& r) {
+         const bool hit = !r[1].is_null() && r[1].int_value() > 2;
+         return hit ? r[0] : r[2];
+       }},
+  };
+  // Filters: all rows, no rows, and the rows where a is NULL (so every
+  // aggregate over a sees only NULLs).
+  struct Filter {
+    const char* sql;
+    bool (*keep)(const Relation::Row& row);
+  };
+  const Filter kFilters[] = {
+      {"", [](const Relation::Row&) { return true; }},
+      {" where a > 1000", [](const Relation::Row&) { return false; }},
+      {" where a is null",
+       [](const Relation::Row& r) { return r[0].is_null(); }},
+  };
+  struct KeyLess {
+    bool operator()(const Value& x, const Value& y) const {
+      return x.Compare(y) < 0;
+    }
+  };
+  for (const Arg& arg : kArgs) {
+    for (const Filter& filter : kFilters) {
+      std::string items;
+      for (const char* fn : kFns) {
+        items += std::string(", ") + fn + "(" + arg.sql + ")";
+      }
+      // Without GROUP BY: one row, even over no input.
+      std::vector<Value> all;
+      std::map<Value, std::vector<Value>, KeyLess> groups;
+      for (const auto& row : t.rows()) {
+        if (!filter.keep(row)) continue;
+        all.push_back(arg.eval(row));
+        groups[row[1]].push_back(arg.eval(row));
+      }
+      const std::string flat_sql =
+          "select " + items.substr(2) + " from t" + filter.sql;
+      Relation flat_want(Q(flat_sql).schema());
+      Relation::Row flat_row;
+      for (const char* fn : kFns) {
+        flat_row.push_back(GatheredAggregate(fn, all));
+      }
+      flat_want.AppendRow(flat_row);
+      EXPECT_TRUE(SameRows(Q(flat_sql), flat_want)) << flat_sql;
+
+      // GROUP BY b: one row per key (NULL first), none over no input.
+      const std::string grouped_sql =
+          "select b" + items + " from t" + filter.sql + " group by b";
+      Relation grouped_want(Q(grouped_sql).schema());
+      for (const auto& [key, values] : groups) {
+        Relation::Row row = {key};
+        for (const char* fn : kFns) {
+          row.push_back(GatheredAggregate(fn, values));
+        }
+        grouped_want.AppendRow(row);
+      }
+      EXPECT_TRUE(SameRows(Q(grouped_sql), grouped_want)) << grouped_sql;
+    }
+  }
+}
+
+TEST_P(SqlPropertyTest, CorrelatedSubqueryResolvesInnermostScopeFirst) {
+  const Relation t = RandomRelation(GetParam(), 60);
+  const Relation u = RandomRelation(GetParam() + 1000, 25);
+  auto eq = [](const Value& x, const Value& y) {
+    return !x.is_null() && !y.is_null() && x.Compare(y) == 0;
+  };
+  // Unqualified `a` inside the subquery is u.a: the inner scope shadows
+  // the outer t.a, which stays reachable qualified.
+  Relation shadowed = Q(
+      "select a, (select count(*) from u where u.b = t.b and a > t.a) as n "
+      "from t");
+  // `s` is not a column of the derived table v, so it falls through to
+  // the outer row's t.s.
+  Relation through = Q(
+      "select (select count(*) from (select b as k from u) v "
+      "where v.k = t.b and s = 'axis') as n from t");
+  ASSERT_EQ(shadowed.NumRows(), t.NumRows());
+  ASSERT_EQ(through.NumRows(), t.NumRows());
+  for (size_t i = 0; i < t.NumRows(); ++i) {
+    const Relation::Row& outer = t.row(i);
+    int64_t want_shadowed = 0;
+    int64_t want_through = 0;
+    for (const auto& inner : u.rows()) {
+      if (!eq(inner[1], outer[1])) continue;
+      if (!inner[0].is_null() && !outer[0].is_null() &&
+          inner[0].Compare(outer[0]) > 0) {
+        ++want_shadowed;
+      }
+      if (eq(outer[3], Value::String("axis"))) ++want_through;
+    }
+    EXPECT_TRUE(SameValue(shadowed.row(i)[0], outer[0])) << i;
+    EXPECT_EQ(shadowed.row(i)[1], Value::Int(want_shadowed)) << i;
+    EXPECT_EQ(through.row(i)[0], Value::Int(want_through)) << i;
+  }
+}
+
+TEST_P(SqlPropertyTest, AmbiguousColumnFailsOnEveryReExecution) {
+  // b is a column of both t and u. Each shape hits it in a different
+  // operator: projection, WHERE, an aggregate argument, an ORDER BY key.
+  for (const char* sql :
+       {"select b from t, u", "select t.a from t, u where b > 0",
+        "select sum(b) from t, u", "select t.a from t, u order by b limit 3"}) {
+    Result<std::unique_ptr<SelectStmt>> stmt = ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    Executor exec(&resolver_);
+    container::QueryManager qm(&resolver_);
+    for (int run = 0; run < 3; ++run) {
+      for (const Result<Relation>& r :
+           {exec.Execute(**stmt), qm.Execute(sql)}) {
+        ASSERT_FALSE(r.ok()) << sql << " run " << run;
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+        EXPECT_NE(r.status().message().find("ambiguous column: b"),
+                  std::string::npos)
+            << r.status().ToString();
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55,
                                            89));
+
+// Four threads run one cached statement through a QueryManager. The
+// resolution state must live in each execution, not in the shared AST:
+// every result equals the single-threaded one (and TSan sees no race).
+TEST(QueryManagerConcurrencyTest, SharedStatementMatchesSingleThreaded) {
+  MapResolver resolver;
+  resolver.Put("t", RandomRelation(11, 200));
+  resolver.Put("u", RandomRelation(12, 50));
+  telemetry::MetricRegistry registry;
+  container::QueryManager qm(&resolver, &registry);
+  const std::string sql =
+      "select b, count(*) as n, sum(a) as s, max(c) as m, "
+      "(select count(*) from u where u.b = t.b and a > t.a) as inner_n "
+      "from t where a is not null and s <> 'axis' group by b "
+      "order by count(*) desc, b limit 4";
+  Result<Relation> want = qm.Execute(sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->NumRows(), 4u);
+
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 50;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      for (int k = 0; k < kRuns; ++k) {
+        Result<Relation> got = qm.Execute(sql);
+        if (!got.ok() || !SameRows(*got, *want)) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(qm.stats().cache_misses, 1);
+  EXPECT_EQ(qm.stats().cache_hits, kThreads * kRuns);
+}
 
 // ---------------------------------------------------------- folding diff
 

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -55,6 +56,32 @@ class RecordingNode : public NetworkNode {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Message> messages_;
+};
+
+/// Sleeps inside OnMessage, recording entry and exit, so a test can
+/// act while a delivery is in flight.
+class BlockingNode : public NetworkNode {
+ public:
+  void OnMessage(const Message&) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      entered_ = true;
+    }
+    cv_.notify_all();
+    std::this_thread::sleep_for(milliseconds(50));
+    exited_.store(true);
+  }
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, milliseconds(5000), [this] { return entered_; });
+  }
+  bool exited() const { return exited_.load(); }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  std::atomic<bool> exited_{false};
 };
 
 /// Blocking loopback client for raw HTTP-plane conformance tests.
@@ -204,6 +231,28 @@ TEST(EpollTransportPeerTest, LocalNodesDeliverWithoutSockets) {
 
   EXPECT_FALSE(t.Send(0, "one", "ghost", "ping", "x").ok());  // no route
   t.Stop();
+}
+
+TEST(EpollTransportPeerTest, UnregisterWaitsForInFlightDelivery) {
+  EpollTransport a;
+  EpollTransport b;
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  ASSERT_TRUE(a.ListenPeer(0).ok());
+  BlockingNode slow;
+  RecordingNode sender;
+  ASSERT_TRUE(a.RegisterNode("slow", &slow).ok());
+  ASSERT_TRUE(b.RegisterNode("sender", &sender).ok());
+  b.AddPeer("slow", "127.0.0.1", a.peer_port());
+
+  ASSERT_TRUE(b.Send(0, "sender", "slow", "t", "x").ok());
+  ASSERT_TRUE(slow.WaitEntered());
+  // The delivery runs on a's loop thread. Once UnregisterNode returns
+  // the node may be destroyed, so the delivery must have finished.
+  ASSERT_TRUE(a.UnregisterNode("slow").ok());
+  EXPECT_TRUE(slow.exited());
+  a.Stop();
+  b.Stop();
 }
 
 TEST(EpollTransportPeerTest, SendBeforeStartAndUnknownPeerFail) {
