@@ -163,14 +163,11 @@ Container::Container(Options options)
     // Real transports report per-peer failures (dial errors, resets,
     // write-queue overflows) asynchronously; feed them to the circuit
     // breakers so a dead peer trips its circuit from hard evidence, not
-    // just heartbeat silence. The simulator delivers inline under
-    // virtual time and keeps its deterministic failure model instead.
-    if (options_.network->AsSimulator() == nullptr) {
-      options_.network->SetErrorCallback(
-          [this](const std::string& peer, const Status& error) {
-            NotePeerError(peer, error);
-          });
-    }
+    // just heartbeat silence. The simulator reports none.
+    options_.network->SetErrorCallback(
+        [this](const std::string& peer, const Status& error) {
+          NotePeerError(peer, error);
+        });
   }
   last_checkpoint_ = options_.clock->NowMicros();
   // Without an explicit storage_dir both the per-sensor persistence
@@ -224,9 +221,7 @@ Container::~Container() {
     // The transport outlives the container in gsnd: drop our error
     // callback before teardown so a late event-loop notification cannot
     // call into a destroyed container.
-    if (options_.network->AsSimulator() == nullptr) {
-      options_.network->SetErrorCallback(nullptr);
-    }
+    options_.network->SetErrorCallback(nullptr);
     (void)options_.network->UnregisterNode(options_.node_id);
   }
 }
@@ -1619,15 +1614,10 @@ void Container::OnMessage(const Message& message) {
   if (!message.from.empty() && message.from != options_.node_id) {
     const bool new_peer =
         NotePeerAlive(message.from, options_.clock->NowMicros());
-    // First contact on a real transport: the peer cannot have seen our
-    // deploy-time directory broadcasts (it started later, or sits
-    // behind a forwarder and only now learned our address), so
-    // re-announce. The simulator keeps its deterministic message
-    // schedule: every node is registered before traffic starts there.
-    if (new_peer && options_.network != nullptr &&
-        options_.network->AsSimulator() == nullptr) {
-      AnnounceAll();
-    }
+    // First contact: the peer may not have seen our deploy-time
+    // directory broadcasts (it started later, or sits behind a
+    // forwarder and only now learned our address), so re-announce.
+    if (new_peer) AnnounceAll();
   }
   if (message.topic == network::kTopicHeartbeat) {
     return;  // nothing beyond the liveness note above

@@ -395,8 +395,9 @@ class Container : public network::NetworkNode {
   const telemetry::Profiler& profiler() const { return profiler_; }
 
   /// The transport this container is attached to (null when
-  /// standalone). `AsSimulator()` gates the simulator-only chaos
-  /// controls; real transports return nullptr there.
+  /// standalone). Its `AsChaos()` is the chaos surface: non-null when
+  /// the node registers through a ChaosTransport (every Federation
+  /// node, `gsnd --chaos-seed`).
   network::Transport* network() const { return options_.network; }
 
   /// Resolved shard count (Options::Sharding::shards, 0 = hardware

@@ -12,20 +12,26 @@ Result<Container*> Federation::AddNode(const std::string& node_id,
   if (nodes_.count(node_id)) {
     return Status::AlreadyExists("node already exists: " + node_id);
   }
+  const uint64_t node_seed = seed_ + 31 * ++node_counter_;
+  network::ChaosTransport::Options chaos_options;
+  chaos_options.seed = node_seed;
+  Node node;
+  node.chaos =
+      std::make_unique<network::ChaosTransport>(&network_, chaos_options);
   Container::Options options;
   options.node_id = node_id;
   options.clock = clock_;
-  options.seed = seed_ + 31 * ++node_counter_;
+  options.seed = node_seed;
   options.storage_dir = storage_dir;
-  options.network = &network_;
+  options.network = node.chaos.get();
   options.tracer = &tracer_;
-  auto container = std::make_unique<Container>(std::move(options));
-  Container* ptr = container.get();
-  nodes_[node_id] = std::move(container);
+  node.container = std::make_unique<Container>(std::move(options));
+  Container* ptr = node.container.get();
+  nodes_[node_id] = std::move(node);
   // Late joiner: ask existing nodes to re-announce so the new replica
   // converges (delivered on the next Step).
-  for (auto& [id, node] : nodes_) {
-    if (id != node_id) node->AnnounceAll();
+  for (auto& [id, other] : nodes_) {
+    if (id != node_id) other.container->AnnounceAll();
   }
   return ptr;
 }
@@ -35,13 +41,15 @@ Status Federation::RemoveNode(const std::string& node_id) {
   if (it == nodes_.end()) {
     return Status::NotFound("no such node: " + node_id);
   }
-  nodes_.erase(it);  // ~Container undeploys sensors and retracts entries
+  // ~Container undeploys sensors and retracts entries, then the
+  // decorator goes.
+  nodes_.erase(it);
   return Status::OK();
 }
 
 Container* Federation::node(const std::string& node_id) const {
   auto it = nodes_.find(node_id);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  return it == nodes_.end() ? nullptr : it->second.container.get();
 }
 
 std::vector<std::string> Federation::NodeIds() const {
@@ -57,7 +65,7 @@ Result<int> Federation::Step(Timestamp step) {
   network_.Pump(now);
   int produced = 0;
   for (auto& [id, node] : nodes_) {
-    GSN_ASSIGN_OR_RETURN(int n, node->Tick());
+    GSN_ASSIGN_OR_RETURN(int n, node.container->Tick());
     produced += n;
   }
   // Deliver messages sent during the tick that are due immediately

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gsn/container/container.h"
+#include "gsn/network/chaos_transport.h"
 #include "gsn/network/simulator.h"
 #include "gsn/util/clock.h"
 
@@ -16,7 +17,11 @@ namespace gsn::container {
 /// network sharing one virtual clock — the multi-node setup of the
 /// paper's demonstration (Fig 5: four sensor networks on three GSN
 /// nodes). Owns the clock, the network, and the containers, and
-/// provides the scheduling loop that advances them together.
+/// provides the scheduling loop that advances them together. Each node
+/// registers through its own ChaosTransport over the shared lossless
+/// simulator, as `gsnd --chaos-seed` does for a daemon: faults are that
+/// node's rules, reached via `node(id)->network()->AsChaos()` or its
+/// `chaos` command (docs/CHAOS.md).
 class Federation {
  public:
   explicit Federation(uint64_t seed = 1);
@@ -24,11 +29,13 @@ class Federation {
   Federation(const Federation&) = delete;
   Federation& operator=(const Federation&) = delete;
 
-  /// Creates and registers a container. `storage_dir` enables permanent
-  /// storage for sensors that request it.
+  /// Creates and registers a container behind a fresh, rule-free chaos
+  /// decorator. `storage_dir` enables permanent storage for sensors
+  /// that request it.
   Result<Container*> AddNode(const std::string& node_id,
                              const std::string& storage_dir = "");
-  /// Removes a node (its published sensors are retracted from peers).
+  /// Removes a node (its published sensors are retracted from peers)
+  /// together with its decorator and rules.
   Status RemoveNode(const std::string& node_id);
   Container* node(const std::string& node_id) const;
   std::vector<std::string> NodeIds() const;
@@ -55,7 +62,13 @@ class Federation {
   /// Declared before nodes_: containers hold a pointer to this tracer,
   /// so it must outlive them during destruction.
   telemetry::Tracer tracer_;
-  std::map<std::string, std::unique_ptr<Container>> nodes_;
+  struct Node {
+    /// Declared before the container, which registers through it, so
+    /// it is created first and destroyed last.
+    std::unique_ptr<network::ChaosTransport> chaos;
+    std::unique_ptr<Container> container;
+  };
+  std::map<std::string, Node> nodes_;
   uint64_t seed_;
   uint64_t node_counter_ = 0;
 };

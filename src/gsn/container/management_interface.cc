@@ -79,9 +79,8 @@ ManagementInterface::ManagementInterface(Container* container)
       "graceful drain: stop admitting, flush queues, checkpoint, fsync",
       [this](const std::string&) { return CmdDrain(); });
   add("chaos", "<sub> ...",
-      "inject faults into the attached transport (simulator: "
-      "partition|heal|down|up|loss; chaos transport: status|seed|loss|"
-      "dup|reorder|delay|throttle|partition|heal|reset)",
+      "per-peer fault rules on the attached chaos transport: status|seed|"
+      "loss|dup|reorder|delay|throttle|partition|heal|reset",
       [this](const std::string& a) { return CmdChaos(a); });
   add("help", "", "this command list",
       [this](const std::string&) { return CmdHelp(); });
@@ -494,9 +493,9 @@ std::string ManagementInterface::CmdDrain() {
 }
 
 std::string ManagementInterface::CmdChaos(const std::string& args) {
-  // One chaos vocabulary for every transport (docs/CHAOS.md): the
-  // simulator keeps its historical node-pair grammar, ChaosTransport
-  // answers the per-peer rule grammar, anything else explains itself.
+  // One chaos vocabulary for every transport (docs/CHAOS.md):
+  // ChaosTransport answers the per-peer rule grammar, anything else
+  // explains itself.
   Result<std::string> result =
       network::ExecuteChaosCommand(container_->network(), args);
   if (!result.ok()) return "ERROR: " + result.status().message();

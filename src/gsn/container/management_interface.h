@@ -31,10 +31,8 @@ namespace gsn::container {
 ///   checkpoint                    compact manifest + WALs now
 ///   drain                         graceful drain (stop admitting,
 ///                                 flush, checkpoint, fsync)
-///   chaos <sub> ...               fault injection on the attached
-///                                 transport (docs/CHAOS.md): simulator
-///                                 node-pair grammar or the chaos
-///                                 transport's per-peer rule grammar
+///   chaos <sub> ...               per-peer fault rules on the attached
+///                                 chaos transport (docs/CHAOS.md)
 ///
 /// Every command returns the response text; errors are rendered as
 /// "ERROR: <status>". An api key can be attached for containers with

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <utility>
 
-#include "gsn/network/simulator.h"
 #include "gsn/util/rng.h"
 
 namespace gsn::network {
@@ -54,6 +56,11 @@ uint64_t LinkHash(const std::string& peer, ChaosTransport::Direction dir) {
 /// not wait on its own caller).
 thread_local int t_delivering = 0;
 
+/// gsn_chaos_injected_total{fault} labels, indexed by Fault.
+constexpr const char* kFaultNames[] = {
+    "drop", "dup", "reorder", "delay", "throttle", "partition", "reset",
+};
+
 }  // namespace
 
 const char* DirectionName(ChaosTransport::Direction direction) {
@@ -84,8 +91,14 @@ ChaosTransport::ChaosTransport(Transport* inner)
     : ChaosTransport(inner, Options()) {}
 
 ChaosTransport::ChaosTransport(Transport* inner, Options options)
-    : inner_(inner), metrics_(options.metrics), seed_(options.seed) {
-  scheduler_ = std::thread([this] { SchedulerMain(); });
+    : inner_(inner), seed_(options.seed) {
+  static_assert(std::size(kFaultNames) == kFaultKinds);
+  if (options.metrics == nullptr) return;
+  for (int fault = 0; fault < kFaultKinds; ++fault) {
+    injected_metrics_[fault] = options.metrics->GetCounter(
+        "gsn_chaos_injected_total", {{"fault", kFaultNames[fault]}},
+        "Frames affected by injected chaos faults");
+  }
 }
 
 ChaosTransport::~ChaosTransport() {
@@ -94,6 +107,7 @@ ChaosTransport::~ChaosTransport() {
     stopping_ = true;
   }
   sched_cv_.notify_all();
+  // Schedule starts no thread once stopping_ is set: scheduler_ is final.
   if (scheduler_.joinable()) scheduler_.join();
 }
 
@@ -266,13 +280,13 @@ std::vector<ChaosTransport::RuleEntry> ChaosTransport::Rules() const {
 
 ChaosTransport::Counters ChaosTransport::counters() const {
   Counters out;
-  out.dropped = dropped_total_.load();
-  out.duplicated = duplicated_total_.load();
-  out.reordered = reordered_total_.load();
-  out.delayed = delayed_total_.load();
-  out.throttled = throttled_total_.load();
-  out.partitioned = partitioned_total_.load();
-  out.resets = resets_total_.load();
+  out.dropped = injected_[kDrop].load();
+  out.duplicated = injected_[kDup].load();
+  out.reordered = injected_[kReorder].load();
+  out.delayed = injected_[kDelay].load();
+  out.throttled = injected_[kThrottle].load();
+  out.partitioned = injected_[kPartition].load();
+  out.resets = injected_[kReset].load();
   return out;
 }
 
@@ -348,25 +362,25 @@ bool ChaosTransport::AdmitFrameLocked(const std::string& peer,
   const Rule& rule = link.rule;
   const uint64_t frame_index = link.frames++;
   if (rule.partitioned) {
-    CountFault("partition", &partitioned_total_);
+    CountFault(kPartition);
     return false;
   }
   const Decision d = DecideLocked(rule, LinkHash(peer, direction),
                                   frame_index);
   if (d.reset) {
     *reset = true;
-    CountFault("reset", &resets_total_);
+    CountFault(kReset);
     return false;  // the frame rides the torn-down connection
   }
   if (d.drop) {
-    CountFault("drop", &dropped_total_);
+    CountFault(kDrop);
     return false;
   }
   Timestamp wait = d.delay_micros;
-  if (d.delay_micros > 0) CountFault("delay", &delayed_total_);
+  if (d.delay_micros > 0) CountFault(kDelay);
   if (d.reorder) {
     wait += kReorderHoldMicros;
-    CountFault("reorder", &reordered_total_);
+    CountFault(kReorder);
   }
   if (rule.throttle_bytes_per_sec > 0) {
     const Timestamp cost =
@@ -377,25 +391,21 @@ bool ChaosTransport::AdmitFrameLocked(const std::string& peer,
     const Timestamp throttle_wait = start + cost - steady_now;
     if (throttle_wait > 0) {
       wait += throttle_wait;
-      CountFault("throttle", &throttled_total_);
+      CountFault(kThrottle);
     }
   }
   if (d.dup) {
     *duplicate = true;
-    CountFault("dup", &duplicated_total_);
+    CountFault(kDup);
   }
   *wait_micros = wait;
   return true;
 }
 
-void ChaosTransport::CountFault(const char* fault,
-                                std::atomic<int64_t>* counter) {
-  counter->fetch_add(1);
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("gsn_chaos_injected_total", {{"fault", fault}},
-                     "Frames affected by injected chaos faults")
-        ->Increment();
+void ChaosTransport::CountFault(Fault fault) {
+  injected_[fault].fetch_add(1);
+  if (injected_metrics_[fault] != nullptr) {
+    injected_metrics_[fault]->Increment();
   }
 }
 
@@ -403,6 +413,9 @@ void ChaosTransport::Schedule(Timestamp due_steady, std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
     if (stopping_) return;
+    if (!scheduler_.joinable()) {
+      scheduler_ = std::thread([this] { SchedulerMain(); });
+    }
     scheduled_.push({due_steady, sched_seq_++, std::move(fn)});
   }
   sched_cv_.notify_one();
@@ -466,6 +479,34 @@ bool ParseProbability(const std::string& word, double* out) {
   return ParseDouble(word, out) && *out >= 0.0 && *out <= 1.0;
 }
 
+/// Longest delay or jitter a rule takes: a quarter of Timestamp's
+/// range, so delay + jitter plus the steady clock they are added to
+/// cannot overflow.
+constexpr double kMaxHoldMicros =
+    static_cast<double>(std::numeric_limits<Timestamp>::max() / 4);
+
+/// Parses a finite, non-negative millisecond count into micros.
+bool ParseMillis(const std::string& word, Timestamp* micros) {
+  double ms = 0.0;
+  if (!ParseDouble(word, &ms) || !std::isfinite(ms) || ms < 0) return false;
+  const double us = ms * kMicrosPerMilli;
+  if (us > kMaxHoldMicros) return false;
+  *micros = static_cast<Timestamp>(us);
+  return true;
+}
+
+/// Parses an unsigned decimal seed; strtoull alone would take a sign
+/// ("-1" wraps to 2^64-1) and saturate on overflow.
+bool ParseSeed(const std::string& word, uint64_t* out) {
+  if (word.empty() || std::isdigit(static_cast<unsigned char>(word[0])) == 0) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(word.c_str(), &end, 10);
+  return errno == 0 && *end == '\0';
+}
+
 /// Parses a trailing direction word; defaults to both directions.
 bool ParseDirections(const std::vector<std::string>& words, size_t index,
                      std::vector<ChaosTransport::Direction>* out) {
@@ -484,49 +525,6 @@ bool ParseDirections(const std::vector<std::string>& words, size_t index,
     return false;
   }
   return true;
-}
-
-Result<std::string> ExecuteSimulatorChaos(
-    NetworkSimulator* net, const std::vector<std::string>& words) {
-  const Status usage = Status::InvalidArgument(
-      "usage: chaos partition <a> <b> | chaos heal [<a> <b>] | "
-      "chaos down <node> | chaos up <node> | chaos loss <from> <to> <p>");
-  if (words.empty()) return usage;
-  const std::string sub = ToLower(words[0]);
-  if (sub == "partition" && words.size() == 3) {
-    net->SetPartitioned(words[1], words[2], true);
-    return std::string("partitioned " + words[1] + " <-> " + words[2] + "\n");
-  }
-  if (sub == "heal") {
-    if (words.size() == 3) {
-      net->SetPartitioned(words[1], words[2], false);
-      return std::string("healed " + words[1] + " <-> " + words[2] + "\n");
-    }
-    if (words.size() == 1) {
-      net->ClearFaults();
-      return std::string("cleared all partitions and downed nodes\n");
-    }
-    return usage;
-  }
-  if (sub == "down" && words.size() == 2) {
-    net->SetNodeDown(words[1], true);
-    return std::string("node " + words[1] + " down\n");
-  }
-  if (sub == "up" && words.size() == 2) {
-    net->SetNodeDown(words[1], false);
-    return std::string("node " + words[1] + " up\n");
-  }
-  if (sub == "loss" && words.size() == 4) {
-    double p = 0.0;
-    if (!ParseProbability(words[3], &p)) {
-      return Status::InvalidArgument(
-          "chaos loss takes a probability between 0 and 1");
-    }
-    net->SetLoss(words[1], words[2], p);
-    return std::string("loss " + words[1] + " -> " + words[2] + " = " +
-                       words[3] + "\n");
-  }
-  return usage;
 }
 
 std::string FormatRule(const ChaosTransport::RuleEntry& entry) {
@@ -594,10 +592,9 @@ Result<std::string> ExecuteDecoratorChaos(
     return out.str();
   }
   if (sub == "seed" && words.size() == 2) {
-    char* end = nullptr;
-    const uint64_t seed = std::strtoull(words[1].c_str(), &end, 10);
-    if (end == words[1].c_str() || *end != '\0') {
-      return Status::InvalidArgument("chaos seed takes an integer");
+    uint64_t seed = 0;
+    if (!ParseSeed(words[1], &seed)) {
+      return Status::InvalidArgument("chaos seed takes an unsigned integer");
     }
     chaos->Reseed(seed);
     return std::string("reseeded to " + words[1] + "\n");
@@ -619,28 +616,26 @@ Result<std::string> ExecuteDecoratorChaos(
     return std::string(sub + " " + words[1] + " = " + words[2] + "\n");
   }
   if (sub == "delay" && words.size() >= 3 && words.size() <= 5) {
-    double delay_ms = 0.0;
-    if (!ParseDouble(words[2], &delay_ms) || delay_ms < 0) {
+    Timestamp delay = 0;
+    if (!ParseMillis(words[2], &delay)) {
       return Status::InvalidArgument(
-          "chaos delay takes a delay in milliseconds");
+          "chaos delay takes a finite delay in milliseconds");
     }
-    double jitter_ms = 0.0;
+    Timestamp jitter = 0;
     size_t dir_index = 3;
-    if (words.size() >= 4 && ParseDouble(words[3], &jitter_ms)) {
-      if (jitter_ms < 0) {
-        return Status::InvalidArgument("chaos delay jitter must be >= 0");
+    double number = 0.0;
+    if (words.size() >= 4 && ParseDouble(words[3], &number)) {
+      if (!ParseMillis(words[3], &jitter)) {
+        return Status::InvalidArgument(
+            "chaos delay jitter takes a finite millisecond count >= 0");
       }
       dir_index = 4;
-    } else {
-      jitter_ms = 0.0;
     }
     std::vector<ChaosTransport::Direction> dirs;
     if (!ParseDirections(words, dir_index, &dirs)) return usage;
     UpdateRules(chaos, words[1], dirs, [&](ChaosTransport::Rule* rule) {
-      rule->delay_micros =
-          static_cast<Timestamp>(delay_ms * kMicrosPerMilli);
-      rule->delay_jitter_micros =
-          static_cast<Timestamp>(jitter_ms * kMicrosPerMilli);
+      rule->delay_micros = delay;
+      rule->delay_jitter_micros = jitter;
     });
     return std::string("delay " + words[1] + " = " + words[2] + "ms\n");
   }
@@ -704,19 +699,11 @@ Result<std::string> ExecuteChaosCommand(Transport* transport,
     return Status::InvalidArgument(
         "chaos requires a network transport (standalone container has none)");
   }
-  const std::vector<std::string> words = SplitWords(args);
-  // The simulator keeps its historical node-pair grammar; the decorator
-  // grammar is per-peer. AsSimulator is checked first so a
-  // ChaosTransport-wrapped simulator still scripts the simulator.
-  if (NetworkSimulator* net = transport->AsSimulator(); net != nullptr) {
-    return ExecuteSimulatorChaos(net, words);
-  }
   if (ChaosTransport* chaos = transport->AsChaos(); chaos != nullptr) {
-    return ExecuteDecoratorChaos(chaos, words);
+    return ExecuteDecoratorChaos(chaos, SplitWords(args));
   }
   return Status::InvalidArgument(
-      "chaos requires the simulator or a chaos transport (this container "
-      "runs on '" +
+      "chaos requires a chaos transport (this container runs on '" +
       transport->transport_name() + "')");
 }
 

@@ -1,6 +1,7 @@
 #ifndef GSN_NETWORK_CHAOS_TRANSPORT_H_
 #define GSN_NETWORK_CHAOS_TRANSPORT_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -20,13 +21,13 @@
 
 namespace gsn::network {
 
-/// Fault-injecting Transport decorator (docs/CHAOS.md): wraps any
-/// inner transport — in practice EpollTransport, giving real-TCP runs
-/// the same chaos vocabulary the NetworkSimulator offers under virtual
-/// time. Frames crossing the decorator are subjected to per-peer,
-/// per-direction rules: drop, duplication, reordering, fixed+jittered
-/// delay, bandwidth throttling, full partition, and forced connection
-/// resets (via the inner transport's ResetPeer).
+/// Fault-injecting Transport decorator (docs/CHAOS.md), the one fault
+/// fabric: it wraps EpollTransport in a daemon (`gsnd --chaos-seed`)
+/// and the lossless NetworkSimulator under virtual time (one decorator
+/// per Federation node). Frames crossing the decorator are subjected
+/// to per-peer, per-direction rules: drop, duplication, reordering,
+/// fixed+jittered delay, bandwidth throttling, full partition, and
+/// forced connection resets (via the inner transport's ResetPeer).
 ///
 /// Determinism contract: the drop/dup/reorder/delay decision for the
 /// i-th frame on a link is a pure function of (seed, peer, direction,
@@ -45,8 +46,10 @@ namespace gsn::network {
 /// and partitioned frames report OK — like real packet loss, the
 /// sender cannot know, and the resilience layer above must recover.
 /// Broadcasts pass through unmodified (per-peer rules have no single
-/// peer to key on). Thread-safe; delayed frames are replayed by one
-/// scheduler thread.
+/// peer to key on); the receivers' inbound rules still see them.
+/// Thread-safe; held frames (delay, dup, reorder, throttle) are
+/// replayed by one wall-clock scheduler thread, started on the first
+/// hold, so drop/partition-only decorators cost no thread.
 class ChaosTransport : public Transport {
  public:
   enum class Direction { kIn = 0, kOut = 1 };
@@ -94,6 +97,8 @@ class ChaosTransport : public Transport {
     int64_t throttled = 0;
     int64_t partitioned = 0;
     int64_t resets = 0;
+
+    bool operator==(const Counters&) const = default;
   };
 
   struct Options {
@@ -123,16 +128,12 @@ class ChaosTransport : public Transport {
   std::vector<ConnectionStats> Connections() const override {
     return inner_->Connections();
   }
-  NetworkSimulator* AsSimulator() override { return inner_->AsSimulator(); }
   ChaosTransport* AsChaos() override { return this; }
   std::string transport_name() const override {
     return "chaos+" + inner_->transport_name();
   }
   void SetErrorCallback(ErrorCallback callback) override {
     inner_->SetErrorCallback(std::move(callback));
-  }
-  void SetPeerUpCallback(PeerUpCallback callback) override {
-    inner_->SetPeerUpCallback(std::move(callback));
   }
   Status ResetPeer(const std::string& peer) override {
     return inner_->ResetPeer(peer);
@@ -170,6 +171,19 @@ class ChaosTransport : public Transport {
   /// inbound rules run before the real node sees the message.
   class InboundShim;
 
+  /// Injected-fault kinds, the `fault` label of
+  /// gsn_chaos_injected_total.
+  enum Fault {
+    kDrop,
+    kDup,
+    kReorder,
+    kDelay,
+    kThrottle,
+    kPartition,
+    kReset,
+    kFaultKinds
+  };
+
   struct LinkState {
     Rule rule;
     uint64_t frames = 0;
@@ -202,12 +216,12 @@ class ChaosTransport : public Transport {
   bool AdmitFrameLocked(const std::string& peer, Direction direction,
                         size_t bytes, Timestamp steady_now, bool* duplicate,
                         bool* reset, Timestamp* wait_micros);
+  /// Queues a held frame, starting the scheduler thread on first use.
   void Schedule(Timestamp due_steady, std::function<void()> fn);
   void SchedulerMain();
-  void CountFault(const char* fault, std::atomic<int64_t>* counter);
+  void CountFault(Fault fault);
 
   Transport* const inner_;
-  telemetry::MetricRegistry* const metrics_;
 
   mutable std::mutex mu_;
   uint64_t seed_;                                    // guarded by mu_
@@ -225,30 +239,27 @@ class ChaosTransport : public Transport {
       scheduled_;        // guarded by sched_mu_
   uint64_t sched_seq_ = 0;  // guarded by sched_mu_
   bool stopping_ = false;   // guarded by sched_mu_
-  std::thread scheduler_;
+  std::thread scheduler_;   // started under sched_mu_ by Schedule
 
-  std::atomic<int64_t> dropped_total_{0};
-  std::atomic<int64_t> duplicated_total_{0};
-  std::atomic<int64_t> reordered_total_{0};
-  std::atomic<int64_t> delayed_total_{0};
-  std::atomic<int64_t> throttled_total_{0};
-  std::atomic<int64_t> partitioned_total_{0};
-  std::atomic<int64_t> resets_total_{0};
+  std::array<std::atomic<int64_t>, kFaultKinds> injected_{};
+  /// gsn_chaos_injected_total{fault} handles, registered once at
+  /// construction (null without a registry).
+  std::array<std::shared_ptr<telemetry::Counter>, kFaultKinds>
+      injected_metrics_;
 };
 
 /// Parses Direction from "in" | "out" | "both"-style words; used by
 /// the shared chaos command grammar.
 const char* DirectionName(ChaosTransport::Direction direction);
 
-/// Executes one line of the shared chaos vocabulary against whatever
-/// transport the container runs on (docs/CHAOS.md): the simulator
-/// keeps its historical grammar (partition/heal/down/up/loss by node
-/// pair), ChaosTransport gets the per-peer rule grammar
+/// Executes one line of the chaos vocabulary (docs/CHAOS.md) against
+/// the container's ChaosTransport: the per-peer rule grammar
 /// (loss/dup/reorder/delay/throttle/partition/heal/reset/seed/status).
 /// Both the `chaos` management command and POST /api/v1/chaos route
-/// through here, so simulator and TCP runs are driven by one grammar.
-/// Returns the human-readable confirmation, or InvalidArgument with a
-/// usage string.
+/// through here, so virtual-time and real-TCP runs are driven by one
+/// grammar. Returns the human-readable confirmation, or
+/// InvalidArgument with a usage string (or naming a transport that
+/// carries no decorator).
 Result<std::string> ExecuteChaosCommand(Transport* transport,
                                         const std::string& args);
 

@@ -165,7 +165,6 @@ void EpollTransport::Stop() {
   dial_states_.clear();
   paused_listeners_.clear();
   pending_deliveries_.clear();
-  pending_peer_ups_.clear();
   pending_errors_.clear();
   total_out_bytes_ = 0;
   const int peer_listen = peer_listen_fd_.exchange(-1);
@@ -286,11 +285,6 @@ Status EpollTransport::UnregisterNode(const std::string& node_id) {
 void EpollTransport::SetErrorCallback(ErrorCallback callback) {
   std::lock_guard<std::mutex> lock(mu_);
   error_callback_ = std::move(callback);
-}
-
-void EpollTransport::SetPeerUpCallback(PeerUpCallback callback) {
-  std::lock_guard<std::mutex> lock(mu_);
-  peer_up_callback_ = std::move(callback);
 }
 
 Status EpollTransport::ResetPeer(const std::string& peer) {
@@ -515,10 +509,7 @@ EpollTransport::Conn* EpollTransport::DialLocked(const std::string& node_id,
   ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
   ev.data.fd = fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  if (!raw->connecting) {
-    pending_peer_ups_.push_back(node_id);
-    NoteDialSuccessLocked(node_id);
-  }
+  if (!raw->connecting) NoteDialSuccessLocked(node_id);
   UpdateGaugesLocked();
   return raw;
 }
@@ -735,7 +726,6 @@ void EpollTransport::ConnReady(int fd, uint32_t events) {
                       &peer_len) == 0) {
       conn->connecting = false;
       conn->connect_deadline_steady = 0;
-      pending_peer_ups_.push_back(conn->peer);
       NoteDialSuccessLocked(conn->peer);
     } else if ((events & (EPOLLIN | EPOLLRDHUP)) == 0) {
       return;  // still connecting; nothing to read or flush yet
@@ -821,12 +811,9 @@ void EpollTransport::ProcessPeerInput(Conn* conn) {
           route != peer_conns_.end() && conns_.count(route->second) > 0;
       peer_conns_[message.from] = conn->fd;
       conn->peer = message.from;
-      if (!had_route) {
-        pending_peer_ups_.push_back(message.from);
-        // The peer reached us: connectivity is back even if our own
-        // dials were failing — stop the redial cycle.
-        NoteDialSuccessLocked(message.from);
-      }
+      // The peer reached us: connectivity is back even if our own
+      // dials were failing — stop the redial cycle.
+      if (!had_route) NoteDialSuccessLocked(message.from);
     }
     if (message.to.empty()) {
       for (const auto& [node_id, node] : local_nodes_) {
@@ -1039,25 +1026,15 @@ void EpollTransport::MaintainLocked(Timestamp steady_now) {
 
 void EpollTransport::FirePending() {
   std::vector<PendingDelivery> deliveries;
-  std::vector<std::string> peer_ups;
   std::vector<std::pair<std::string, Status>> errors;
-  PeerUpCallback peer_up;
   ErrorCallback on_error;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (pending_deliveries_.empty() && pending_peer_ups_.empty() &&
-        pending_errors_.empty()) {
-      return;
-    }
+    if (pending_deliveries_.empty() && pending_errors_.empty()) return;
     deliveries.swap(pending_deliveries_);
-    peer_ups.swap(pending_peer_ups_);
     errors.swap(pending_errors_);
-    peer_up = peer_up_callback_;
     on_error = error_callback_;
     dispatching_ = true;
-  }
-  if (peer_up) {
-    for (const std::string& peer : peer_ups) peer_up(peer);
   }
   for (PendingDelivery& delivery : deliveries) {
     delivery.node->OnMessage(delivery.message);

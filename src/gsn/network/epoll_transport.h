@@ -138,7 +138,6 @@ class EpollTransport : public Transport {
   std::vector<ConnectionStats> Connections() const override;
   std::string transport_name() const override { return "epoll"; }
   void SetErrorCallback(ErrorCallback callback) override;
-  void SetPeerUpCallback(PeerUpCallback callback) override;
   /// Abruptly tears down every live connection to `peer` (the chaos
   /// "connection reset" fault). Closes happen on the loop thread; the
   /// peer plane redials with backoff afterwards.
@@ -260,7 +259,6 @@ class EpollTransport : public Transport {
   mutable std::mutex mu_;
   HttpHandler http_handler_;                      // guarded by mu_
   ErrorCallback error_callback_;                  // guarded by mu_
-  PeerUpCallback peer_up_callback_;               // guarded by mu_
   std::map<std::string, NetworkNode*> local_nodes_;  // guarded by mu_
   std::map<int, std::unique_ptr<Conn>> conns_;       // guarded by mu_
   /// node id -> fd of the preferred live link (latest learned wins).
@@ -281,7 +279,6 @@ class EpollTransport : public Transport {
   std::atomic<bool> peer_plane_active_{false};
   /// Deliveries/callbacks accumulated under mu_, fired by FirePending.
   std::vector<PendingDelivery> pending_deliveries_;   // guarded by mu_
-  std::vector<std::string> pending_peer_ups_;         // guarded by mu_
   std::vector<std::pair<std::string, Status>> pending_errors_;
   /// True while FirePending runs callbacks outside mu_; UnregisterNode
   /// waits on dispatch_done_ for it to clear.

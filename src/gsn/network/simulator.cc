@@ -18,7 +18,7 @@ NetworkSimulator::NetworkSimulator(uint64_t seed,
                                     "Messages delivered to their node");
   dropped_ = registry->GetCounter(
       "gsn_network_dropped_total", {},
-      "Messages lost to link loss or departed nodes");
+      "Messages addressed to nodes that departed while in flight");
   bytes_sent_ = registry->GetCounter("gsn_network_bytes_sent_total", {},
                                      "Payload bytes submitted");
   delivery_micros_ = registry->GetHistogram(
@@ -44,14 +44,6 @@ Status NetworkSimulator::UnregisterNode(const std::string& node_id) {
   return Status::OK();
 }
 
-std::vector<std::string> NetworkSimulator::NodeIds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) out.push_back(id);
-  return out;
-}
-
 void NetworkSimulator::SetDefaultLink(const LinkConfig& config) {
   std::lock_guard<std::mutex> lock(mu_);
   default_link_ = config;
@@ -67,54 +59,6 @@ const NetworkSimulator::LinkConfig& NetworkSimulator::LinkFor(
     const std::string& from, const std::string& to) const {
   auto it = links_.find({from, to});
   return it == links_.end() ? default_link_ : it->second;
-}
-
-// ------------------------------------------------------- Fault injection
-
-bool NetworkSimulator::FaultBlocksLocked(const std::string& from,
-                                         const std::string& to) const {
-  if (down_nodes_.count(from) || down_nodes_.count(to)) return true;
-  return partitions_.count(from < to ? std::make_pair(from, to)
-                                     : std::make_pair(to, from)) > 0;
-}
-
-void NetworkSimulator::SetPartitioned(const std::string& a,
-                                      const std::string& b, bool partitioned) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto key = a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-  if (partitioned) {
-    partitions_.insert(std::move(key));
-  } else {
-    partitions_.erase(key);
-  }
-}
-
-void NetworkSimulator::SetNodeDown(const std::string& node_id, bool down) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (down) {
-    down_nodes_.insert(node_id);
-  } else {
-    down_nodes_.erase(node_id);
-  }
-}
-
-bool NetworkSimulator::IsNodeDown(const std::string& node_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return down_nodes_.count(node_id) > 0;
-}
-
-void NetworkSimulator::SetLoss(const std::string& from, const std::string& to,
-                               double loss_probability) {
-  std::lock_guard<std::mutex> lock(mu_);
-  LinkConfig link = LinkFor(from, to);
-  link.loss_probability = loss_probability;
-  links_[{from, to}] = link;
-}
-
-void NetworkSimulator::ClearFaults() {
-  std::lock_guard<std::mutex> lock(mu_);
-  partitions_.clear();
-  down_nodes_.clear();
 }
 
 void NetworkSimulator::ScheduleAt(Timestamp at, std::function<void()> action) {
@@ -140,15 +84,7 @@ Status NetworkSimulator::Send(Timestamp now, const std::string& from,
   }
   sent_->Increment();
   bytes_sent_->Increment(static_cast<int64_t>(payload.size()));
-  if (FaultBlocksLocked(from, to)) {
-    dropped_->Increment();
-    return Status::OK();  // faults are silent, like a cable pull
-  }
   const LinkConfig& link = LinkFor(from, to);
-  if (link.loss_probability > 0 && rng_.NextBool(link.loss_probability)) {
-    dropped_->Increment();
-    return Status::OK();  // loss is silent, like UDP
-  }
   QueuedMessage qm;
   qm.message.from = from;
   qm.message.to = to;
@@ -193,9 +129,9 @@ int NetworkSimulator::DeliverUntil(Timestamp now) {
       const bool action_due = !actions_.empty() && actions_.front().at <= now;
       const bool message_due =
           !queue_.empty() && queue_.top().message.deliver_at <= now;
-      // Interleave chaos actions with deliveries in global time order;
-      // an action due at the same instant as a message runs first (the
-      // fault lands before the packet).
+      // Interleave scheduled actions with deliveries in global time
+      // order; an action due at the same instant as a message runs
+      // first (a scripted fault lands before the packet).
       if (action_due &&
           (!message_due ||
            actions_.front().at <= queue_.top().message.deliver_at)) {
@@ -205,10 +141,8 @@ int NetworkSimulator::DeliverUntil(Timestamp now) {
         message = queue_.top().message;
         queue_.pop();
         auto it = nodes_.find(message.to);
-        if (it == nodes_.end() ||
-            FaultBlocksLocked(message.from, message.to)) {
-          // Node departed, crashed, or partitioned while the message
-          // was in flight: drop it.
+        if (it == nodes_.end()) {
+          // The node departed while the message was in flight.
           dropped_->Increment();
           continue;
         }
@@ -220,7 +154,7 @@ int NetworkSimulator::DeliverUntil(Timestamp now) {
       }
     }
     // Run handlers/actions outside the lock: both commonly call back
-    // into the simulator (Send, SetPartitioned, ...).
+    // into the simulator (Send, ScheduleAt, ...).
     if (action) {
       action();
       continue;

@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 #include <queue>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -19,10 +18,13 @@ namespace gsn::network {
 
 /// In-process network between containers, standing in for the TCP/HTTP
 /// links of a real GSN deployment (substitution documented in
-/// DESIGN.md; EpollTransport is the real-socket sibling). Messages
-/// experience configurable latency, jitter, and loss; delivery happens
-/// when the owner pumps DeliverUntil(now), which makes multi-node
-/// experiments fully deterministic under virtual time.
+/// DESIGN.md; EpollTransport is the real-socket sibling). A lossless
+/// virtual-time fabric: messages experience configurable latency and
+/// jitter, and delivery happens when the owner pumps DeliverUntil(now),
+/// which makes multi-node experiments fully deterministic. Faults are
+/// not the simulator's business: each node registers through its own
+/// ChaosTransport, whose rules drop, partition, or cut its links
+/// (docs/CHAOS.md), and ScheduleAt times those rule changes.
 ///
 /// Thread-safe.
 class NetworkSimulator : public Transport {
@@ -30,7 +32,6 @@ class NetworkSimulator : public Transport {
   struct LinkConfig {
     Timestamp base_latency_micros = 2 * kMicrosPerMilli;
     Timestamp jitter_micros = 0;  // uniform in [0, jitter]
-    double loss_probability = 0.0;
   };
 
   /// Point-in-time view assembled from the registered metrics (kept as
@@ -38,7 +39,7 @@ class NetworkSimulator : public Transport {
   struct Stats {
     int64_t sent = 0;
     int64_t delivered = 0;
-    int64_t dropped = 0;
+    int64_t dropped = 0;  // addressed to a node that departed in flight
     int64_t bytes_sent = 0;
   };
 
@@ -55,7 +56,6 @@ class NetworkSimulator : public Transport {
   /// Attaches a node under `node_id`. Fails on duplicates.
   Status RegisterNode(const std::string& node_id, NetworkNode* node) override;
   Status UnregisterNode(const std::string& node_id) override;
-  std::vector<std::string> NodeIds() const;
 
   /// Default link parameters for all pairs.
   void SetDefaultLink(const LinkConfig& config);
@@ -64,8 +64,7 @@ class NetworkSimulator : public Transport {
                const LinkConfig& config);
 
   /// Enqueues a message. `now` is the send time; delivery time adds
-  /// latency + jitter. Lost messages count as dropped. Unknown
-  /// destinations are an error.
+  /// latency + jitter. Unknown destinations are an error.
   Status Send(Timestamp now, const std::string& from, const std::string& to,
               const std::string& topic, std::string payload) override;
 
@@ -76,49 +75,19 @@ class NetworkSimulator : public Transport {
 
   /// Delivers every queued message with deliver_at <= now, in delivery
   /// time order. Handlers may send more messages; those are delivered
-  /// too if due. Scheduled fault actions due by `now` run interleaved
-  /// in time order. Returns the number of messages delivered.
+  /// too if due. Scheduled actions due by `now` run interleaved in time
+  /// order. Returns the number of messages delivered.
   int DeliverUntil(Timestamp now);
 
   /// Transport: the simulator's deferred delivery IS the pump.
   int Pump(Timestamp now) override { return DeliverUntil(now); }
-  NetworkSimulator* AsSimulator() override { return this; }
   std::string transport_name() const override { return "simulator"; }
-
-  // -- Fault injection ------------------------------------------------------
-  //
-  // First-class chaos controls, scriptable under virtual time so chaos
-  // tests are deterministic: partitions, peer crash/restart, and
-  // asymmetric loss (via SetLoss on one direction only). Faults act at
-  // both send and delivery time — a message in flight when the
-  // partition lands is lost, like a cable pull.
-
-  /// Symmetric partition between `a` and `b`: messages in either
-  /// direction are dropped while it holds.
-  void SetPartitioned(const std::string& a, const std::string& b,
-                      bool partitioned);
-
-  /// Crash / restart: a down node neither sends nor receives, but its
-  /// registration (and the owning container's state) survives — this
-  /// models a process restart, not a departure.
-  void SetNodeDown(const std::string& node_id, bool down);
-  bool IsNodeDown(const std::string& node_id) const;
-
-  /// Convenience: sets only the loss probability of the directional
-  /// link `from` -> `to`, keeping its latency/jitter. Call once per
-  /// direction for symmetric loss.
-  void SetLoss(const std::string& from, const std::string& to,
-               double loss_probability);
-
-  /// Lifts every partition and marks every node up (link loss configs
-  /// are left alone — use SetLoss to clear those).
-  void ClearFaults();
 
   /// Schedules `action` to run during DeliverUntil once virtual time
   /// reaches `at`, interleaved with message deliveries in time order
   /// (actions run before messages due at the same instant). Actions
-  /// may call any simulator method — this is how chaos scripts flip
-  /// partitions mid-run deterministically.
+  /// may call any simulator method — this is how chaos scripts change
+  /// nodes' ChaosTransport rules mid-run deterministically.
   void ScheduleAt(Timestamp at, std::function<void()> action);
 
   Stats stats() const;
@@ -143,7 +112,6 @@ class NetworkSimulator : public Transport {
 
   const LinkConfig& LinkFor(const std::string& from,
                             const std::string& to) const;
-  bool FaultBlocksLocked(const std::string& from, const std::string& to) const;
 
   std::unique_ptr<telemetry::MetricRegistry> owned_metrics_;
   std::shared_ptr<telemetry::Counter> sent_;
@@ -161,11 +129,7 @@ class NetworkSimulator : public Transport {
                       std::greater<QueuedMessage>>
       queue_;
   uint64_t sequence_ = 0;
-  /// Fault state: symmetric partitions stored as ordered (min, max)
-  /// pairs; down nodes by id; chaos actions sorted by (at, sequence).
-  std::set<std::pair<std::string, std::string>> partitions_;
-  std::set<std::string> down_nodes_;
-  std::vector<ScheduledAction> actions_;  // kept sorted, drained from front
+  std::vector<ScheduledAction> actions_;  // sorted by (at, sequence)
   uint64_t action_sequence_ = 0;
 };
 

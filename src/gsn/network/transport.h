@@ -52,18 +52,20 @@ struct ConnectionStats {
   Timestamp idle_micros = 0;  // since the last byte in either direction
 };
 
-class NetworkSimulator;
 class ChaosTransport;
 
 /// The network fabric between GSN containers, extracted from the
 /// simulator-coupled federation path so `gsnd` daemons can federate
 /// over real sockets (docs/TRANSPORT.md). Two implementations:
 ///
-///  - NetworkSimulator — the in-process deterministic fabric (virtual
-///    time, fault injection), kept byte-for-byte for chaos tests.
+///  - NetworkSimulator — the in-process deterministic fabric: lossless,
+///    with latency and jitter under virtual time.
 ///  - EpollTransport — an edge-triggered non-blocking TCP transport
 ///    with framed peer links, an HTTP/1.1 keep-alive role, bounded
 ///    per-connection write queues, and idle timeouts.
+///
+/// Faults on either are ChaosTransport rules (docs/CHAOS.md): the
+/// decorator wraps whichever implementation a node registers through.
 ///
 /// Delivery is push-based: a registered NetworkNode's OnMessage fires
 /// when a message arrives (on Pump for the simulator, on the event
@@ -76,10 +78,6 @@ class Transport {
   /// address) and `error` the reason the transport gave up on it.
   using ErrorCallback =
       std::function<void(const std::string& peer, const Status& error)>;
-  /// Fired when a peer link becomes live (connect completed, or an
-  /// inbound connection identified its node). Containers use it to
-  /// re-announce their directory to the newcomer.
-  using PeerUpCallback = std::function<void(const std::string& peer)>;
 
   virtual ~Transport() = default;
 
@@ -115,12 +113,8 @@ class Transport {
   virtual std::vector<ConnectionStats> Connections() const { return {}; }
 
   /// Downcast hook for the chaos surfaces (`chaos` management command,
-  /// fault-injection tests): non-null only for the simulator.
-  virtual NetworkSimulator* AsSimulator() { return nullptr; }
-
-  /// Downcast hook for the chaos decorator (docs/CHAOS.md): non-null
-  /// only for ChaosTransport (decorators forward to their inner
-  /// transport, so a wrapped simulator still answers AsSimulator).
+  /// GET/POST /api/v1/chaos, fault-injection tests): non-null only for
+  /// ChaosTransport (docs/CHAOS.md).
   virtual ChaosTransport* AsChaos() { return nullptr; }
 
   /// Forcibly tears down every live connection to `peer` (abrupt
@@ -136,7 +130,6 @@ class Transport {
   virtual std::string transport_name() const = 0;
 
   virtual void SetErrorCallback(ErrorCallback /*callback*/) {}
-  virtual void SetPeerUpCallback(PeerUpCallback /*callback*/) {}
 };
 
 }  // namespace gsn::network

@@ -9,8 +9,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,7 +21,6 @@
 
 #include "gsn/network/chaos_transport.h"
 #include "gsn/network/epoll_transport.h"
-#include "gsn/network/simulator.h"
 #include "gsn/telemetry/metrics.h"
 #include "gsn/util/clock.h"
 
@@ -426,7 +428,6 @@ TEST(ChaosTransportTest, BroadcastsAndForeignPeersPassThrough) {
   EXPECT_EQ(chaos.counters().dropped, 0);
   EXPECT_EQ(chaos.transport_name(), "chaos+fake");
   EXPECT_EQ(chaos.AsChaos(), &chaos);
-  EXPECT_EQ(chaos.AsSimulator(), nullptr);
 }
 
 TEST(ChaosTransportTest, InjectedFaultsRegisterInMetrics) {
@@ -445,25 +446,46 @@ TEST(ChaosTransportTest, InjectedFaultsRegisterInMetrics) {
       << exposition;
 }
 
-// ------------------------------------------------- shared chaos grammar
-
-TEST(ChaosCommandTest, SimulatorKeepsItsHistoricalGrammar) {
-  NetworkSimulator sim;
-  Result<std::string> r = ExecuteChaosCommand(&sim, "partition a b");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "partitioned a <-> b\n");
-  r = ExecuteChaosCommand(&sim, "loss a b 0.25");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "loss a -> b = 0.25\n");
-  r = ExecuteChaosCommand(&sim, "heal");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "cleared all partitions and downed nodes\n");
-  r = ExecuteChaosCommand(&sim, "loss a b 7");
-  EXPECT_FALSE(r.ok());
-  r = ExecuteChaosCommand(&sim, "bogus");
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("usage:"), std::string::npos);
+int ThreadCount() {
+  return static_cast<int>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
 }
+
+TEST(ChaosTransportTest, OnlyAHeldFrameStartsTheSchedulerThread) {
+  // A decorator sits on every simulated node, so one whose rules never
+  // hold a frame (drop, partition) must cost no thread.
+  FakeTransport inner;
+  // Sanitizer runtimes start a helper thread with the process's first
+  // thread; start and join one first so the counts see only decorators.
+  std::thread([] {}).join();
+  const int before = ThreadCount();
+  std::vector<std::unique_ptr<ChaosTransport>> decorators;
+  ChaosTransport::Rule drop;
+  drop.drop = 1.0;
+  ChaosTransport::Rule cut;
+  cut.partitioned = true;
+  for (int i = 0; i < 32; ++i) {
+    decorators.push_back(std::make_unique<ChaosTransport>(&inner));
+    decorators.back()->SetRule("lossy", ChaosTransport::Direction::kOut, drop);
+    decorators.back()->SetRule("cut", ChaosTransport::Direction::kOut, cut);
+    ASSERT_TRUE(decorators.back()->Send(0, "me", "lossy", "t", "x").ok());
+    ASSERT_TRUE(decorators.back()->Send(0, "me", "cut", "t", "x").ok());
+    ASSERT_TRUE(decorators.back()->Send(0, "me", "clear", "t", "x").ok());
+  }
+  EXPECT_EQ(inner.SentMessages().size(), 32u);  // only the rule-free peer
+  EXPECT_EQ(ThreadCount(), before);
+
+  ChaosTransport::Rule delay;
+  delay.delay_micros = kMicrosPerMilli;
+  decorators[0]->SetRule("slow", ChaosTransport::Direction::kOut, delay);
+  ASSERT_TRUE(decorators[0]->Send(0, "me", "slow", "t", "x").ok());
+  ASSERT_TRUE(decorators[0]->Send(0, "me", "slow", "t", "y").ok());
+  ASSERT_TRUE(inner.WaitForSent(34));
+  EXPECT_EQ(ThreadCount(), before + 1);
+}
+
+// ------------------------------------------------- shared chaos grammar
 
 TEST(ChaosCommandTest, DecoratorGrammarDrivesRules) {
   FakeTransport inner;
@@ -540,13 +562,40 @@ TEST(ChaosCommandTest, UnsupportedTransportsExplainThemselves) {
   EXPECT_NE(r.status().message().find("'fake'"), std::string::npos);
 }
 
-TEST(ChaosCommandTest, WrappedSimulatorStillAnswersSimulatorGrammar) {
-  NetworkSimulator sim;
-  ChaosTransport chaos(&sim);
-  EXPECT_EQ(chaos.AsSimulator(), &sim);
-  Result<std::string> r = ExecuteChaosCommand(&chaos, "partition a b");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "partitioned a <-> b\n");
+TEST(ChaosCommandTest, RejectsNonFiniteHoldsAndSignedSeeds) {
+  // POST /api/v1/chaos hands this grammar outside input: a delay or
+  // jitter that is not a finite count of milliseconds fitting in a
+  // Timestamp, or a signed seed, must be refused and store nothing.
+  FakeTransport inner;
+  ChaosTransport::Options options;
+  options.seed = 5;
+  ChaosTransport chaos(&inner, options);
+  const auto rejected = [&chaos](const std::string& line) {
+    const Result<std::string> r = ExecuteChaosCommand(&chaos, line);
+    return !r.ok() && r.status().code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(rejected("delay peer nan"));
+  EXPECT_TRUE(rejected("delay peer inf"));
+  EXPECT_TRUE(rejected("delay peer -inf"));
+  EXPECT_TRUE(rejected("delay peer 1e300"));
+  EXPECT_TRUE(rejected("delay peer 5 inf"));
+  EXPECT_TRUE(rejected("delay peer 5 nan"));
+  EXPECT_TRUE(rejected("delay peer 5 1e300"));
+  EXPECT_TRUE(rejected("delay peer 5 -1"));
+  EXPECT_TRUE(rejected("seed -1"));
+  EXPECT_TRUE(rejected("seed +7"));
+  EXPECT_TRUE(rejected("seed 99999999999999999999999"));
+  EXPECT_TRUE(chaos.Rules().empty());
+  EXPECT_EQ(chaos.seed(), 5u);
+
+  // Large but representable holds and seeds still parse.
+  ASSERT_TRUE(ExecuteChaosCommand(&chaos, "delay peer 1e9 0.5 out").ok());
+  const ChaosTransport::Rule held =
+      chaos.GetRule("peer", ChaosTransport::Direction::kOut);
+  EXPECT_EQ(held.delay_micros, 1000000000 * kMicrosPerMilli);
+  EXPECT_EQ(held.delay_jitter_micros, 500);
+  ASSERT_TRUE(ExecuteChaosCommand(&chaos, "seed 18446744073709551615").ok());
+  EXPECT_EQ(chaos.seed(), 18446744073709551615u);
 }
 
 // ----------------------------------------- decorator over real sockets

@@ -6,6 +6,7 @@
 
 #include "gsn/container/federation.h"
 #include "gsn/container/realtime_pump.h"
+#include "gsn/network/chaos_transport.h"
 #include "gsn/network/protocol.h"
 #include "gsn/network/remote_stream_wrapper.h"
 
@@ -50,16 +51,22 @@ std::string ConsumerXml(const std::string& name) {
          "</virtual-sensor>";
 }
 
+Result<std::string> Chaos(Container* node, const std::string& line) {
+  return gsn::network::ExecuteChaosCommand(node->network(), line);
+}
+
 TEST(FailureInjectionTest, LossyLinkDegradesButNeverCorrupts) {
   Federation fed(99);
-  gsn::network::NetworkSimulator::LinkConfig lossy;
-  lossy.base_latency_micros = 5 * kMicrosPerMilli;
-  lossy.jitter_micros = 20 * kMicrosPerMilli;
-  lossy.loss_probability = 0.3;  // a terrible link
-  fed.network().SetDefaultLink(lossy);
+  gsn::network::NetworkSimulator::LinkConfig slow;
+  slow.base_latency_micros = 5 * kMicrosPerMilli;
+  slow.jitter_micros = 20 * kMicrosPerMilli;
+  fed.network().SetDefaultLink(slow);
 
   auto a = fed.AddNode("producer");
   auto b = fed.AddNode("consumer");
+  // A terrible link: each side loses 30% of what the other sends.
+  ASSERT_TRUE(Chaos(*a, "loss consumer 0.3 in").ok());
+  ASSERT_TRUE(Chaos(*b, "loss producer 0.3 in").ok());
   ASSERT_TRUE((*a)->Deploy(ProducerXml("gen")).ok());
   // The initial publish may be lost on this link; anti-entropy
   // re-announcement (every 5s) must eventually converge the replica.
@@ -95,8 +102,9 @@ TEST(FailureInjectionTest, LossyLinkDegradesButNeverCorrupts) {
   EXPECT_GT(received, 0);
   EXPECT_EQ(received, got->rows()[0][1].int_value());  // no duplicates
 
-  const auto stats = fed.network().stats();
-  EXPECT_GT(stats.dropped, 0);
+  const int64_t lost = (*a)->network()->AsChaos()->counters().dropped +
+                       (*b)->network()->AsChaos()->counters().dropped;
+  EXPECT_GT(lost, 0);
 }
 
 TEST(FailureInjectionTest, TamperedStreamElementsAreRejected) {

@@ -4,8 +4,10 @@
 // restart, after which every produced element must have been admitted
 // exactly once, with the recovery visible in the federation metrics.
 //
-// Everything runs under virtual time on the in-process simulator, so
-// these tests are fully deterministic for a given federation seed.
+// Everything runs under virtual time on the in-process simulator, and
+// every fault is a rule on a node's ChaosTransport typed in the same
+// `chaos` grammar an operator uses on a daemon, so these tests are
+// fully deterministic for a given federation seed.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,6 +20,8 @@
 #include <thread>
 
 #include "gsn/container/federation.h"
+#include "gsn/container/management_interface.h"
+#include "gsn/container/web_interface.h"
 #include "gsn/network/chaos_transport.h"
 #include "gsn/network/epoll_transport.h"
 #include "gsn/network/remote_stream_wrapper.h"
@@ -42,6 +46,25 @@ const RemoteStreamWrapper* FindRemote(Container* c, const std::string& name) {
 int64_t CounterValue(Container* c, const std::string& name,
                      const telemetry::Labels& labels) {
   return c->metrics()->GetCounter(name, labels, "")->Value();
+}
+
+/// Types `chaos <line>` into `node`'s management interface, as an
+/// operator would into a daemon.
+void Chaos(Container* node, const std::string& line) {
+  const std::string reply = ManagementInterface(node).Execute("chaos " + line);
+  EXPECT_EQ(reply.rfind("ERROR", 0), std::string::npos)
+      << line << ": " << reply;
+}
+
+/// Takes `down` off the network like a crashed daemon: every other
+/// node partitions it, and it partitions every peer. Healing those
+/// rules restarts it with its state intact.
+void Crash(Federation& fed, const std::string& down) {
+  for (const std::string& id : fed.NodeIds()) {
+    if (id == down) continue;
+    Chaos(fed.node(id), "partition " + down);
+    Chaos(fed.node(down), "partition " + id);
+  }
 }
 
 std::string GeneratorProducerXml(const std::string& name,
@@ -126,6 +149,63 @@ class FederationChaosTest : public ::testing::Test {
            "</virtual-sensor>";
   }
 
+  /// The acceptance scenario up to the end of its faults: `producer`
+  /// feeds `rows` CSV elements to a remote mirror on `consumer` while
+  /// both links suffer 5% loss, a one-second blackout, a 10s partition,
+  /// and a producer crash/restart, scripted as operator `chaos` lines.
+  void RunLossPartitionRestart(Federation& fed, Container* producer,
+                               Container* consumer, int rows) {
+    // Production starts 2s after the producer's first poll: by then the
+    // consumer below is subscribed, so every element gets a sequence.
+    WriteCsv(rows, 2 * kMicrosPerSecond, 100 * kMicrosPerMilli);
+    ASSERT_TRUE(producer->Deploy(CsvProducerXml("feed")).ok());
+    for (int i = 0; i < 50 && consumer->Discover({{"type", "chaos"}}).empty();
+         ++i) {
+      ASSERT_TRUE(fed.Step(100 * kMicrosPerMilli).ok());
+    }
+    ASSERT_FALSE(consumer->Discover({{"type", "chaos"}}).empty());
+    // A generous NACK budget with a tight backoff cap keeps repair fast
+    // and guarantees nothing is abandoned while faults are scripted.
+    auto mirror = consumer->Deploy(RemoteConsumerXml(
+        "mirror", "chaos", "<field name=\"seq\" type=\"integer\"/>",
+        "<predicate key=\"retry-max-attempts\" val=\"64\"/>"
+        "<predicate key=\"retry-max-backoff\" val=\"1s\"/>"));
+    ASSERT_TRUE(mirror.ok()) << mirror.status().ToString();
+    ASSERT_TRUE(fed.RunFor(kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
+
+    // Chaos script, relative to "subscription established". Rules sit
+    // where the frames arrive, so they also catch broadcasts and frames
+    // already in flight; `heal` clears all of a peer's rules, so the 5%
+    // loss is typed again after each heal.
+    auto& net = fed.network();
+    const Timestamp t0 = fed.clock()->NowMicros();
+    const auto lossy = [producer, consumer] {
+      Chaos(consumer, "loss producer 0.05 in");
+      Chaos(producer, "loss consumer 0.05 in");
+    };
+    const auto heal = [producer, consumer, lossy] {
+      Chaos(consumer, "heal producer");
+      Chaos(producer, "heal consumer");
+      lossy();
+    };
+    lossy();
+    // A one-second asymmetric blackout while live elements are in
+    // flight: the arrivals after it land behind a guaranteed gap.
+    net.ScheduleAt(t0 + 2 * kMicrosPerSecond,
+                   [consumer] { Chaos(consumer, "loss producer 1 in"); });
+    net.ScheduleAt(t0 + 3 * kMicrosPerSecond,
+                   [consumer] { Chaos(consumer, "loss producer 0.05 in"); });
+    net.ScheduleAt(t0 + 4 * kMicrosPerSecond, [producer, consumer] {
+      Chaos(producer, "partition consumer");
+      Chaos(consumer, "partition producer");
+    });
+    net.ScheduleAt(t0 + 14 * kMicrosPerSecond, heal);
+    net.ScheduleAt(t0 + 15 * kMicrosPerSecond,
+                   [&fed] { Crash(fed, "producer"); });
+    net.ScheduleAt(t0 + 17 * kMicrosPerSecond, heal);
+    ASSERT_TRUE(fed.RunFor(18 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
+  }
+
   std::filesystem::path csv_path_;
 };
 
@@ -137,59 +217,17 @@ class FederationChaosTest : public ::testing::Test {
 // repair work must show up in the federation counters.
 TEST_F(FederationChaosTest, ExactlyOnceUnderLossPartitionAndRestart) {
   constexpr int kRows = 120;
-  // Production starts 2s after the producer's first poll: by then the
-  // consumer below is subscribed, so every element gets a sequence.
-  WriteCsv(kRows, 2 * kMicrosPerSecond, 100 * kMicrosPerMilli);
-
   Federation fed(2026);
   auto producer = fed.AddNode("producer");
   auto consumer = fed.AddNode("consumer");
   ASSERT_TRUE(producer.ok());
   ASSERT_TRUE(consumer.ok());
-  ASSERT_TRUE((*producer)->Deploy(CsvProducerXml("feed")).ok());
-  for (int i = 0; i < 50 && (*consumer)->Discover({{"type", "chaos"}}).empty();
-       ++i) {
-    ASSERT_TRUE(fed.Step(100 * kMicrosPerMilli).ok());
-  }
-  ASSERT_FALSE((*consumer)->Discover({{"type", "chaos"}}).empty());
-  // A generous NACK budget with a tight backoff cap keeps repair fast
-  // and guarantees nothing is abandoned while faults are scripted.
-  auto mirror = (*consumer)->Deploy(RemoteConsumerXml(
-      "mirror", "chaos", "<field name=\"seq\" type=\"integer\"/>",
-      "<predicate key=\"retry-max-attempts\" val=\"64\"/>"
-      "<predicate key=\"retry-max-backoff\" val=\"1s\"/>"));
-  ASSERT_TRUE(mirror.ok()) << mirror.status().ToString();
-  ASSERT_TRUE(fed.RunFor(kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
-
-  // Chaos script, relative to "subscription established".
-  auto& net = fed.network();
-  const Timestamp t0 = fed.clock()->NowMicros();
-  net.SetLoss("producer", "consumer", 0.05);
-  net.SetLoss("consumer", "producer", 0.05);
-  // A one-second asymmetric blackout while live elements are in
-  // flight: the arrivals after it land behind a guaranteed gap.
-  net.ScheduleAt(t0 + 2 * kMicrosPerSecond, [&net] {
-    net.SetLoss("producer", "consumer", 1.0);
-  });
-  net.ScheduleAt(t0 + 3 * kMicrosPerSecond, [&net] {
-    net.SetLoss("producer", "consumer", 0.05);
-  });
-  net.ScheduleAt(t0 + 4 * kMicrosPerSecond, [&net] {
-    net.SetPartitioned("producer", "consumer", true);
-  });
-  net.ScheduleAt(t0 + 14 * kMicrosPerSecond, [&net] {
-    net.SetPartitioned("producer", "consumer", false);
-  });
-  net.ScheduleAt(t0 + 15 * kMicrosPerSecond,
-                 [&net] { net.SetNodeDown("producer", true); });
-  net.ScheduleAt(t0 + 17 * kMicrosPerSecond,
-                 [&net] { net.SetNodeDown("producer", false); });
-  ASSERT_TRUE(fed.RunFor(18 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
+  ASSERT_NO_FATAL_FAILURE(
+      RunLossPartitionRestart(fed, *producer, *consumer, kRows));
 
   // Faults over; let NACK/replay and tips drain the remaining gaps.
-  net.SetLoss("producer", "consumer", 0.0);
-  net.SetLoss("consumer", "producer", 0.0);
-  net.ClearFaults();
+  Chaos(*producer, "heal");
+  Chaos(*consumer, "heal");
   ASSERT_TRUE(fed.RunFor(20 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
 
   // The producer finished its run: all rows are in its local table.
@@ -237,8 +275,55 @@ TEST_F(FederationChaosTest, ExactlyOnceUnderLossPartitionAndRestart) {
   }
   EXPECT_TRUE(saw_producer);
 
-  const auto stats = net.stats();
+  const ChaosTransport::Counters stats =
+      (*consumer)->network()->AsChaos()->counters();
   EXPECT_GT(stats.dropped, 0);
+}
+
+// The fault schedule is a function of the federation seed: the same
+// scenario run twice draws the same fault decisions on every node and
+// forces the same repair work.
+TEST_F(FederationChaosTest, FaultScheduleIsSeedDeterministic) {
+  struct Outcome {
+    std::vector<uint64_t> digests;
+    std::vector<ChaosTransport::Counters> counters;
+    int64_t gaps = 0;
+    int64_t replays = 0;
+  };
+  const auto run = [this] {
+    Outcome out;
+    Federation fed(2026);
+    auto producer = fed.AddNode("producer");
+    auto consumer = fed.AddNode("consumer");
+    EXPECT_TRUE(producer.ok() && consumer.ok());
+    if (!producer.ok() || !consumer.ok()) return out;
+    RunLossPartitionRestart(fed, *producer, *consumer, 120);
+    for (Container* node : {*producer, *consumer}) {
+      out.digests.push_back(node->network()->AsChaos()->ScheduleDigest());
+    }
+    Chaos(*producer, "heal");
+    Chaos(*consumer, "heal");
+    EXPECT_TRUE(fed.RunFor(20 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
+    for (Container* node : {*producer, *consumer}) {
+      out.counters.push_back(node->network()->AsChaos()->counters());
+    }
+    out.gaps = CounterValue(*consumer, "gsn_federation_gaps_total",
+                            {{"node", "consumer"}});
+    out.replays = CounterValue(*producer, "gsn_federation_replays_total",
+                               {{"node", "producer"}});
+    return out;
+  };
+  const Outcome first = run();
+  const Outcome second = run();
+  ASSERT_EQ(first.counters.size(), 2u);
+  EXPECT_EQ(first.digests, second.digests);
+  EXPECT_EQ(first.counters, second.counters);
+  EXPECT_EQ(first.gaps, second.gaps);
+  EXPECT_EQ(first.replays, second.replays);
+  // The schedule was not trivially empty.
+  EXPECT_GT(first.counters[1].dropped, 0);
+  EXPECT_GT(first.counters[1].partitioned, 0);
+  EXPECT_GT(first.gaps, 0);
 }
 
 // Two producers advertise the same predicates. When the one the
@@ -277,7 +362,7 @@ TEST_F(FederationChaosTest, FailsOverToAlternateProducer) {
 
   // Kill the bound producer permanently. Silence trips the breaker,
   // and the failover scan finds the other advertisement.
-  fed.network().SetNodeDown(first, true);
+  Crash(fed, first);
   ASSERT_TRUE(fed.RunFor(15 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
 
   EXPECT_NE(remote->peer_node(), first);
@@ -304,7 +389,7 @@ TEST_F(FederationChaosTest, SubscribeRetriesUntilLinkHeals) {
   }
   ASSERT_FALSE((*sink)->Discover({{"type", "sr"}}).empty());
 
-  fed.network().SetLoss("sink", "src", 1.0);
+  Chaos(*src, "loss sink 1 in");
   ASSERT_TRUE((*sink)
                   ->Deploy(RemoteConsumerXml(
                       "mirror", "sr",
@@ -321,7 +406,7 @@ TEST_F(FederationChaosTest, SubscribeRetriesUntilLinkHeals) {
                          {{"node", "sink"}, {"kind", "subscribe"}}),
             0);
 
-  fed.network().SetLoss("sink", "src", 0.0);
+  Chaos(*src, "heal");
   ASSERT_TRUE(fed.RunFor(3 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
   EXPECT_GT(remote->admitted_count(), 0);
 }
@@ -380,13 +465,64 @@ TEST_F(FederationChaosTest, ResubscribesAfterProducerRestart) {
   EXPECT_EQ(remote->abandoned_count(), 0);
 }
 
+// One grammar over HTTP too: on a simulated node's WebInterface,
+// POST /api/v1/chaos cuts a link under virtual time and GET lists the
+// rule, exactly as on a `gsnd --chaos-seed` daemon.
+TEST_F(FederationChaosTest, HttpChaosCutsASimulatedLink) {
+  Federation fed(13);
+  auto producer = fed.AddNode("producer");
+  auto consumer = fed.AddNode("consumer");
+  ASSERT_TRUE(producer.ok());
+  ASSERT_TRUE(consumer.ok());
+  ASSERT_TRUE((*producer)->Deploy(GeneratorProducerXml("gen", "web")).ok());
+  for (int i = 0; i < 50 && (*consumer)->Discover({{"type", "web"}}).empty();
+       ++i) {
+    ASSERT_TRUE(fed.Step(100 * kMicrosPerMilli).ok());
+  }
+  ASSERT_TRUE((*consumer)
+                  ->Deploy(RemoteConsumerXml(
+                      "mirror", "web",
+                      "<field name=\"seq\" type=\"integer\"/>"
+                      "<field name=\"value\" type=\"double\"/>"))
+                  .ok());
+  ASSERT_TRUE(fed.RunFor(2 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
+  const RemoteStreamWrapper* remote = FindRemote(*consumer, "mirror");
+  ASSERT_NE(remote, nullptr);
+  ASSERT_GT(remote->admitted_count(), 0);
+
+  WebInterface web(*consumer);
+  network::HttpRequest post;
+  post.method = "POST";
+  post.path = "/api/v1/chaos";
+  post.body = "partition producer";
+  const network::HttpResponse cut = web.Handle(post);
+  ASSERT_EQ(cut.status, 200) << cut.body;
+  EXPECT_NE(cut.body.find("\"ok\":true"), std::string::npos) << cut.body;
+
+  network::HttpRequest get;
+  get.method = "GET";
+  get.path = "/api/v1/chaos";
+  const network::HttpResponse listed = web.Handle(get);
+  ASSERT_EQ(listed.status, 200) << listed.body;
+  EXPECT_NE(listed.body.find("\"peer\":\"producer\""), std::string::npos)
+      << listed.body;
+  EXPECT_NE(listed.body.find("\"partitioned\":true"), std::string::npos)
+      << listed.body;
+
+  // The cut holds under virtual time: nothing more is admitted.
+  const int64_t before = remote->admitted_count();
+  ASSERT_TRUE(fed.RunFor(3 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
+  EXPECT_EQ(remote->admitted_count(), before);
+  EXPECT_GT((*consumer)->network()->AsChaos()->counters().partitioned, 0);
+}
+
 // ------------------------------------- the same scenario, both transports
 
 // The exactly-once acceptance scenario should not depend on which
-// transport carries the frames: the simulator models faults, the chaos
-// decorator injects the same faults into real TCP (docs/CHAOS.md).
-// This harness abstracts just enough of the link for one parameterized
-// test to drive both.
+// transport carries the frames: the same ChaosTransport rules inject
+// the same faults into the virtual-time simulator and into real TCP
+// (docs/CHAOS.md). The harness owns the consumer's decorator rules;
+// implementations supply just the two containers and the clock.
 class ChaosLinkHarness {
  public:
   virtual ~ChaosLinkHarness() = default;
@@ -394,17 +530,42 @@ class ChaosLinkHarness {
   virtual Container* consumer() = 0;
   /// Advances both nodes by `micros` of virtual time and runs a tick.
   virtual Status Step(Timestamp micros) = 0;
-  virtual void SetLoss(double probability) = 0;  // both directions
-  virtual void SetPartitioned(bool on) = 0;      // both directions
-  virtual void Heal() = 0;                       // clear every fault
+
+  // In+out rules on the consumer's one decorator gate both directions
+  // of the producer<->consumer link.
+  void SetLoss(double probability) {  // both directions
+    rule_.drop = probability;
+    Apply();
+  }
+  void Partition(bool on) {  // both directions
+    rule_.partitioned = on;
+    Apply();
+  }
+  void Heal() {  // clear every fault
+    rule_ = ChaosTransport::Rule();
+    chaos()->ClearRules();
+  }
   /// Forces a connection reset on the producer link; returns false
   /// where the transport has no connections to reset (the simulator).
-  virtual bool ResetLink() = 0;
+  bool ResetLink() { return chaos()->ResetPeer("producer").ok(); }
   /// How many faults the fault plane actually injected so far.
-  virtual int64_t faults_injected() = 0;
+  int64_t faults_injected() {
+    const ChaosTransport::Counters counters = chaos()->counters();
+    return counters.dropped + counters.partitioned + counters.resets;
+  }
+
+ private:
+  ChaosTransport* chaos() { return consumer()->network()->AsChaos(); }
+  void Apply() {
+    chaos()->SetRule("producer", ChaosTransport::Direction::kIn, rule_);
+    chaos()->SetRule("producer", ChaosTransport::Direction::kOut, rule_);
+  }
+
+  ChaosTransport::Rule rule_;
 };
 
-/// Virtual-time federation on the in-process NetworkSimulator.
+/// Virtual-time federation on the in-process NetworkSimulator; each
+/// node already registers through its own decorator.
 class SimulatorChaosHarness : public ChaosLinkHarness {
  public:
   SimulatorChaosHarness() : fed_(77) {
@@ -420,22 +581,6 @@ class SimulatorChaosHarness : public ChaosLinkHarness {
     auto stepped = fed_.Step(micros);
     return stepped.ok() ? Status::OK() : stepped.status();
   }
-  void SetLoss(double probability) override {
-    fed_.network().SetLoss("producer", "consumer", probability);
-    fed_.network().SetLoss("consumer", "producer", probability);
-  }
-  void SetPartitioned(bool on) override {
-    fed_.network().SetPartitioned("producer", "consumer", on);
-  }
-  void Heal() override {
-    fed_.network().SetLoss("producer", "consumer", 0.0);
-    fed_.network().SetLoss("consumer", "producer", 0.0);
-    fed_.network().ClearFaults();
-  }
-  bool ResetLink() override { return false; }  // no sockets to reset
-  int64_t faults_injected() override {
-    return static_cast<int64_t>(fed_.network().stats().dropped);
-  }
 
  private:
   Federation fed_;
@@ -444,10 +589,9 @@ class SimulatorChaosHarness : public ChaosLinkHarness {
 };
 
 /// Real TCP between two EpollTransports, with the consumer's side
-/// wrapped in ChaosTransport: in+out rules on the one decorator gate
-/// both directions of the producer<->consumer link. Containers run on
-/// virtual clocks (protocol timers) while sockets deliver immediately,
-/// the same split EpollFederationTest uses.
+/// wrapped in ChaosTransport. Containers run on virtual clocks
+/// (protocol timers) while sockets deliver immediately, the same split
+/// EpollFederationTest uses.
 class EpollChaosHarness : public ChaosLinkHarness {
  public:
   EpollChaosHarness() {
@@ -499,30 +643,7 @@ class EpollChaosHarness : public ChaosLinkHarness {
     return Status::OK();
   }
 
-  void SetLoss(double probability) override {
-    rule_.drop = probability;
-    Apply();
-  }
-  void SetPartitioned(bool on) override {
-    rule_.partitioned = on;
-    Apply();
-  }
-  void Heal() override {
-    rule_ = ChaosTransport::Rule();
-    chaos_->ClearRules();
-  }
-  bool ResetLink() override { return chaos_->ResetPeer("producer").ok(); }
-  int64_t faults_injected() override {
-    const ChaosTransport::Counters counters = chaos_->counters();
-    return counters.dropped + counters.partitioned + counters.resets;
-  }
-
  private:
-  void Apply() {
-    chaos_->SetRule("producer", ChaosTransport::Direction::kIn, rule_);
-    chaos_->SetRule("producer", ChaosTransport::Direction::kOut, rule_);
-  }
-
   EpollTransport net_producer_;
   EpollTransport net_consumer_;
   std::unique_ptr<ChaosTransport> chaos_;
@@ -530,7 +651,6 @@ class EpollChaosHarness : public ChaosLinkHarness {
   std::shared_ptr<VirtualClock> clock_consumer_;
   std::unique_ptr<Container> producer_;
   std::unique_ptr<Container> consumer_;
-  ChaosTransport::Rule rule_;
   bool ok_ = false;
 };
 
@@ -586,11 +706,11 @@ TEST_P(FederationChaosTransportTest, ExactlyOnceSurvivesLossPartitionReset) {
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(harness->Step(100 * kMicrosPerMilli).ok());
   }
-  harness->SetPartitioned(true);
+  harness->Partition(true);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(harness->Step(100 * kMicrosPerMilli).ok());
   }
-  harness->SetPartitioned(false);
+  harness->Partition(false);
   const bool reset_supported = harness->ResetLink();
   EXPECT_EQ(reset_supported,
             GetParam() == ChaosTransportKind::kChaosOverEpoll);

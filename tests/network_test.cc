@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "gsn/network/chaos_transport.h"
 #include "gsn/network/directory.h"
 #include "gsn/network/protocol.h"
 #include "gsn/network/remote_stream_wrapper.h"
@@ -71,23 +72,29 @@ TEST(NetworkSimulatorTest, DeterministicOrderingAtSameInstant) {
 }
 
 TEST(NetworkSimulatorTest, LossDropsSilently) {
+  // The simulator is lossless; loss is a rule on the receiving node's
+  // chaos decorator.
   NetworkSimulator net(42);
+  ChaosTransport::Options options;
+  options.seed = 42;
+  ChaosTransport chaos_b(&net, options);
   RecordingNode a, b;
   ASSERT_TRUE(net.RegisterNode("a", &a).ok());
-  ASSERT_TRUE(net.RegisterNode("b", &b).ok());
+  ASSERT_TRUE(chaos_b.RegisterNode("b", &b).ok());
   NetworkSimulator::LinkConfig link;
   link.base_latency_micros = 1;
-  link.loss_probability = 0.5;
   net.SetDefaultLink(link);
+  ASSERT_TRUE(ExecuteChaosCommand(&chaos_b, "loss a 0.5 in").ok());
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(net.Send(0, "a", "b", "t", "x").ok());
   }
   net.DeliverUntil(kMicrosPerSecond);
   const auto stats = net.stats();
+  const int64_t lost = chaos_b.counters().dropped;
   EXPECT_EQ(stats.sent, 1000);
-  EXPECT_NEAR(static_cast<double>(stats.dropped), 500.0, 60.0);
-  EXPECT_EQ(stats.delivered, stats.sent - stats.dropped);
-  EXPECT_EQ(b.messages.size(), static_cast<size_t>(stats.delivered));
+  EXPECT_EQ(stats.dropped, 0);
+  EXPECT_NEAR(static_cast<double>(lost), 500.0, 60.0);
+  EXPECT_EQ(b.messages.size(), static_cast<size_t>(stats.sent - lost));
 }
 
 TEST(NetworkSimulatorTest, JitterStaysWithinBound) {

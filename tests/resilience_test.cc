@@ -1,10 +1,12 @@
 // Unit tests for the federation-resilience primitives: retry policy,
 // circuit breaker, replay buffer, the sequenced receive state machine
-// in RemoteStreamWrapper, simulator fault injection, and the typed
-// WrapperConfig accessors they are configured through.
+// in RemoteStreamWrapper, faults on the simulated network (chaos rules
+// over NetworkSimulator), and the typed WrapperConfig accessors they
+// are configured through.
 
 #include <gtest/gtest.h>
 
+#include "gsn/network/chaos_transport.h"
 #include "gsn/network/circuit_breaker.h"
 #include "gsn/network/remote_stream_wrapper.h"
 #include "gsn/network/replay_buffer.h"
@@ -339,7 +341,7 @@ TEST(RemoteStreamWrapperTest, RebindResetsSequencingKeepsQueue) {
   EXPECT_EQ(polled->size(), 3u);  // 1, 2 from before plus the new 1
 }
 
-// ------------------------------------------------- simulator fault injection
+// ------------------------------------- faults on the simulated network
 
 class RecordingNode : public NetworkNode {
  public:
@@ -349,129 +351,146 @@ class RecordingNode : public NetworkNode {
   std::vector<Message> messages;
 };
 
-TEST(SimulatorFaultTest, PartitionDropsBothDirections) {
-  NetworkSimulator sim(1);
-  RecordingNode a;
-  RecordingNode b;
-  ASSERT_TRUE(sim.RegisterNode("a", &a).ok());
-  ASSERT_TRUE(sim.RegisterNode("b", &b).ok());
+/// Two nodes on one lossless simulator, each registered through its
+/// own ChaosTransport (the Federation wiring): every fault is a rule
+/// typed in the chaos grammar on one node, and ScheduleAt times rule
+/// changes under virtual time.
+class SimulatorFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(chaos_a_.RegisterNode("a", &a_).ok());
+    ASSERT_TRUE(chaos_b_.RegisterNode("b", &b_).ok());
+  }
 
-  sim.SetPartitioned("a", "b", true);
-  ASSERT_TRUE(sim.Send(0, "a", "b", "t", "x").ok());
-  ASSERT_TRUE(sim.Send(0, "b", "a", "t", "y").ok());
-  sim.DeliverUntil(kMicrosPerSecond);
-  EXPECT_TRUE(a.messages.empty());
-  EXPECT_TRUE(b.messages.empty());
-  EXPECT_EQ(sim.stats().dropped, 2);
+  static void Chaos(ChaosTransport& node, const std::string& line) {
+    const Result<std::string> result = ExecuteChaosCommand(&node, line);
+    ASSERT_TRUE(result.ok()) << line << ": " << result.status().ToString();
+  }
+  /// `a` and `b` cut each other off, covering both directions and any
+  /// frame already in flight.
+  void Partition() {
+    Chaos(chaos_a_, "partition b");
+    Chaos(chaos_b_, "partition a");
+  }
+  void HealAll() {
+    Chaos(chaos_a_, "heal");
+    Chaos(chaos_b_, "heal");
+  }
 
-  sim.SetPartitioned("a", "b", false);
-  ASSERT_TRUE(sim.Send(kMicrosPerSecond, "a", "b", "t", "x").ok());
-  sim.DeliverUntil(2 * kMicrosPerSecond);
-  EXPECT_EQ(b.messages.size(), 1u);
+  NetworkSimulator sim_{1};
+  RecordingNode a_;
+  RecordingNode b_;
+  ChaosTransport chaos_a_{&sim_};
+  ChaosTransport chaos_b_{&sim_};
+};
+
+TEST_F(SimulatorFaultTest, PartitionDropsBothDirections) {
+  Partition();
+  ASSERT_TRUE(chaos_a_.Send(0, "a", "b", "t", "x").ok());
+  ASSERT_TRUE(chaos_b_.Send(0, "b", "a", "t", "y").ok());
+  sim_.DeliverUntil(kMicrosPerSecond);
+  EXPECT_TRUE(a_.messages.empty());
+  EXPECT_TRUE(b_.messages.empty());
+  EXPECT_EQ(chaos_a_.counters().partitioned, 1);
+  EXPECT_EQ(chaos_b_.counters().partitioned, 1);
+
+  HealAll();
+  ASSERT_TRUE(chaos_a_.Send(kMicrosPerSecond, "a", "b", "t", "x").ok());
+  sim_.DeliverUntil(2 * kMicrosPerSecond);
+  EXPECT_EQ(b_.messages.size(), 1u);
 }
 
-TEST(SimulatorFaultTest, DownNodeNeitherSendsNorReceives) {
-  NetworkSimulator sim(1);
-  RecordingNode a;
-  RecordingNode b;
-  ASSERT_TRUE(sim.RegisterNode("a", &a).ok());
-  ASSERT_TRUE(sim.RegisterNode("b", &b).ok());
-
-  sim.SetNodeDown("b", true);
-  EXPECT_TRUE(sim.IsNodeDown("b"));
-  ASSERT_TRUE(sim.Send(0, "a", "b", "t", "to-down").ok());
-  ASSERT_TRUE(sim.Send(0, "b", "a", "t", "from-down").ok());
-  sim.DeliverUntil(kMicrosPerSecond);
-  EXPECT_TRUE(a.messages.empty());
-  EXPECT_TRUE(b.messages.empty());
+TEST_F(SimulatorFaultTest, DownNodeNeitherSendsNorReceives) {
+  RecordingNode c;
+  ChaosTransport chaos_c(&sim_);
+  ASSERT_TRUE(chaos_c.RegisterNode("c", &c).ok());
+  // "b" crashes: every other node partitions it, and it partitions
+  // every peer. Its registration (and its owner's state) survives, so
+  // healing models a process restart, not a departure.
+  Chaos(chaos_a_, "partition b");
+  Chaos(chaos_c, "partition b");
+  Chaos(chaos_b_, "partition a");
+  Chaos(chaos_b_, "partition c");
+  ASSERT_TRUE(chaos_a_.Send(0, "a", "b", "t", "to-down").ok());
+  ASSERT_TRUE(chaos_b_.Send(0, "b", "a", "t", "from-down").ok());
+  ASSERT_TRUE(chaos_b_.Broadcast(0, "b", "t", "from-down").ok());
+  ASSERT_TRUE(chaos_a_.Send(0, "a", "c", "t", "bystander").ok());
+  sim_.DeliverUntil(kMicrosPerSecond);
+  EXPECT_TRUE(a_.messages.empty());
+  EXPECT_TRUE(b_.messages.empty());
+  ASSERT_EQ(c.messages.size(), 1u);  // a <-> c is unaffected
+  EXPECT_EQ(c.messages[0].payload, "bystander");
 
   // Restart: registration survived, traffic flows again.
-  sim.SetNodeDown("b", false);
-  ASSERT_TRUE(sim.Send(kMicrosPerSecond, "a", "b", "t", "hello").ok());
-  sim.DeliverUntil(2 * kMicrosPerSecond);
-  ASSERT_EQ(b.messages.size(), 1u);
-  EXPECT_EQ(b.messages[0].payload, "hello");
+  HealAll();
+  Chaos(chaos_c, "heal");
+  ASSERT_TRUE(chaos_a_.Send(kMicrosPerSecond, "a", "b", "t", "hello").ok());
+  sim_.DeliverUntil(2 * kMicrosPerSecond);
+  ASSERT_EQ(b_.messages.size(), 1u);
+  EXPECT_EQ(b_.messages[0].payload, "hello");
+  ASSERT_TRUE(chaos_c.UnregisterNode("c").ok());
 }
 
-TEST(SimulatorFaultTest, FaultsActAtDeliveryTimeToo) {
+TEST_F(SimulatorFaultTest, FaultsActAtDeliveryTimeToo) {
   // A message already in flight when the partition lands is lost, like
-  // a cable pull.
-  NetworkSimulator sim(1);
-  RecordingNode a;
-  RecordingNode b;
-  ASSERT_TRUE(sim.RegisterNode("a", &a).ok());
-  ASSERT_TRUE(sim.RegisterNode("b", &b).ok());
+  // a cable pull: the receiver's inbound rule drops it on arrival.
   NetworkSimulator::LinkConfig slow;
   slow.base_latency_micros = 10 * kMicrosPerMilli;
-  sim.SetDefaultLink(slow);
+  sim_.SetDefaultLink(slow);
 
-  ASSERT_TRUE(sim.Send(0, "a", "b", "t", "in-flight").ok());
-  sim.ScheduleAt(5 * kMicrosPerMilli,
-                 [&sim] { sim.SetPartitioned("a", "b", true); });
-  sim.DeliverUntil(kMicrosPerSecond);
-  EXPECT_TRUE(b.messages.empty());
-  EXPECT_EQ(sim.stats().dropped, 1);
+  ASSERT_TRUE(chaos_a_.Send(0, "a", "b", "t", "in-flight").ok());
+  sim_.ScheduleAt(5 * kMicrosPerMilli, [this] { Partition(); });
+  sim_.DeliverUntil(kMicrosPerSecond);
+  EXPECT_TRUE(b_.messages.empty());
+  EXPECT_EQ(chaos_b_.counters().partitioned, 1);
+  EXPECT_EQ(sim_.stats().dropped, 0);  // the simulator itself lost nothing
 }
 
-TEST(SimulatorFaultTest, ScheduledActionsInterleaveDeterministically) {
-  NetworkSimulator sim(1);
-  RecordingNode b;
-  RecordingNode a;
-  ASSERT_TRUE(sim.RegisterNode("a", &a).ok());
-  ASSERT_TRUE(sim.RegisterNode("b", &b).ok());
+TEST_F(SimulatorFaultTest, ScheduledActionsInterleaveDeterministically) {
   NetworkSimulator::LinkConfig link;
   link.base_latency_micros = 10;
-  sim.SetDefaultLink(link);
+  sim_.SetDefaultLink(link);
 
   // The heal at 500us runs before the scripted send at 600us (actions
   // fire in time order inside DeliverUntil): the first message dies in
   // the partition, the second gets through.
-  sim.SetPartitioned("a", "b", true);
-  ASSERT_TRUE(sim.Send(100, "a", "b", "t", "first").ok());
-  sim.ScheduleAt(500, [&sim] { sim.SetPartitioned("a", "b", false); });
-  sim.ScheduleAt(600, [&sim] {
-    ASSERT_TRUE(sim.Send(600, "a", "b", "t", "second").ok());
+  Partition();
+  ASSERT_TRUE(chaos_a_.Send(100, "a", "b", "t", "first").ok());
+  sim_.ScheduleAt(500, [this] { HealAll(); });
+  sim_.ScheduleAt(600, [this] {
+    ASSERT_TRUE(chaos_a_.Send(600, "a", "b", "t", "second").ok());
   });
-  sim.DeliverUntil(kMicrosPerSecond);
-  ASSERT_EQ(b.messages.size(), 1u);
-  EXPECT_EQ(b.messages[0].payload, "second");
+  sim_.DeliverUntil(kMicrosPerSecond);
+  ASSERT_EQ(b_.messages.size(), 1u);
+  EXPECT_EQ(b_.messages[0].payload, "second");
 }
 
-TEST(SimulatorFaultTest, SetLossIsDirectional) {
-  NetworkSimulator sim(3);
-  RecordingNode a;
-  RecordingNode b;
-  ASSERT_TRUE(sim.RegisterNode("a", &a).ok());
-  ASSERT_TRUE(sim.RegisterNode("b", &b).ok());
-  sim.SetLoss("a", "b", 1.0);
+TEST_F(SimulatorFaultTest, SetLossIsDirectional) {
+  Chaos(chaos_b_, "loss a 1 in");  // a -> b only
 
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(sim.Send(i, "a", "b", "t", "gone").ok());
-    ASSERT_TRUE(sim.Send(i, "b", "a", "t", "fine").ok());
+    ASSERT_TRUE(chaos_a_.Send(i, "a", "b", "t", "gone").ok());
+    ASSERT_TRUE(chaos_b_.Send(i, "b", "a", "t", "fine").ok());
   }
-  sim.DeliverUntil(kMicrosPerSecond);
-  EXPECT_TRUE(b.messages.empty());
-  EXPECT_EQ(a.messages.size(), 10u);
+  sim_.DeliverUntil(kMicrosPerSecond);
+  EXPECT_TRUE(b_.messages.empty());
+  EXPECT_EQ(a_.messages.size(), 10u);
 
-  sim.SetLoss("a", "b", 0.0);
-  ASSERT_TRUE(sim.Send(kMicrosPerSecond, "a", "b", "t", "back").ok());
-  sim.DeliverUntil(2 * kMicrosPerSecond);
-  EXPECT_EQ(b.messages.size(), 1u);
+  Chaos(chaos_b_, "heal");
+  ASSERT_TRUE(chaos_a_.Send(kMicrosPerSecond, "a", "b", "t", "back").ok());
+  sim_.DeliverUntil(2 * kMicrosPerSecond);
+  EXPECT_EQ(b_.messages.size(), 1u);
 }
 
-TEST(SimulatorFaultTest, ClearFaultsLiftsPartitionsAndDownNodes) {
-  NetworkSimulator sim(1);
-  RecordingNode a;
-  RecordingNode b;
-  ASSERT_TRUE(sim.RegisterNode("a", &a).ok());
-  ASSERT_TRUE(sim.RegisterNode("b", &b).ok());
-  sim.SetPartitioned("a", "b", true);
-  sim.SetNodeDown("a", true);
-  sim.ClearFaults();
-  EXPECT_FALSE(sim.IsNodeDown("a"));
-  ASSERT_TRUE(sim.Send(0, "a", "b", "t", "x").ok());
-  sim.DeliverUntil(kMicrosPerSecond);
-  EXPECT_EQ(b.messages.size(), 1u);
+TEST_F(SimulatorFaultTest, HealLiftsPartitionsAndDownNodes) {
+  Partition();
+  Chaos(chaos_b_, "loss a 0.5 in");
+  HealAll();
+  EXPECT_TRUE(chaos_a_.Rules().empty());
+  EXPECT_TRUE(chaos_b_.Rules().empty());
+  ASSERT_TRUE(chaos_a_.Send(0, "a", "b", "t", "x").ok());
+  sim_.DeliverUntil(kMicrosPerSecond);
+  EXPECT_EQ(b_.messages.size(), 1u);
 }
 
 }  // namespace
