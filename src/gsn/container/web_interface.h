@@ -1,9 +1,7 @@
 #ifndef GSN_CONTAINER_WEB_INTERFACE_H_
 #define GSN_CONTAINER_WEB_INTERFACE_H_
 
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "gsn/container/container.h"
 #include "gsn/network/epoll_transport.h"
@@ -21,64 +19,11 @@ namespace gsn::container {
 /// queues, and idle timeouts — thousands of concurrent clients on one
 /// event-loop thread.
 ///
-/// Every resource is mounted under the versioned prefix `/api/v1` and
-/// nowhere else: the old unversioned aliases are retired, and a request
-/// to one answers 410 with {"error":{"code":"gone","message":"...use
-/// /api/v1<path>"}} so stale scrapers learn the move. List resources
-/// (/traces, /peers, /segments, /quarantine, /transport) accept
-/// ?limit=&offset= and share the envelope {"items":[...],"total":N}
-/// where `total` counts pre-paging matches. The route table:
-///
-///   GET  /api/v1/sensors           JSON list of sensors with counters
-///   GET  /api/v1/sensors/<name>    JSON status of one sensor
-///   GET  /api/v1/query?sql=...     result as JSON (&format=csv for CSV)
-///   GET  /api/v1/explain?sql=...   the optimized execution pipeline as
-///                                  text (&analyze=1 executes and
-///                                  annotates with actual rows/timings)
-///   GET  /api/v1/discover?k=v&...  directory lookup by predicates
-///   GET  /api/v1/topology          data-flow graph as Graphviz DOT
-///   GET  /api/v1/metrics           telemetry in Prometheus text format
-///   GET  /api/v1/traces            recorded trace spans as JSON
-///                                  (?id=<32-hex trace id> filters one)
-///   GET  /api/v1/peers             federation peer health: circuit
-///                                  state, last-seen, times opened
-///   GET  /api/v1/transport         per-connection transport stats for
-///                                  the peer and HTTP planes: peer,
-///                                  kind, state, queued bytes,
-///                                  keep-alive requests served
-///   GET  /api/v1/status            unified container snapshot: build
-///                                  info, health, runtime totals,
-///                                  per-sensor state, queue depths,
-///                                  lock contention, hot spans,
-///                                  segments, peers — one JSON document
-///   GET  /api/v1/segments          columnar history tier: per-segment
-///                                  table/id/rows/chunks/bytes/time
-///                                  range, plus catalog totals
-///   GET  /api/v1/healthz           liveness probe (200 while the
-///                                  process serves requests)
-///   GET  /api/v1/readyz            readiness probe: 200 when healthy,
-///                                  503 + JSON reasons while draining,
-///                                  a sensor is FAILED/restarting, or
-///                                  an admission queue is at capacity
-///   GET  /api/v1/quarantine        dead-letter store of poison tuples
-///   POST /api/v1/quarantine/requeue?id=N   re-inject one tuple
-///   POST /api/v1/quarantine/clear  drop every quarantined tuple
-///   GET  /api/v1/chaos             chaos-transport fault state: seed,
-///                                  schedule digest, injected-fault
-///                                  counters, per-link rules
-///   POST /api/v1/chaos             body = one line of the shared chaos
-///                                  grammar (docs/CHAOS.md) — the same
-///                                  vocabulary as the `chaos` command
-///   POST /api/v1/checkpoint        compact manifest + WALs now
-///   POST /api/v1/drain             graceful drain (stop admitting,
-///                                  flush, checkpoint, fsync)
-///   POST /api/v1/deploy            body = descriptor XML
-///   POST /api/v1/undeploy?name=...
-///
-/// `GET /` serves an HTML index; `GET /api/v1` lists the route table as
-/// JSON. Errors share one JSON envelope on every route:
+/// The routes are the HTTP rows of the operator resource table
+/// (operator_resources.h), mounted under `/api/v1` and rendered as JSON;
+/// `GET /api/v1` lists them and `GET /` serves an HTML index. Retired
+/// unversioned paths answer 410, and errors share one envelope:
 ///   {"error":{"code":"NotFound","message":"..."}}
-///
 /// When the container's access control is enabled, callers pass their
 /// API key as the X-Api-Key header or a `key` query parameter.
 class WebInterface {
@@ -100,56 +45,7 @@ class WebInterface {
   network::HttpResponse Handle(const network::HttpRequest& request);
 
  private:
-  /// One row of the route table. `path` is the canonical path below the
-  /// version prefix ("/sensors"); `prefix` routes also match any
-  /// suffix, which is passed to the handler ("/sensors/<name>").
-  struct Route {
-    std::string method;
-    std::string path;
-    bool prefix = false;
-    std::function<network::HttpResponse(const network::HttpRequest&,
-                                        const std::string& suffix)>
-        handler;
-  };
-
-  network::HttpResponse Dispatch(const network::HttpRequest& request,
-                                 const std::string& path);
-  network::HttpResponse HandleIndex();
-  network::HttpResponse HandleApiIndex();
-  network::HttpResponse HandleSensors();
-  network::HttpResponse HandleSensorStatus(const std::string& name);
-  network::HttpResponse HandleQuery(const network::HttpRequest& request);
-  network::HttpResponse HandleExplain(const network::HttpRequest& request);
-  network::HttpResponse HandleDiscover(const network::HttpRequest& request);
-  network::HttpResponse HandleTopology();
-  network::HttpResponse HandleMetrics();
-  network::HttpResponse HandleTraces(const network::HttpRequest& request);
-  network::HttpResponse HandlePeers(const network::HttpRequest& request);
-  network::HttpResponse HandleTransport(const network::HttpRequest& request);
-  network::HttpResponse HandleStatus();
-  network::HttpResponse HandleSegments(const network::HttpRequest& request);
-  network::HttpResponse HandleHealthz();
-  network::HttpResponse HandleReadyz();
-  network::HttpResponse HandleQuarantine(const network::HttpRequest& request);
-  network::HttpResponse HandleQuarantineRequeue(
-      const network::HttpRequest& request);
-  network::HttpResponse HandleQuarantineClear();
-  network::HttpResponse HandleChaos();
-  network::HttpResponse HandleChaosCommand(const network::HttpRequest& request);
-  network::HttpResponse HandleCheckpoint();
-  network::HttpResponse HandleDrain();
-  network::HttpResponse HandleDeploy(const network::HttpRequest& request);
-  network::HttpResponse HandleUndeploy(const network::HttpRequest& request);
-
-  static std::string ApiKey(const network::HttpRequest& request);
-  /// The shared error envelope: {"error":{"code":...,"message":...}}.
-  static network::HttpResponse ErrorJson(int http_status,
-                                         const std::string& code,
-                                         const std::string& message);
-  static network::HttpResponse FromStatus(const Status& status);
-
   Container* container_;
-  std::vector<Route> routes_;
   network::EpollTransport http_;
 };
 

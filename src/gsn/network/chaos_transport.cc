@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "gsn/util/rng.h"
@@ -527,26 +526,6 @@ bool ParseDirections(const std::vector<std::string>& words, size_t index,
   return true;
 }
 
-std::string FormatRule(const ChaosTransport::RuleEntry& entry) {
-  std::ostringstream out;
-  out << entry.peer << " " << DirectionName(entry.direction) << ": ";
-  const ChaosTransport::Rule& r = entry.rule;
-  if (r.partitioned) out << "partitioned ";
-  if (r.drop > 0) out << "drop=" << r.drop << " ";
-  if (r.dup > 0) out << "dup=" << r.dup << " ";
-  if (r.reorder > 0) out << "reorder=" << r.reorder << " ";
-  if (r.reset > 0) out << "reset=" << r.reset << " ";
-  if (r.delay_micros > 0 || r.delay_jitter_micros > 0) {
-    out << "delay=" << r.delay_micros / kMicrosPerMilli << "ms+"
-        << r.delay_jitter_micros / kMicrosPerMilli << "ms ";
-  }
-  if (r.throttle_bytes_per_sec > 0) {
-    out << "throttle=" << r.throttle_bytes_per_sec << "B/s ";
-  }
-  out << "(frames=" << entry.frames << ")";
-  return out.str();
-}
-
 /// Applies `update` to the rule of every (peer, direction) pair named.
 template <typename Fn>
 void UpdateRules(ChaosTransport* chaos, const std::string& peer,
@@ -562,7 +541,7 @@ void UpdateRules(ChaosTransport* chaos, const std::string& peer,
 Result<std::string> ExecuteDecoratorChaos(
     ChaosTransport* chaos, const std::vector<std::string>& words) {
   const Status usage = Status::InvalidArgument(
-      "usage: chaos status | chaos seed <n> | "
+      "usage: chaos seed <n> | "
       "chaos loss <peer> <p> [in|out|both] | "
       "chaos dup <peer> <p> [dir] | chaos reorder <peer> <p> [dir] | "
       "chaos delay <peer> <ms> [<jitter_ms>] [dir] | "
@@ -572,25 +551,6 @@ Result<std::string> ExecuteDecoratorChaos(
   if (words.empty()) return usage;
   const std::string sub = ToLower(words[0]);
 
-  if (sub == "status" && words.size() == 1) {
-    std::ostringstream out;
-    const ChaosTransport::Counters c = chaos->counters();
-    out << "seed " << chaos->seed() << "  digest "
-        << chaos->ScheduleDigest() << "\n";
-    out << "injected: drop=" << c.dropped << " dup=" << c.duplicated
-        << " reorder=" << c.reordered << " delay=" << c.delayed
-        << " throttle=" << c.throttled << " partition=" << c.partitioned
-        << " reset=" << c.resets << "\n";
-    const std::vector<ChaosTransport::RuleEntry> rules = chaos->Rules();
-    if (rules.empty()) {
-      out << "no rules\n";
-    } else {
-      for (const ChaosTransport::RuleEntry& entry : rules) {
-        out << FormatRule(entry) << "\n";
-      }
-    }
-    return out.str();
-  }
   if (sub == "seed" && words.size() == 2) {
     uint64_t seed = 0;
     if (!ParseSeed(words[1], &seed)) {

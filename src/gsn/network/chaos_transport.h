@@ -254,7 +254,8 @@ const char* DirectionName(ChaosTransport::Direction direction);
 
 /// Executes one line of the chaos vocabulary (docs/CHAOS.md) against
 /// the container's ChaosTransport: the per-peer rule grammar
-/// (loss/dup/reorder/delay/throttle/partition/heal/reset/seed/status).
+/// (loss/dup/reorder/delay/throttle/partition/heal/reset/seed). It only
+/// writes; the read is the `chaos status` / GET /api/v1/chaos resource.
 /// Both the `chaos` management command and POST /api/v1/chaos route
 /// through here, so virtual-time and real-TCP runs are driven by one
 /// grammar. Returns the human-readable confirmation, or

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "gsn/util/export.h"
-
 namespace gsn::telemetry {
 
 namespace {
@@ -130,7 +128,7 @@ TraceContext Tracer::ChildOf(const TraceContext& parent) {
 }
 
 void Tracer::set_sample_rate(double rate) {
-  if (rate < 0.0) rate = 0.0;
+  if (!(rate >= 0.0)) rate = 0.0;  // also NaN
   if (rate > 1.0) rate = 1.0;
   sample_rate_.store(rate, std::memory_order_relaxed);
 }
@@ -255,48 +253,6 @@ bool ParseTraceIdHex(std::string_view hex, uint64_t* trace_hi,
   *trace_hi = parts[0];
   *trace_lo = parts[1];
   return true;
-}
-
-std::string RenderTracesJson(const TraceStore& store,
-                             std::string_view trace_id_hex, size_t limit,
-                             size_t offset) {
-  std::vector<SpanRecord> spans;
-  if (!trace_id_hex.empty()) {
-    uint64_t hi = 0;
-    uint64_t lo = 0;
-    if (ParseTraceIdHex(trace_id_hex, &hi, &lo)) {
-      spans = store.ForTrace(hi, lo);
-    }
-  } else {
-    spans = store.Snapshot();
-  }
-  const size_t total = spans.size();
-  std::string out = "{\"items\":[";
-  bool first = true;
-  for (size_t i = offset; i < spans.size() && i - offset < limit; ++i) {
-    const SpanRecord& s = spans[i];
-    if (!first) out += ",";
-    first = false;
-    out += "{\"trace\":\"" + s.TraceIdHex() + "\"";
-    out += ",\"span\":\"" + s.SpanIdHex() + "\"";
-    out += ",\"parent\":\"";
-    if (s.parent_span_id != 0) {
-      TraceContext parent;
-      parent.span_id = s.parent_span_id;
-      out += parent.SpanIdHex();
-    }
-    out += "\"";
-    out += ",\"name\":" + JsonEscape(s.name);
-    out += ",\"sensor\":" + JsonEscape(s.sensor);
-    out += ",\"node\":" + JsonEscape(s.node);
-    out += ",\"start_micros\":" + std::to_string(s.start_micros);
-    out += ",\"duration_micros\":" + std::to_string(s.duration_micros);
-    out += std::string(",\"error\":") + (s.error ? "true" : "false");
-    out += "}";
-  }
-  out += "],\"total\":" + std::to_string(total) +
-         ",\"dropped\":" + std::to_string(store.dropped()) + "}";
-  return out;
 }
 
 }  // namespace gsn::telemetry

@@ -108,6 +108,7 @@ class Tracer {
   /// sampling decision). Invalid context when the parent is invalid.
   TraceContext ChildOf(const TraceContext& parent);
 
+  /// Clamped to [0, 1]; NaN disables sampling.
   void set_sample_rate(double rate);
   double sample_rate() const;
 
@@ -170,19 +171,6 @@ class Span {
   TraceContext saved_thread_ctx_;
   bool bound_thread_ = false;
 };
-
-/// Renders spans as JSON for GET /api/v1/traces in the uniform list
-/// envelope:
-/// {"items":[{"trace":"<hex32>","span":"<hex16>","parent":"<hex16|>",
-///   "name":...,"sensor":...,"node":...,"start_micros":N,
-///   "duration_micros":N,"error":bool}],"total":N,"dropped":N}.
-/// `total` counts matching spans before `limit`/`offset` paging;
-/// `dropped` counts ring-buffer evictions. A non-empty `trace_id_hex`
-/// (32 hex chars) filters to that trace.
-std::string RenderTracesJson(const TraceStore& store,
-                             std::string_view trace_id_hex = {},
-                             size_t limit = std::string::npos,
-                             size_t offset = 0);
 
 /// Parses a 32-char lowercase/uppercase hex trace id. Returns false on
 /// malformed input.

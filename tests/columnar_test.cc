@@ -490,7 +490,7 @@ TEST(TieredHistoryTest, SurfacesReportSegments) {
 
   container::ManagementInterface mgmt(&container);
   const std::string listing = mgmt.Execute("segments");
-  EXPECT_NE(listing.find("s/seg-"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("table=s id="), std::string::npos) << listing;
   EXPECT_NE(mgmt.Execute("help").find("segments"), std::string::npos);
 
   container::WebInterface web(&container);

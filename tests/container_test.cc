@@ -343,12 +343,11 @@ TEST_F(ContainerTest, QueryCacheHitsAndAblation) {
 TEST_F(ContainerTest, ManagementCommands) {
   ManagementInterface mgmt(container_.get());
   EXPECT_NE(mgmt.Execute("help").find("deploy"), std::string::npos);
-  EXPECT_NE(mgmt.Execute("list").find("no virtual sensors"),
-            std::string::npos);
+  EXPECT_EQ(mgmt.Execute("list"), "(none)\n");
 
   const std::string deploy_out =
       mgmt.Execute("deploy " + MoteDescriptor("mgmt-sensor"));
-  EXPECT_NE(deploy_out.find("deployed 'mgmt-sensor'"), std::string::npos)
+  EXPECT_NE(deploy_out.find("deployed: mgmt-sensor"), std::string::npos)
       << deploy_out;
   EXPECT_NE(mgmt.Execute("list").find("mgmt-sensor"), std::string::npos);
   EXPECT_NE(mgmt.Execute("wrappers").find("mote"), std::string::npos);
@@ -359,7 +358,7 @@ TEST_F(ContainerTest, ManagementCommands) {
 
   Run(kMicrosPerSecond);
   const std::string status = mgmt.Execute("status mgmt-sensor");
-  EXPECT_NE(status.find("elements produced:  9"), std::string::npos)
+  EXPECT_NE(status.find("produced: 9\n"), std::string::npos)
       << status;
   const std::string query_out =
       mgmt.Execute("query select count(*) from \"mgmt-sensor\"");

@@ -141,11 +141,12 @@ TEST_F(ContainerStatusSurfaceTest, ManagementStatusCommandBothForms) {
   EXPECT_NE(wide.find("status-sensor"), std::string::npos) << wide;
   EXPECT_NE(wide.find("lock"), std::string::npos) << wide;
   EXPECT_NE(wide.find("tick"), std::string::npos) << wide;
+  EXPECT_NE(wide.find("hot_spans"), std::string::npos) << wide;
 
   // With a sensor argument: the existing per-sensor counters.
   const std::string narrow = mgmt.Execute("status status-sensor");
   EXPECT_NE(narrow.find("status-sensor"), std::string::npos) << narrow;
-  EXPECT_EQ(narrow.find("hot spans"), std::string::npos) << narrow;
+  EXPECT_EQ(narrow.find("hot_spans"), std::string::npos) << narrow;
 }
 
 TEST_F(ContainerStatusSurfaceTest, BuildInfoAndUptimeAreMetricFamilies) {

@@ -423,19 +423,21 @@ TEST_F(TelemetryIntegrationTest, ManagementMetricsAndSlowlogCommands) {
   EXPECT_NE(metrics.find("gsn_sensor_tuples_total{sensor=\"tele-sensor\"}"),
             std::string::npos);
 
-  EXPECT_EQ(management.Execute("slowlog"), "slow-query log disabled\n");
+  EXPECT_EQ(management.Execute("slowlog"),
+            "threshold_micros: 0\nentries: (none)\n");
   EXPECT_NE(management.Execute("slowlog 2500").find("2500"),
             std::string::npos);
   EXPECT_EQ(container_->query_manager().slow_query_micros(), 2500);
   EXPECT_NE(management.Execute("slowlog x").find("ERROR"), std::string::npos);
-  EXPECT_EQ(management.Execute("slowlog 0"), "slow-query log disabled\n");
+  EXPECT_EQ(management.Execute("slowlog 0"),
+            "threshold_micros: 0\nentries: (none)\n");
 }
 
 TEST_F(TelemetryIntegrationTest, TracesEndpointAndManagementCommands) {
   container::ManagementInterface management(container_.get());
-  EXPECT_NE(management.Execute("trace").find("sample rate: 0"),
+  EXPECT_NE(management.Execute("trace").find("sample_rate: 0"),
             std::string::npos);
-  EXPECT_NE(management.Execute("trace 1").find("set to 1"),
+  EXPECT_NE(management.Execute("trace 1").find("sample_rate: 1"),
             std::string::npos);
   EXPECT_NE(management.Execute("trace 2").find("ERROR"), std::string::npos);
   DeployAndRun();
@@ -463,9 +465,28 @@ TEST_F(TelemetryIntegrationTest, TracesEndpointAndManagementCommands) {
   EXPECT_EQ(web.Handle(request).status, 400);
 
   const std::string listing = management.Execute("traces " + id);
-  EXPECT_NE(listing.find("\"trace\":\"" + id + "\""), std::string::npos);
+  EXPECT_NE(listing.find("trace=" + id), std::string::npos) << listing;
   EXPECT_NE(management.Execute("traces nope").find("ERROR"),
             std::string::npos);
+}
+
+// Console numbers go through the shared argument kinds: a non-finite
+// sample rate and an out-of-range threshold are rejected, not stored.
+TEST_F(TelemetryIntegrationTest, ConsoleNumbersAreRangeChecked) {
+  container::ManagementInterface management(container_.get());
+  for (const char* line : {"trace nan", "trace inf", "trace -0.5"}) {
+    EXPECT_EQ(management.Execute(line).rfind("ERROR: InvalidArgument", 0), 0u)
+        << line;
+  }
+  EXPECT_EQ(container_->tracer()->sample_rate(), 0.0);
+  EXPECT_NE(management.Execute("trace").find("sample_rate: 0.000000\n"),
+            std::string::npos);
+
+  ASSERT_NE(management.Execute("slowlog 2500").rfind("ERROR", 0), 0u);
+  EXPECT_EQ(management.Execute("slowlog 99999999999999999999")
+                .rfind("ERROR: InvalidArgument", 0),
+            0u);
+  EXPECT_EQ(container_->query_manager().slow_query_micros(), 2500);
 }
 
 TEST_F(TelemetryIntegrationTest, LogLinesInsideSpansCarryTheTraceId) {

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gsn/container/query_manager.h"
+#include "gsn/container/web_interface.h"
 #include "gsn/sql/executor.h"
 #include "gsn/sql/optimizer.h"
 #include "gsn/sql/parser.h"
@@ -118,6 +121,13 @@ TEST(TracerTest, SamplingDecisionIsDeterministicInTraceId) {
     EXPECT_EQ(ca.trace_lo, cb.trace_lo);
     EXPECT_EQ(ca.sampled, cb.sampled);
   }
+}
+
+TEST(TracerTest, NanSampleRateDisablesSampling) {
+  Tracer tracer(SampledOptions(1.0));
+  tracer.set_sample_rate(std::nan(""));
+  EXPECT_EQ(tracer.sample_rate(), 0.0);
+  EXPECT_FALSE(tracer.StartTrace().valid());
 }
 
 // -------------------------------------------------------------------- Span
@@ -231,8 +241,22 @@ TEST(TraceStoreTest, ForTraceFiltersById) {
 
 // ------------------------------------------------------------ JSON export
 
-TEST(RenderTracesJsonTest, RendersSpansAndFilters) {
+/// GET /api/v1/traces of a container recording into `tracer`.
+std::string TracesJson(container::WebInterface* web,
+                       std::map<std::string, std::string> query = {}) {
+  network::HttpRequest request;
+  request.method = "GET";
+  request.path = "/api/v1/traces";
+  request.query = std::move(query);
+  return web->Handle(request).body;
+}
+
+TEST(TracesResourceTest, RendersSpansAndFilters) {
   Tracer tracer(SampledOptions(1.0));
+  container::Container::Options options;
+  options.tracer = &tracer;
+  container::Container node(std::move(options));
+  container::WebInterface web(&node);
   TraceContext first_ctx;
   {
     Span first(&tracer, "alpha");
@@ -242,7 +266,7 @@ TEST(RenderTracesJsonTest, RendersSpansAndFilters) {
   {
     Span second(&tracer, "beta");
   }
-  const std::string all = RenderTracesJson(tracer.store());
+  const std::string all = TracesJson(&web);
   EXPECT_NE(all.find("\"dropped\":0"), std::string::npos);
   EXPECT_NE(all.find("\"name\":\"alpha\""), std::string::npos);
   EXPECT_NE(all.find("\"name\":\"beta\""), std::string::npos);
@@ -250,20 +274,20 @@ TEST(RenderTracesJsonTest, RendersSpansAndFilters) {
   EXPECT_NE(all.find("\"trace\":\"" + first_ctx.TraceIdHex() + "\""),
             std::string::npos);
 
-  const std::string one =
-      RenderTracesJson(tracer.store(), first_ctx.TraceIdHex());
+  const std::string one = TracesJson(&web, {{"id", first_ctx.TraceIdHex()}});
   EXPECT_NE(one.find("\"name\":\"alpha\""), std::string::npos);
   EXPECT_EQ(one.find("\"name\":\"beta\""), std::string::npos);
 
   // The uniform list envelope: `total` counts matches before paging.
   EXPECT_NE(all.find("\"items\":["), std::string::npos);
   EXPECT_NE(all.find("\"total\":2"), std::string::npos);
-  const std::string paged = RenderTracesJson(tracer.store(), "", 1, 1);
+  const std::string paged =
+      TracesJson(&web, {{"limit", "1"}, {"offset", "1"}});
   EXPECT_EQ(paged.find("\"name\":\"alpha\""), std::string::npos);
   EXPECT_NE(paged.find("\"name\":\"beta\""), std::string::npos);
   EXPECT_NE(paged.find("\"total\":2"), std::string::npos);
   // Paging past the end yields an empty page, same total.
-  EXPECT_NE(RenderTracesJson(tracer.store(), "", 5, 10)
+  EXPECT_NE(TracesJson(&web, {{"limit", "5"}, {"offset", "10"}})
                 .find("\"items\":[],\"total\":2"),
             std::string::npos);
 }
@@ -285,7 +309,8 @@ TEST(TracingConcurrencyTest, RecordWhileScrapeIsSafe) {
       size_t total = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         total += tracer.store().Snapshot().size();
-        total += RenderTracesJson(tracer.store()).size();
+        total += tracer.store().ForTrace(1, 1).size() +
+                 static_cast<size_t>(tracer.store().dropped());
       }
       EXPECT_GT(total, 0u);
     });

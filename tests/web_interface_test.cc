@@ -79,6 +79,32 @@ TEST_F(WebInterfaceTest, IndexListsSensors) {
   EXPECT_NE(response.content_type.find("text/html"), std::string::npos);
 }
 
+// A sensor name is data: the index escapes it in the link text and
+// percent-encodes it into the href, and the link resolves to the sensor.
+TEST_F(WebInterfaceTest, IndexEscapesSensorNamesAndListsEveryRoute) {
+  const std::string hostile = "a\"><b onx=1 ";
+  std::string xml = kSensorXml;
+  xml.replace(xml.find("web-sensor"), 10, "a&quot;&gt;&lt;b onx=1 ");
+  ASSERT_TRUE(container_->Deploy(xml).ok());
+  ASSERT_NE(container_->FindSensor(hostile), nullptr);
+
+  const HttpResponse index = Get("/");
+  EXPECT_EQ(index.body.find("<b onx"), std::string::npos) << index.body;
+  const std::string href = "/api/v1/sensors/a%22%3E%3Cb%20onx%3D1%20";
+  EXPECT_NE(index.body.find("<a href=\"" + href + "\">"), std::string::npos)
+      << index.body;
+  const HttpResponse sensor = Get(UrlDecode(href));
+  EXPECT_EQ(sensor.status, 200) << sensor.body;
+
+  // The API list is generated from the route table.
+  for (const char* route :
+       {"/api/v1/status", "/api/v1/segments", "/api/v1/healthz",
+        "/api/v1/readyz", "/api/v1/quarantine", "/api/v1/chaos",
+        "/api/v1/checkpoint", "/api/v1/drain"}) {
+    EXPECT_NE(index.body.find(route), std::string::npos) << route;
+  }
+}
+
 TEST_F(WebInterfaceTest, SensorsJson) {
   DeployAndRun();
   const HttpResponse response = Get("/api/v1/sensors");
@@ -392,6 +418,25 @@ TEST_F(WebInterfaceTest, QuarantineInspectRequeueClear) {
   clear.method = "POST";
   clear.path = "/api/v1/quarantine/clear";
   EXPECT_EQ(web_->Handle(clear).status, 200);
+}
+
+// The requeue reply renders the id it parsed, never the raw query text
+// ("001" or "+1" would make the body invalid JSON).
+TEST_F(WebInterfaceTest, RequeueRepliesWithTheParsedId) {
+  ASSERT_TRUE(container_->Deploy(kPoisonXml).ok());
+  for (int i = 0; i < 9; ++i) {
+    clock_->Advance(100 * kMicrosPerMilli);
+    ASSERT_TRUE(container_->Tick().ok());
+  }
+  ASSERT_EQ(container_->quarantine().size(), 1u);
+  const uint64_t id = container_->quarantine().List()[0].id;
+  HttpRequest requeue;
+  requeue.method = "POST";
+  requeue.path = "/api/v1/quarantine/requeue";
+  requeue.query = {{"id", "00" + std::to_string(id)}};
+  const HttpResponse response = web_->Handle(requeue);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "{\"requeued\":" + std::to_string(id) + "}");
 }
 
 // Regression canary for the serialize-outside-the-lock rule
