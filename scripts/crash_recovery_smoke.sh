@@ -72,6 +72,9 @@ cat > "$DESC/cold.xml" <<'XML'
 XML
 
 start_gsnd() {
+  # Create the log before the daemon does: the port poll below reads it
+  # under set -e, and sed on a missing file would end the script.
+  : > "$LOG"
   "$GSND" --data-dir "$DATA" --descriptors "$DESC" --port 0 \
       --tick-ms 20 > "$LOG" 2>&1 &
   GSND_PID=$!

@@ -80,6 +80,9 @@ CONSUMER_XML='<virtual-sensor name="mirror">
 # $PORT and (with --listen) the peer port into $PEER_PORT.
 start_gsnd() {
   local name="$1" log="$2" data="$3" desc="$4"; shift 4
+  # Create the log before the daemon does: the port poll below reads it
+  # under set -e, and sed on a missing file would end the script.
+  : > "$log"
   "$GSND" --node-id "$name" --data-dir "$data" --descriptors "$desc" \
       --port 0 --tick-ms 20 "$@" > "$log" 2>&1 &
   local pid=$!

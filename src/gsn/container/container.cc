@@ -113,17 +113,14 @@ Container::Container(Options options)
                                         "Container Tick() wall time");
   const char* phase_help =
       "Per-tick latency breakdown by scheduling phase (resilience / "
-      "dispatch / supervise / checkpoint) plus the pool-thread storage "
-      "and fan-out spans";
+      "dispatch / checkpoint) plus the pool-thread storage and fan-out "
+      "spans";
   tick_phase_resilience_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "resilience"}}, phase_help);
   tick_phase_dispatch_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "dispatch"}}, phase_help);
-  tick_phase_supervise_ = metrics_->GetHistogram(
-      "gsn_tick_phase_micros",
-      {{"node", options_.node_id}, {"phase", "supervise"}}, phase_help);
   tick_phase_checkpoint_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "checkpoint"}}, phase_help);
@@ -827,15 +824,14 @@ constexpr Timestamp kAnnounceInterval = 5 * kMicrosPerSecond;
 }  // namespace
 
 Result<int> Container::Tick() {
-  telemetry::Profiler::Scope tick_span(&profiler_, "tick", tick_micros_.get());
+  telemetry::Span tick_span(tick_micros_.get());
   const Timestamp now = options_.clock->NowMicros();
   uptime_gauge_->Set(
       (telemetry::SteadyClock::Instance()->NowMicros() - started_steady_micros_) /
       kMicrosPerSecond);
 
   {
-    telemetry::Profiler::Scope phase(&profiler_, "tick.resilience",
-                                     tick_phase_resilience_.get());
+    telemetry::Span phase(tick_phase_resilience_.get());
     // Periodic directory re-announcement: lost publish messages heal.
     bool announce = false;
     {
@@ -859,8 +855,7 @@ Result<int> Container::Tick() {
   // without a global tick mutex: per-sensor exclusivity comes from the
   // busy flag, so a sensor another round is still draining is simply
   // skipped by this one.
-  telemetry::Profiler::Scope dispatch_phase(&profiler_, "tick.dispatch",
-                                            tick_phase_dispatch_.get());
+  telemetry::Span dispatch_phase(tick_phase_dispatch_.get());
   int produced = 0;
   if (tick_pool_ == nullptr || shards_.size() == 1) {
     for (auto& shard : shards_) produced += TickShard(*shard, now);
@@ -902,8 +897,7 @@ Result<int> Container::Tick() {
     std::unique_lock<std::mutex> cp_lock(checkpoint_mu_, std::try_to_lock);
     if (cp_lock.owns_lock() &&
         now - last_checkpoint_ >= options_.supervision.checkpoint_interval) {
-      telemetry::Profiler::Scope phase(&profiler_, "tick.checkpoint",
-                                       tick_phase_checkpoint_.get());
+      telemetry::Span phase(tick_phase_checkpoint_.get());
       last_checkpoint_ = now;
       const Status s = Checkpoint();
       if (!s.ok()) {
@@ -1414,7 +1408,26 @@ Container::ContainerStatus Container::GetStatus() const {
   status.locks.push_back(lock_stats(fed_mu_));
   status.locks.push_back(lock_stats(chain_mu_));
   status.locks.push_back(lock_stats(query_manager_.cache_lock()));
-  status.hot_spans = profiler_.TopSpans(10);
+  const std::pair<const char*, const telemetry::Histogram*> spans[] = {
+      {"tick", tick_micros_.get()},
+      {"tick.resilience", tick_phase_resilience_.get()},
+      {"tick.dispatch", tick_phase_dispatch_.get()},
+      {"tick.checkpoint", tick_phase_checkpoint_.get()},
+      {"batch.storage", batch_storage_micros_.get()},
+      {"batch.fanout", batch_fanout_micros_.get()},
+  };
+  for (const auto& [name, histogram] : spans) {
+    const telemetry::Histogram::Snapshot snap = histogram->TakeSnapshot();
+    if (snap.count > 0) {
+      status.hot_spans.push_back({name, snap.count, snap.sum, snap.max});
+    }
+  }
+  std::sort(status.hot_spans.begin(), status.hot_spans.end(),
+            [](const SpanStats& a, const SpanStats& b) {
+              return a.total_micros != b.total_micros
+                         ? a.total_micros > b.total_micros
+                         : a.name < b.name;
+            });
   status.recovered_records = recovered_records_;
   status.recovery_failures = recovery_failures_;
   return status;
@@ -1433,8 +1446,7 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
   // Keeping insert + append atomic also means a checkpoint snapshot
   // always covers exactly the batches appended before it.
   std::vector<Outbound> remote_sends;
-  telemetry::Profiler::Scope storage_span(&profiler_, "batch.storage",
-                                          batch_storage_micros_.get());
+  telemetry::Span storage_span(batch_storage_micros_.get());
   {
     const std::string key = StrToLower(name);
     Shard& shard = ShardFor(key);
@@ -1509,8 +1521,7 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
   // takes the wrapper's own queue lock (a leaf), so this cannot
   // deadlock, and producers on other shards fan out concurrently only
   // contending here.
-  telemetry::Profiler::Scope fanout_span(&profiler_, "batch.fanout",
-                                         batch_fanout_micros_.get());
+  telemetry::Span fanout_span(batch_fanout_micros_.get());
   {
     std::lock_guard<telemetry::TimedMutex> lock(chain_mu_);
     auto range = local_wrappers_.equal_range(StrToLower(name));
@@ -1742,35 +1753,28 @@ void Container::OnMessage(const Message& message) {
           << "signature from " << message.from;
       return;
     }
-    RemoteStreamWrapper* wrapper = nullptr;
-    {
-      std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-      auto it = remote_subs_.find(delivery->subscription_id);
-      if (it != remote_subs_.end()) {
-        // A flowing delivery implies the producer registered us even
-        // if the explicit ack was lost.
-        it->second.acked = true;
-        wrapper = it->second.wrapper;
-      }
-    }
-    if (wrapper != nullptr) {
-      // Restore the producer's trace context so this node's source
-      // admission continues the cross-container trace.
-      delivery->element.trace = delivery->trace;
-      const RemoteStreamWrapper::PushOutcome outcome =
-          wrapper->Push(delivery->element, delivery->sequence);
-      if (outcome.duplicate) fed_dups_->Increment();
-      if (outcome.gap_opened) fed_gaps_->Increment();
-      // Admissions and parked futures prove the subscription is live;
-      // pure duplicates below our cursor do not (a restarted producer
-      // streams a fresh sequence space that dedups to nothing).
-      if (outcome.admitted > 0 || outcome.gap_opened) {
-        std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-        auto it = remote_subs_.find(delivery->subscription_id);
-        if (it != remote_subs_.end()) {
-          it->second.last_activity = options_.clock->NowMicros();
-        }
-      }
+    // The Push stays in the lookup's fed_mu_ section: Undeploy erases
+    // the subscription under fed_mu_ before it destroys the sensor that
+    // owns the wrapper, so the wrapper outlives every Push that found
+    // it. Push takes only the wrapper's leaf lock.
+    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
+    auto it = remote_subs_.find(delivery->subscription_id);
+    if (it == remote_subs_.end()) return;
+    // A flowing delivery implies the producer registered us even if the
+    // explicit ack was lost.
+    it->second.acked = true;
+    // Restore the producer's trace context so this node's source
+    // admission continues the cross-container trace.
+    delivery->element.trace = delivery->trace;
+    const RemoteStreamWrapper::PushOutcome outcome = it->second.wrapper->Push(
+        std::move(delivery->element), delivery->sequence);
+    if (outcome.duplicate) fed_dups_->Increment();
+    if (outcome.gap_opened) fed_gaps_->Increment();
+    // Admissions and parked futures prove the subscription is live;
+    // pure duplicates below our cursor do not (a restarted producer
+    // streams a fresh sequence space that dedups to nothing).
+    if (outcome.admitted > 0 || outcome.gap_opened) {
+      it->second.last_activity = options_.clock->NowMicros();
     }
     return;
   }

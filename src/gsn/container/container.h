@@ -348,6 +348,15 @@ class Container : public network::NetworkNode {
     int64_t wait_micros = 0;
   };
 
+  /// One timed container span (`tick`, a tick phase, or a batch-side
+  /// span), read from the histogram its scope observes.
+  struct SpanStats {
+    std::string name;
+    int64_t count = 0;
+    int64_t total_micros = 0;
+    int64_t max_micros = 0;
+  };
+
   /// Per-shard view of the sharded core: population, drain work, and
   /// the shard lock's contention profile — makes hot shards
   /// attributable from /api/v1/status and the `status` command.
@@ -378,7 +387,8 @@ class Container : public network::NetworkNode {
     std::vector<ShardStatus> shards;
     std::vector<PeerStatus> peers;
     std::vector<LockStats> locks;
-    std::vector<telemetry::Profiler::SpanStats> hot_spans;
+    /// Every container span with count > 0, by total time descending.
+    std::vector<SpanStats> hot_spans;
     size_t recovered_records = 0;
     size_t recovery_failures = 0;
   };
@@ -389,10 +399,6 @@ class Container : public network::NetworkNode {
   /// the container or tick locks — so a virtual sensor deployed over
   /// its own container's metrics cannot deadlock or self-amplify.
   wrappers::SystemSnapshot SystemSnapshotNow() const;
-
-  /// The container's always-on span profiler (tick phases, storage and
-  /// fan-out spans); TopSpans() feeds the status surface.
-  const telemetry::Profiler& profiler() const { return profiler_; }
 
   /// The transport this container is attached to (null when
   /// standalone). Its `AsChaos()` is the chaos surface: non-null when
@@ -755,12 +761,11 @@ class Container : public network::NetworkNode {
   std::shared_ptr<telemetry::Gauge> recovery_seconds_gauge_;
 
   // -- Self-observation (docs/TELEMETRY.md) ---------------------------------
-  /// Tick-phase breakdown + batch storage/fan-out spans, always on.
-  telemetry::Profiler profiler_;
+  /// Tick-phase breakdown + batch storage/fan-out spans, always on;
+  /// GetStatus() reads its hot spans from these histograms.
   std::shared_ptr<telemetry::Histogram> tick_micros_;
   std::shared_ptr<telemetry::Histogram> tick_phase_resilience_;
   std::shared_ptr<telemetry::Histogram> tick_phase_dispatch_;
-  std::shared_ptr<telemetry::Histogram> tick_phase_supervise_;
   std::shared_ptr<telemetry::Histogram> tick_phase_checkpoint_;
   std::shared_ptr<telemetry::Histogram> batch_storage_micros_;
   std::shared_ptr<telemetry::Histogram> batch_fanout_micros_;

@@ -139,10 +139,9 @@ int NotificationManager::OnBatch(const std::string& sensor_name,
 
   int delivered = 0;
   for (const StreamElement& element : batch) {
-    telemetry::Span trace_span(tracer_, "notify.fanout", element.trace);
-    trace_span.set_sensor(sensor_name);
-    telemetry::SpanTimer fanout_span(telemetry::SteadyClock::Instance(),
-                                     fanout_micros_.get());
+    telemetry::Span fanout_span(tracer_, "notify.fanout", element.trace,
+                                fanout_micros_.get());
+    fanout_span.set_sensor(sensor_name);
 
     // One-row relation exposing the element (and its timestamp) to the
     // condition expressions.
@@ -158,7 +157,7 @@ int NotificationManager::OnBatch(const std::string& sensor_name,
         Result<Relation> match = exec.Execute(*p.condition);
         if (!match.ok()) {
           condition_errors_->Increment();
-          trace_span.set_error();
+          fanout_span.set_error();
           continue;
         }
         fire = !match->empty();

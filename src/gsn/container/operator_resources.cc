@@ -311,7 +311,7 @@ Doc StatusDoc(const Container::ContainerStatus& status) {
                    .Add("wait_micros", lock.wait_micros));
   }
   Doc spans = Doc::Array();
-  for (const telemetry::Profiler::SpanStats& span : status.hot_spans) {
+  for (const Container::SpanStats& span : status.hot_spans) {
     spans.Push(Doc::Object()
                    .Add("name", span.name)
                    .Add("count", span.count)

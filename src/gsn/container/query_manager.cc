@@ -70,7 +70,7 @@ void CollectTablesFromRef(const sql::TableRef& ref,
 
 QueryManager::QueryManager(const sql::TableResolver* resolver,
                            telemetry::MetricRegistry* metrics)
-    : resolver_(resolver), span_clock_(telemetry::SteadyClock::Instance()) {
+    : resolver_(resolver) {
   telemetry::MetricRegistry* registry = metrics;
   if (registry == nullptr) {
     owned_metrics_ = std::make_unique<telemetry::MetricRegistry>();
@@ -105,10 +105,6 @@ void QueryManager::set_slow_query_micros(int64_t threshold_micros) {
 
 int64_t QueryManager::slow_query_micros() const {
   return slow_query_micros_.load(std::memory_order_relaxed);
-}
-
-void QueryManager::set_span_clock(const Clock* span_clock) {
-  span_clock_.store(span_clock, std::memory_order_relaxed);
 }
 
 void QueryManager::set_tracer(telemetry::Tracer* tracer) {
@@ -165,8 +161,7 @@ Result<std::shared_ptr<sql::SelectStmt>> QueryManager::Prepare(
       metrics_.cache_misses->Increment();
     }
   }
-  telemetry::SpanTimer parse_span(
-      span_clock_.load(std::memory_order_relaxed), metrics_.parse_micros.get());
+  telemetry::Span parse_span(metrics_.parse_micros.get());
   Result<std::unique_ptr<sql::SelectStmt>> parsed =
       sql::ParseSelect(sql_text);
   if (parsed.ok()) {
@@ -196,21 +191,19 @@ Result<Relation> QueryManager::Execute(const std::string& sql_text,
                                        const std::string& source) {
   GSN_ASSIGN_OR_RETURN(std::shared_ptr<sql::SelectStmt> stmt,
                        Prepare(sql_text));
-  telemetry::Span trace_span(tracer_.load(std::memory_order_relaxed),
-                             "query.execute");
-  trace_span.set_sensor(source);
   sql::Executor exec(resolver_);
   // While the slow-query log is armed, run analyzed so a slow execution
   // leaves its actual per-operator plan behind, not just its SQL.
   sql::AnalyzeCollector analyze;
   const bool analyzing = slow_query_micros() > 0;
   if (analyzing) exec.set_analyze(&analyze);
-  telemetry::SpanTimer exec_span(span_clock_.load(std::memory_order_relaxed),
-                                 metrics_.exec_micros.get());
+  telemetry::Span exec_span(tracer_.load(std::memory_order_relaxed),
+                            "query.execute", metrics_.exec_micros.get());
+  exec_span.set_sensor(source);
   Result<Relation> result = exec.Execute(*stmt);
   const int64_t elapsed = exec_span.Stop();
   metrics_.executed->Increment();
-  if (!result.ok()) trace_span.set_error();
+  if (!result.ok()) exec_span.set_error();
   MaybeLogSlow(sql_text, source, elapsed, stmt.get(),
                analyzing ? &analyze : nullptr);
   return result;
@@ -228,8 +221,7 @@ Result<std::string> QueryManager::ExplainAnalyze(const std::string& sql_text) {
   sql::Executor exec(resolver_);
   sql::AnalyzeCollector analyze;
   exec.set_analyze(&analyze);
-  telemetry::SpanTimer exec_span(span_clock_.load(std::memory_order_relaxed),
-                                 metrics_.exec_micros.get());
+  telemetry::Span exec_span(metrics_.exec_micros.get());
   Result<Relation> result = exec.Execute(*stmt);
   const int64_t elapsed = exec_span.Stop();
   metrics_.executed->Increment();
@@ -289,19 +281,18 @@ int QueryManager::OnNewElement(const std::string& sensor_name,
   const std::string source = "continuous:" + StrToLower(sensor_name);
   int ran = 0;
   for (const Pending& p : pending) {
-    telemetry::Span trace_span(tracer_.load(std::memory_order_relaxed),
-                               "query.continuous", trace);
-    trace_span.set_sensor(sensor_name);
     sql::Executor exec(resolver_);
     sql::AnalyzeCollector analyze;
     const bool analyzing = slow_query_micros() > 0;
     if (analyzing) exec.set_analyze(&analyze);
-    telemetry::SpanTimer exec_span(span_clock_.load(std::memory_order_relaxed),
-                                   metrics_.exec_micros.get());
+    telemetry::Span exec_span(tracer_.load(std::memory_order_relaxed),
+                              "query.continuous", trace,
+                              metrics_.exec_micros.get());
+    exec_span.set_sensor(sensor_name);
     Result<Relation> result = exec.Execute(*p.stmt);
     const int64_t elapsed = exec_span.Stop();
     metrics_.continuous_runs->Increment();
-    if (!result.ok()) trace_span.set_error();
+    if (!result.ok()) exec_span.set_error();
     MaybeLogSlow(p.sql_text, source, elapsed, p.stmt.get(),
                  analyzing ? &analyze : nullptr);
     if (result.ok()) {

@@ -116,12 +116,10 @@ class QueryManager {
 
   /// Roots a "query.execute" span per one-shot execution in `tracer`
   /// (and "query.continuous" children for repository runs). Null
-  /// detaches. The tracer must outlive this manager.
+  /// detaches. The tracer must outlive this manager. Those spans time
+  /// `gsn_query_exec_micros` on the tracer's clock, so a test injects
+  /// a deterministic clock through Tracer::Options::clock.
   void set_tracer(telemetry::Tracer* tracer);
-
-  /// Clock for the parse/exec span timers (default: steady wall clock).
-  /// Tests inject a VirtualClock for deterministic latencies.
-  void set_span_clock(const Clock* span_clock);
 
   /// Collects base table names referenced anywhere in a statement
   /// (FROM items, joins, subqueries, set-op branches). Used by the
@@ -191,7 +189,6 @@ class QueryManager {
   /// Private registry when none was injected.
   std::unique_ptr<telemetry::MetricRegistry> owned_metrics_;
   QueryMetrics metrics_;
-  std::atomic<const Clock*> span_clock_;
   std::atomic<int64_t> slow_query_micros_{0};
   std::atomic<telemetry::Tracer*> tracer_{nullptr};
 

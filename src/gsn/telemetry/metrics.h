@@ -195,7 +195,7 @@ class MetricRegistry {
 };
 
 // ---------------------------------------------------------------------------
-// Span timing
+// Clock
 // ---------------------------------------------------------------------------
 
 /// Monotonic wall clock (std::chrono::steady_clock) behind the Clock
@@ -206,39 +206,6 @@ class SteadyClock : public Clock {
  public:
   Timestamp NowMicros() const override;
   static const SteadyClock* Instance();
-};
-
-/// RAII span: records clock->NowMicros() deltas into a histogram on
-/// destruction (or at Stop()). Null histogram disables the span, so
-/// instrumentation points cost one branch when telemetry is off.
-/// Injecting a VirtualClock makes span durations fully deterministic in
-/// tests: advance the clock inside the span and the histogram observes
-/// exactly that delta.
-class SpanTimer {
- public:
-  SpanTimer(const Clock* clock, Histogram* histogram)
-      : clock_(clock),
-        histogram_(histogram),
-        start_(histogram != nullptr ? clock->NowMicros() : 0) {}
-  ~SpanTimer() { Stop(); }
-
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-
-  /// Records now, disarms, and returns the elapsed micros (0 if
-  /// disabled or already stopped).
-  int64_t Stop() {
-    if (histogram_ == nullptr) return 0;
-    const int64_t elapsed = clock_->NowMicros() - start_;
-    histogram_->Observe(elapsed);
-    histogram_ = nullptr;
-    return elapsed;
-  }
-
- private:
-  const Clock* clock_;
-  Histogram* histogram_;
-  int64_t start_;
 };
 
 }  // namespace gsn::telemetry

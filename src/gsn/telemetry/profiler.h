@@ -1,32 +1,24 @@
 #ifndef GSN_TELEMETRY_PROFILER_H_
 #define GSN_TELEMETRY_PROFILER_H_
 
-/// Contention and scheduling profiler (ROADMAP item 1 measurement
-/// baseline). Three instruments:
+/// Contention and process profiler. Two instruments:
 ///
 ///  - TimedMutex: a std::mutex drop-in that, once Instrument()ed,
 ///    counts acquisitions, counts contended acquisitions, and records
 ///    the wall time spent blocked into a `gsn_lock_wait_micros{lock=}`
 ///    histogram. The uncontended fast path is one try_lock plus one
 ///    relaxed counter increment — no clock read.
-///  - Profiler: an always-on aggregating span profiler. Scoped spans
-///    record name -> {count, total, max} into a bounded table;
-///    TopSpans(n) returns the hottest spans by total time. A sampling
-///    period > 1 measures only every Nth span (scaled back up), for
-///    call sites too hot to time every pass.
 ///  - ReadProcessStats / build info: process RSS, CPU seconds, and the
 ///    compiled-in version string for the status surface.
 ///
-/// All of it is safe to run permanently in production; the benches
-/// quote lock-wait shares from these histograms.
+/// Both are safe to run permanently in production; the benches quote
+/// lock-wait shares from these histograms. Timed code sections use
+/// telemetry::Span (tracing.h).
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "gsn/telemetry/metrics.h"
 
@@ -88,87 +80,6 @@ class TimedMutex {
   std::shared_ptr<Histogram> wait_micros_;
   std::shared_ptr<Counter> acquisitions_;
   std::shared_ptr<Counter> contended_;
-};
-
-/// Always-on aggregating span profiler. Record() is one short
-/// mutex-protected map update; the table is bounded (overflow spans
-/// aggregate under "<other>") so a label explosion cannot leak.
-class Profiler {
- public:
-  struct SpanStats {
-    std::string name;
-    int64_t count = 0;
-    int64_t total_micros = 0;
-    int64_t max_micros = 0;
-  };
-
-  /// `sample_period` N > 1 measures only every Nth span per call site
-  /// round-robin and scales counts/totals by N.
-  explicit Profiler(int sample_period = 1,
-                    const Clock* clock = SteadyClock::Instance())
-      : clock_(clock), sample_period_(sample_period < 1 ? 1 : sample_period) {}
-  Profiler(const Profiler&) = delete;
-  Profiler& operator=(const Profiler&) = delete;
-
-  /// True when the next span should take clock readings; advances the
-  /// round-robin sampling cursor.
-  bool ShouldSample() {
-    return sample_period_ == 1 ||
-           ticket_.fetch_add(1, std::memory_order_relaxed) %
-                   sample_period_ == 0;
-  }
-
-  void Record(const std::string& name, int64_t micros);
-
-  /// Top-n spans by total_micros, descending.
-  std::vector<SpanStats> TopSpans(size_t n) const;
-  int sample_period() const { return sample_period_; }
-  const Clock* clock() const { return clock_; }
-
-  /// RAII span; also observes into `histogram` when non-null.
-  class Scope {
-   public:
-    Scope(Profiler* profiler, const char* name, Histogram* histogram = nullptr)
-        : profiler_(profiler), name_(name), histogram_(histogram) {
-      if (profiler_ != nullptr && profiler_->ShouldSample()) {
-        start_ = profiler_->clock()->NowMicros();
-      }
-    }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() { Stop(); }
-
-    /// Ends the span early; returns the measured micros (0 when the
-    /// span was sampled out). Idempotent.
-    int64_t Stop() {
-      if (start_ < 0) return 0;
-      const int64_t elapsed = profiler_->clock()->NowMicros() - start_;
-      start_ = -1;
-      profiler_->Record(name_, elapsed);
-      if (histogram_ != nullptr) histogram_->Observe(elapsed);
-      return elapsed;
-    }
-
-   private:
-    Profiler* profiler_;
-    const char* name_;
-    Histogram* histogram_;
-    int64_t start_ = -1;
-  };
-
- private:
-  struct Agg {
-    int64_t count = 0;
-    int64_t total_micros = 0;
-    int64_t max_micros = 0;
-  };
-  static constexpr size_t kMaxSpanNames = 256;
-
-  const Clock* clock_;
-  const int sample_period_;
-  std::atomic<uint64_t> ticket_{0};
-  mutable std::mutex mu_;
-  std::map<std::string, Agg> spans_;
 };
 
 /// Process-level resource usage for the status surface and the system

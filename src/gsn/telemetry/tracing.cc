@@ -141,16 +141,26 @@ double Tracer::sample_rate() const {
 // Span
 // ---------------------------------------------------------------------------
 
-Span::Span(Tracer* tracer, std::string_view name) {
-  if (tracer == nullptr) return;
-  TraceContext ctx = tracer->StartTrace();
-  if (!ctx.valid()) return;
-  Open(tracer, name, ctx, /*parent_span_id=*/0);
+Span::Span(Histogram* histogram) : histogram_(histogram) {
+  StartClock(nullptr);
 }
 
-Span::Span(Tracer* tracer, std::string_view name, const TraceContext& parent) {
-  if (tracer == nullptr || !parent.valid()) return;
-  Open(tracer, name, tracer->ChildOf(parent), parent.span_id);
+Span::Span(Tracer* tracer, std::string_view name, Histogram* histogram)
+    : histogram_(histogram) {
+  if (tracer != nullptr) {
+    const TraceContext ctx = tracer->StartTrace();
+    if (ctx.valid()) Open(tracer, name, ctx, /*parent_span_id=*/0);
+  }
+  StartClock(tracer);
+}
+
+Span::Span(Tracer* tracer, std::string_view name, const TraceContext& parent,
+           Histogram* histogram)
+    : histogram_(histogram) {
+  if (tracer != nullptr && parent.valid()) {
+    Open(tracer, name, tracer->ChildOf(parent), parent.span_id);
+  }
+  StartClock(tracer);
 }
 
 void Span::Open(Tracer* tracer, std::string_view name, TraceContext ctx,
@@ -162,7 +172,6 @@ void Span::Open(Tracer* tracer, std::string_view name, TraceContext ctx,
   record_.span_id = ctx.span_id;
   record_.parent_span_id = parent_span_id;
   record_.name.assign(name.data(), name.size());
-  record_.start_micros = tracer->clock()->NowMicros();
   if (ctx_.sampled) {
     saved_thread_ctx_ = ThreadTraceContext();
     SetThreadTraceContext(ctx_);
@@ -170,15 +179,24 @@ void Span::Open(Tracer* tracer, std::string_view name, TraceContext ctx,
   }
 }
 
+void Span::StartClock(const Tracer* tracer) {
+  if (histogram_ == nullptr && tracer_ == nullptr) return;  // nothing to time
+  clock_ = tracer != nullptr ? tracer->clock() : SteadyClock::Instance();
+  record_.start_micros = clock_->NowMicros();
+}
+
 Span::~Span() { Finish(); }
 
 Span::Span(Span&& other) noexcept
     : tracer_(other.tracer_),
+      clock_(other.clock_),
+      histogram_(other.histogram_),
       ctx_(other.ctx_),
       record_(std::move(other.record_)),
       saved_thread_ctx_(other.saved_thread_ctx_),
       bound_thread_(other.bound_thread_) {
   other.tracer_ = nullptr;
+  other.clock_ = nullptr;
   other.bound_thread_ = false;
 }
 
@@ -186,11 +204,14 @@ Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     Finish();
     tracer_ = other.tracer_;
+    clock_ = other.clock_;
+    histogram_ = other.histogram_;
     ctx_ = other.ctx_;
     record_ = std::move(other.record_);
     saved_thread_ctx_ = other.saved_thread_ctx_;
     bound_thread_ = other.bound_thread_;
     other.tracer_ = nullptr;
+    other.clock_ = nullptr;
     other.bound_thread_ = false;
   }
   return *this;
@@ -208,7 +229,17 @@ void Span::set_error() {
   if (tracer_ != nullptr) record_.error = true;
 }
 
+int64_t Span::Stop() {
+  if (clock_ == nullptr) return 0;
+  const int64_t elapsed = clock_->NowMicros() - record_.start_micros;
+  clock_ = nullptr;
+  record_.duration_micros = elapsed;
+  if (histogram_ != nullptr) histogram_->Observe(elapsed);
+  return elapsed;
+}
+
 void Span::Finish() {
+  Stop();
   if (tracer_ == nullptr) return;
   if (bound_thread_) {
     if (saved_thread_ctx_.valid()) {
@@ -218,8 +249,6 @@ void Span::Finish() {
     }
     bound_thread_ = false;
   }
-  record_.duration_micros =
-      tracer_->clock()->NowMicros() - record_.start_micros;
   if (ctx_.sampled || record_.error) {
     tracer_->store().Record(std::move(record_));
   }

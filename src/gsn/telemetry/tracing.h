@@ -90,7 +90,9 @@ class Tracer {
     /// Seed for id generation and the sampling coin; fixed seed + a
     /// single-threaded workload = fully reproducible ids.
     uint64_t seed = 0x6773'6e74'7261'6365;  // "gsntrace"
-    /// Span timestamps/durations. Null = monotonic SteadyClock.
+    /// Clock of every Span opened with this tracer: trace timestamps
+    /// and durations, and the histogram samples the spans observe.
+    /// Null = monotonic SteadyClock.
     const Clock* clock = nullptr;
   };
 
@@ -126,20 +128,34 @@ class Tracer {
   std::atomic<uint64_t> counter_{0};
 };
 
-/// RAII span. Opens at construction, records into the tracer's store at
-/// Finish()/destruction iff its context is valid and either sampled or
-/// flagged as an error. While a sampled span is open it binds the
-/// thread-local trace context so GSN_LOG lines carry `trace=<id>`
-/// (restored on finish). Default-constructed spans are inert, as are
-/// spans built from a null tracer or an invalid parent — instrumentation
+/// The one RAII timing scope: a histogram observation and a trace span
+/// from the same two clock reads, one at open and one at Stop().
+///
+/// - With a histogram, Stop() observes the elapsed micros into it on
+///   every close, sampled or not.
+/// - With a valid trace context, Finish()/destruction records a span
+///   into the tracer's store iff the trace is sampled or the span was
+///   flagged as an error; its duration is the same elapsed micros.
+///   While a sampled span is open it binds the thread-local trace
+///   context so GSN_LOG lines carry `trace=<id>` (restored on finish).
+/// - The clock is the tracer's (Tracer::clock(), steady unless a test
+///   injects one), or SteadyClock for a span without a tracer. A scope
+///   with neither a histogram nor a valid context reads no clock.
+///
+/// Default-constructed spans are inert, as are spans built from a null
+/// tracer or an invalid parent and no histogram — instrumentation
 /// points need no guards.
 class Span {
  public:
   Span() = default;
+  /// Histogram-only scope: times into `histogram`, opens no trace span.
+  explicit Span(Histogram* histogram);
   /// Roots a new trace (see Tracer::StartTrace).
-  Span(Tracer* tracer, std::string_view name);
-  /// Child span continuing `parent`; inert when parent is invalid.
-  Span(Tracer* tracer, std::string_view name, const TraceContext& parent);
+  Span(Tracer* tracer, std::string_view name, Histogram* histogram = nullptr);
+  /// Child span continuing `parent`; its trace half is inert when the
+  /// parent is invalid.
+  Span(Tracer* tracer, std::string_view name, const TraceContext& parent,
+       Histogram* histogram = nullptr);
   ~Span();
 
   Span(const Span&) = delete;
@@ -158,16 +174,24 @@ class Span {
   /// True when the span will consider recording (valid context).
   bool active() const { return tracer_ != nullptr && ctx_.valid(); }
 
-  /// Ends the span (idempotent).
+  /// Ends the timing: reads the clock, observes the histogram, and
+  /// fixes the trace span's duration. Returns the elapsed micros (0 when
+  /// nothing was timed or already stopped). Idempotent. The trace span
+  /// stays open (thread binding, set_error) until Finish().
+  int64_t Stop();
+  /// Stops, then ends the trace span (idempotent).
   void Finish();
 
  private:
   void Open(Tracer* tracer, std::string_view name, TraceContext ctx,
             uint64_t parent_span_id);
+  void StartClock(const Tracer* tracer);
 
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;      // non-null while the trace half is open
+  const Clock* clock_ = nullptr;  // non-null while timing
+  Histogram* histogram_ = nullptr;
   TraceContext ctx_;
-  SpanRecord record_;
+  SpanRecord record_;  // start_micros is the open read for both halves
   TraceContext saved_thread_ctx_;
   bool bound_thread_ = false;
 };

@@ -73,8 +73,7 @@ Result<int> StreamSource::PumpLocked(
     return 0;
   }
   lock->unlock();
-  telemetry::SpanTimer poll_span(telemetry::SteadyClock::Instance(),
-                                 poll_micros_.get());
+  telemetry::Span poll_span(poll_micros_.get());
   Result<std::vector<StreamElement>> produced = wrapper_->Poll(now);
   poll_span.Stop();
   lock->lock();

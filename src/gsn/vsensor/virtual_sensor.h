@@ -136,11 +136,6 @@ class VirtualSensor {
     return metrics_.processing->TakeSnapshot();
   }
 
-  /// Clock used by the processing span timers. Defaults to the steady
-  /// wall clock so Fig 3 measures real cost under virtual stream time;
-  /// tests inject a VirtualClock to make span durations deterministic.
-  void set_span_clock(const Clock* span_clock) { span_clock_ = span_clock; }
-
  private:
   struct StreamRuntime {
     const InputStreamSpec* spec;
@@ -189,7 +184,6 @@ class VirtualSensor {
   /// tests keep per-instance stats).
   std::unique_ptr<telemetry::MetricRegistry> owned_metrics_;
   SensorMetrics metrics_;
-  const Clock* span_clock_;
 
   mutable std::mutex mu_;
   std::vector<OutputListener> listeners_;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -755,6 +756,72 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == ChaosTransportKind::kSimulator ? "Simulator"
                                                           : "ChaosOverEpoll";
     });
+
+// Undeploy under live traffic: the consumer's event loop keeps pushing
+// deliveries into the subscription an undeploy is tearing down. A push
+// that found the subscription must be over before the sensor owning the
+// wrapper is destroyed (the TSan job runs this test), and the last
+// redeploy must stream again, exactly once.
+TEST(FederationUndeployTest, RedeployMirrorWhileProducerStreamsOverEpoll) {
+  EpollChaosHarness harness;  // no chaos rules: a clean TCP link
+  Container* producer = harness.producer();
+  Container* consumer = harness.consumer();
+  ASSERT_NE(producer, nullptr);
+  ASSERT_NE(consumer, nullptr);
+  ASSERT_TRUE(producer->Deploy(GeneratorProducerXml("gen", "churn")).ok());
+  for (int i = 0; i < 100 && consumer->Discover({{"type", "churn"}}).empty();
+       ++i) {
+    ASSERT_TRUE(harness.Step(100 * kMicrosPerMilli).ok());
+  }
+  ASSERT_FALSE(consumer->Discover({{"type", "churn"}}).empty());
+
+  // A second of virtual time per step: ten readings per producer tick,
+  // each a delivery on the consumer's loop thread.
+  std::atomic<bool> streaming{true};
+  std::atomic<int> failed_steps{0};
+  std::thread streamer([&] {
+    while (streaming.load()) {
+      if (!harness.Step(kMicrosPerSecond).ok()) failed_steps.fetch_add(1);
+    }
+  });
+  const std::string mirror_xml = RemoteConsumerXml(
+      "mirror", "churn",
+      "<field name=\"seq\" type=\"integer\"/>"
+      "<field name=\"value\" type=\"double\"/>");
+  const auto admitted = [&] {
+    const RemoteStreamWrapper* remote = FindRemote(consumer, "mirror");
+    return remote == nullptr ? 0 : remote->admitted_count();
+  };
+  const auto wait_for_rows = [&](int64_t rows) {
+    for (int i = 0; i < 2000 && admitted() < rows; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return admitted() >= rows;
+  };
+  // No ASSERT until the streamer is joined: every exit path must join it.
+  bool churned = true;
+  int streamed_rounds = 0;
+  for (int round = 0; round < 30 && churned; ++round) {
+    churned = consumer->Deploy(mirror_xml).ok();
+    if (churned && wait_for_rows(1)) ++streamed_rounds;
+    churned = churned && consumer->Undeploy("mirror").ok();
+  }
+  const bool redeployed = churned && consumer->Deploy(mirror_xml).ok();
+  const bool final_streams = redeployed && wait_for_rows(20);
+  streaming.store(false);
+  streamer.join();
+
+  ASSERT_TRUE(churned);
+  ASSERT_TRUE(redeployed);
+  EXPECT_EQ(failed_steps.load(), 0);
+  // Traffic overlapped the undeploys: rows reached the mirror.
+  EXPECT_GT(streamed_rounds, 0);
+  EXPECT_TRUE(final_streams) << admitted();
+  const RemoteStreamWrapper* remote = FindRemote(consumer, "mirror");
+  ASSERT_NE(remote, nullptr);
+  EXPECT_EQ(remote->duplicate_count(), 0);
+  EXPECT_EQ(remote->abandoned_count(), 0);
+}
 
 }  // namespace
 }  // namespace gsn::container

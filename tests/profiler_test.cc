@@ -1,6 +1,6 @@
-// Tests for the contention/scheduling profiler (docs/TELEMETRY.md):
-// TimedMutex lock-wait metering, the aggregating span profiler, and the
-// process/build introspection helpers behind the status surface.
+// Tests for the contention profiler (docs/TELEMETRY.md): TimedMutex
+// lock-wait metering and the process/build introspection helpers
+// behind the status surface.
 
 #include <gtest/gtest.h>
 
@@ -69,79 +69,6 @@ TEST(TelemetryProfilerTest, ContendedAcquisitionRecordsWaitTime) {
   EXPECT_EQ(mu.contended(), 1);
   EXPECT_GT(mu.wait_micros_total(), 0);
   EXPECT_EQ(registry.SumHistograms("gsn_lock_wait_micros").count, 1);
-}
-
-TEST(TelemetryProfilerTest, RecordAggregatesAndTopSpansRanksByTotal) {
-  Profiler profiler;
-  profiler.Record("dispatch", 100);
-  profiler.Record("dispatch", 300);
-  profiler.Record("checkpoint", 250);
-
-  const auto top = profiler.TopSpans(10);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].name, "dispatch");
-  EXPECT_EQ(top[0].count, 2);
-  EXPECT_EQ(top[0].total_micros, 400);
-  EXPECT_EQ(top[0].max_micros, 300);
-  EXPECT_EQ(top[1].name, "checkpoint");
-  EXPECT_EQ(top[1].total_micros, 250);
-
-  // n bounds the answer.
-  EXPECT_EQ(profiler.TopSpans(1).size(), 1u);
-}
-
-TEST(TelemetryProfilerTest, ScopeObservesHistogramAndStopIsIdempotent) {
-  VirtualClock clock;
-  MetricRegistry registry;
-  auto histogram = registry.GetHistogram("span_micros");
-  Profiler profiler(1, &clock);
-
-  Profiler::Scope scope(&profiler, "tick", histogram.get());
-  clock.Advance(250);
-  EXPECT_EQ(scope.Stop(), 250);
-  clock.Advance(999);
-  EXPECT_EQ(scope.Stop(), 0);  // second Stop is a no-op
-
-  const auto top = profiler.TopSpans(1);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].name, "tick");
-  EXPECT_EQ(top[0].total_micros, 250);
-  const auto snapshot = histogram->TakeSnapshot();
-  EXPECT_EQ(snapshot.count, 1);
-  EXPECT_EQ(snapshot.sum, 250);
-}
-
-TEST(TelemetryProfilerTest, SamplingPeriodScalesCountsBackUp) {
-  VirtualClock clock;
-  Profiler profiler(4, &clock);
-  EXPECT_EQ(profiler.sample_period(), 4);
-
-  // 8 spans of 10us each; only every 4th takes clock readings, and the
-  // measured ones are scaled by the period.
-  for (int i = 0; i < 8; ++i) {
-    Profiler::Scope scope(&profiler, "hot");
-    clock.Advance(10);
-  }
-  const auto top = profiler.TopSpans(1);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].count, 8);
-  EXPECT_EQ(top[0].total_micros, 80);
-  EXPECT_EQ(top[0].max_micros, 10);
-}
-
-TEST(TelemetryProfilerTest, SpanTableIsBoundedOverflowAggregates) {
-  Profiler profiler;
-  for (int i = 0; i < 400; ++i) {
-    profiler.Record("span-" + std::to_string(i), 1);
-  }
-  const auto top = profiler.TopSpans(1000);
-  // 256 distinct names max, plus the "<other>" overflow bucket.
-  EXPECT_LE(top.size(), 257u);
-  int64_t other_count = 0;
-  for (const auto& span : top) {
-    if (span.name == "<other>") other_count = span.count;
-  }
-  EXPECT_GT(other_count, 0);
 }
 
 TEST(TelemetryProfilerTest, ProcessStatsAndBuildInfoArePopulated) {

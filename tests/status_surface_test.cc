@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gsn/container/management_interface.h"
 #include "gsn/container/web_interface.h"
@@ -107,7 +109,54 @@ TEST_F(ContainerStatusSurfaceTest, GetStatusJoinsSubsystems) {
   ASSERT_FALSE(status.hot_spans.empty());
   EXPECT_TRUE(std::any_of(
       status.hot_spans.begin(), status.hot_spans.end(),
-      [](const telemetry::Profiler::SpanStats& s) { return s.name == "tick"; }));
+      [](const Container::SpanStats& s) { return s.name == "tick"; }));
+}
+
+// Hot spans are the container's tick histograms read back: every one
+// with samples, its count, sum and max, ranked by total (ties by name).
+TEST_F(ContainerStatusSurfaceTest, HotSpansAreTheNonEmptyTickHistograms) {
+  DeployAndRun();
+  const Container::ContainerStatus status = container_->GetStatus();
+
+  telemetry::MetricRegistry* metrics = container_->metrics();
+  const telemetry::Labels node = {{"node", "status-node"}};
+  const auto phase = [&](const char* name) {
+    telemetry::Labels labels = node;
+    labels.emplace_back("phase", name);
+    return metrics->GetHistogram("gsn_tick_phase_micros", labels)
+        ->TakeSnapshot();
+  };
+  const std::pair<const char*, telemetry::Histogram::Snapshot> histograms[] = {
+      {"tick", metrics->GetHistogram("gsn_tick_micros", node)->TakeSnapshot()},
+      {"tick.resilience", phase("resilience")},
+      {"tick.dispatch", phase("dispatch")},
+      {"tick.checkpoint", phase("checkpoint")},
+      {"batch.storage", phase("storage")},
+      {"batch.fanout", phase("fanout")},
+  };
+  std::vector<Container::SpanStats> expected;
+  for (const auto& [name, snap] : histograms) {
+    if (snap.count > 0) {
+      expected.push_back({name, snap.count, snap.sum, snap.max});
+    }
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Container::SpanStats& a, const Container::SpanStats& b) {
+              return a.total_micros != b.total_micros
+                         ? a.total_micros > b.total_micros
+                         : a.name < b.name;
+            });
+
+  // Ten ticks with a producing sensor and no data dir: every span but
+  // the checkpoint ran.
+  ASSERT_EQ(expected.size(), 5u);
+  ASSERT_EQ(status.hot_spans.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(status.hot_spans[i].name, expected[i].name) << i;
+    EXPECT_EQ(status.hot_spans[i].count, expected[i].count) << i;
+    EXPECT_EQ(status.hot_spans[i].total_micros, expected[i].total_micros) << i;
+    EXPECT_EQ(status.hot_spans[i].max_micros, expected[i].max_micros) << i;
+  }
 }
 
 TEST_F(ContainerStatusSurfaceTest, WebStatusEndpointReturnsUnifiedJson) {

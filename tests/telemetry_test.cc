@@ -116,13 +116,39 @@ TEST(HistogramTest, MergeAccumulates) {
   EXPECT_EQ(merged.max, 50);
 }
 
-// ---------------------------------------------------------------- SpanTimer
+// ------------------------------------------------------------- Span timing
 
-TEST(SpanTimerTest, ObservesVirtualClockDelta) {
+/// Tracer options that only inject `clock`: the sample rate stays 0, so
+/// spans time on that clock but record no trace.
+Tracer::Options ClockOnly(const Clock* clock) {
+  Tracer::Options options;
+  options.clock = clock;
+  return options;
+}
+
+/// Clock that jumps forward a fixed step on every read and counts the
+/// reads, so a test sees exactly which reads a span made.
+class CountingClock : public Clock {
+ public:
+  explicit CountingClock(Timestamp step) : step_(step) {}
+  Timestamp NowMicros() const override {
+    ++reads_;
+    return now_ += step_;
+  }
+  int reads() const { return reads_; }
+
+ private:
+  const Timestamp step_;
+  mutable Timestamp now_ = 0;
+  mutable int reads_ = 0;
+};
+
+TEST(TelemetrySpanTest, ObservesVirtualClockDelta) {
   VirtualClock clock;
+  Tracer tracer(ClockOnly(&clock));
   Histogram h;
   {
-    SpanTimer span(&clock, &h);
+    Span span(&tracer, "unit", &h);
     clock.Advance(250);
   }
   const Histogram::Snapshot snapshot = h.TakeSnapshot();
@@ -130,22 +156,82 @@ TEST(SpanTimerTest, ObservesVirtualClockDelta) {
   EXPECT_EQ(snapshot.sum, 250);
 }
 
-TEST(SpanTimerTest, StopReturnsElapsedAndDisarms) {
+TEST(TelemetrySpanTest, StopReturnsElapsedAndDisarms) {
   VirtualClock clock;
+  Tracer tracer(ClockOnly(&clock));
   Histogram h;
-  SpanTimer span(&clock, &h);
+  Span span(&tracer, "unit", &h);
   clock.Advance(70);
   EXPECT_EQ(span.Stop(), 70);
   clock.Advance(1000);
   EXPECT_EQ(span.Stop(), 0);  // second Stop is a no-op
+  span.Finish();
   EXPECT_EQ(h.TakeSnapshot().count, 1);
 }
 
-TEST(SpanTimerTest, NullHistogramDisablesSpan) {
+TEST(TelemetrySpanTest, NullHistogramDisablesSpan) {
   VirtualClock clock;
-  SpanTimer span(&clock, nullptr);
+  Tracer tracer(ClockOnly(&clock));
+  Span span(&tracer, "unit", nullptr);
   clock.Advance(50);
   EXPECT_EQ(span.Stop(), 0);
+}
+
+// A histogram scope observes one sample per close whether the trace is
+// absent, unsampled, or the parent is invalid; none of them record.
+TEST(TelemetrySpanTest, HistogramIsObservedWithoutASampledTrace) {
+  Histogram h;
+  CountingClock clock(5);
+  Tracer unsampled(ClockOnly(&clock));
+  Span(&h).Finish();
+  Span(nullptr, "unit", &h).Finish();
+  Span(&unsampled, "unit", &h).Finish();
+  Span(&unsampled, "unit", TraceContext(), &h).Finish();
+  EXPECT_EQ(h.TakeSnapshot().count, 4);
+  // The unsampled tracer's two scopes timed on its clock, one read at
+  // each end.
+  EXPECT_EQ(clock.reads(), 4);
+  EXPECT_EQ(unsampled.store().size(), 0u);
+}
+
+// One read at open and one at close feed both the histogram and the
+// trace record, so the recorded duration is the observed sample.
+TEST(TelemetrySpanTest, SampledSpanRecordsTheHistogramSample) {
+  CountingClock clock(7);
+  Tracer::Options sampled = ClockOnly(&clock);
+  sampled.sample_rate = 1.0;
+  Tracer tracer(sampled);
+  Histogram h;
+  int64_t elapsed = 0;
+  {
+    Span span(&tracer, "unit", &h);
+    elapsed = span.Stop();
+    // The trace half stays open after Stop: a late error still records.
+    span.set_error();
+  }
+  EXPECT_EQ(clock.reads(), 2);
+  EXPECT_EQ(elapsed, 7);
+  const Histogram::Snapshot snapshot = h.TakeSnapshot();
+  EXPECT_EQ(snapshot.count, 1);
+  EXPECT_EQ(snapshot.sum, elapsed);
+  const std::vector<SpanRecord> spans = tracer.store().Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].start_micros, 7);
+  EXPECT_EQ(spans[0].duration_micros, elapsed);
+  EXPECT_TRUE(spans[0].error);
+}
+
+TEST(TelemetrySpanTest, ScopeWithoutHistogramOrTraceReadsNoClock) {
+  CountingClock clock(1);
+  Tracer unsampled(ClockOnly(&clock));
+  {
+    Span inert;
+    Span no_trace(&unsampled, "unit");
+    Span orphan(&unsampled, "unit", TraceContext());
+    EXPECT_EQ(no_trace.Stop(), 0);
+    EXPECT_EQ(orphan.Stop(), 0);
+  }
+  EXPECT_EQ(clock.reads(), 0);
 }
 
 // ---------------------------------------------------------------- Registry
@@ -289,7 +375,8 @@ TEST(QueryManagerTelemetryTest, SlowQueryLogCountsOverThreshold) {
   MetricRegistry registry;
   container::QueryManager qm(&tables, &registry);
   SteppingClock stepping(1000);  // every span measures 1000 us
-  qm.set_span_clock(&stepping);
+  Tracer tracer(ClockOnly(&stepping));
+  qm.set_tracer(&tracer);
 
   qm.set_slow_query_micros(2000);  // above every span: nothing is slow
   ASSERT_TRUE(qm.Execute("select * from t").ok());

@@ -441,7 +441,10 @@ TEST(QueryManagerTracingTest, SlowLogCapturesSourceAndAnalyzedPlan) {
   sql::MapResolver resolver = sql::MakeJoinedTables();
   QueryManager qm(&resolver);
   QmSteppingClock stepping(1000);  // every span measures 1000 us
-  qm.set_span_clock(&stepping);
+  telemetry::Tracer::Options clocked;
+  clocked.clock = &stepping;
+  telemetry::Tracer tracer(clocked);
+  qm.set_tracer(&tracer);
   qm.set_slow_query_micros(500);  // everything is slow
 
   ASSERT_TRUE(qm.Execute(kQmJoinSql, "web").ok());
