@@ -224,8 +224,9 @@ start_gsnd producer "$WORK/producer2.log" "$PROD_DATA" "$PROD_DESC" \
     --listen "$PROD_PEER_PORT"
 PROD_PID="$STARTED_PID"
 # Recovery rides the consumer's subscription restart detector: the
-# redialed link looks healthy, so ~subscription_silence_timeout (10s)
-# passes before the resubscribe, then streaming resumes at full rate.
+# redialed link looks healthy, so ~FederationEngine::kSilenceTimeout
+# (10s) passes before the resubscribe, then streaming resumes at full
+# rate.
 wait_rows_past $((BEFORE + 20)) 400 ||
     { echo "FAIL: stream did not resume after producer restart";
       cat "$WORK/consumer.log"; exit 1; }
@@ -233,7 +234,12 @@ assert_no_dups "after producer restart" "$N" "$D"
 RECONNECTS="$(metric_of "$CONS_PORT" gsn_transport_reconnects_total)"
 [ "$RECONNECTS" -gt "$RECONNECTS_BEFORE" ] ||
     { echo "FAIL: reconnects_total never advanced ($RECONNECTS_BEFORE -> $RECONNECTS)"; exit 1; }
-echo "ok: stream resumed after kill -9 ($BEFORE -> $N rows, reconnects=$RECONNECTS)"
+# Printed, not gated: how often the silence detector and failover had
+# to repair the subscription. Durable producer subscriptions (ROADMAP
+# item 5) should bring resubscribes to 0.
+RESUBSCRIBES="$(metric_of "$CONS_PORT" gsn_federation_resubscribes_total)"
+FAILOVERS="$(metric_of "$CONS_PORT" gsn_federation_failovers_total)"
+echo "ok: stream resumed after kill -9 ($BEFORE -> $N rows, reconnects=$RECONNECTS, resubscribes=$RESUBSCRIBES, failovers=$FAILOVERS)"
 
 # --- Final exactly-once sweep with the fault plane cleared ------------
 chaos "$CONS_PORT" "heal" > /dev/null

@@ -12,14 +12,20 @@
 namespace gsn::container {
 
 using network::DirectoryEntry;
-using network::Message;
-using network::RemoteStreamWrapper;
 using vsensor::StreamSource;
 using vsensor::VirtualSensor;
 using vsensor::VirtualSensorSpec;
 
+namespace {
+/// Fills in the defaults members read during construction.
+Container::Options WithDefaultClock(Container::Options options) {
+  if (options.clock == nullptr) options.clock = SystemClock::Shared();
+  return options;
+}
+}  // namespace
+
 Container::Container(Options options)
-    : options_(std::move(options)),
+    : options_(WithDefaultClock(std::move(options))),
       owned_metrics_(options_.metrics == nullptr
                          ? std::make_unique<telemetry::MetricRegistry>()
                          : nullptr),
@@ -32,46 +38,14 @@ Container::Container(Options options)
                                          : owned_tracer_.get()),
       query_manager_(&catalog_, metrics_),
       notifications_(metrics_, tracer_),
-      integrity_(options_.integrity_key) {
-  if (options_.clock == nullptr) options_.clock = SystemClock::Shared();
+      federation_(options_.node_id, options_.clock, options_.seed,
+                  options_.network, options_.integrity_key, metrics_,
+                  tracer_) {
   query_manager_.set_tracer(tracer_);
   sensors_deployed_ = metrics_->GetGauge(
       "gsn_sensors_deployed", {{"node", options_.node_id}},
       "Virtual sensors currently deployed on this node");
   const telemetry::Labels node_label = {{"node", options_.node_id}};
-  fed_retries_subscribe_ = metrics_->GetCounter(
-      "gsn_federation_retries_total",
-      {{"node", options_.node_id}, {"kind", "subscribe"}},
-      "Federation retry rounds by kind (subscribe/replay/publish)");
-  fed_retries_replay_ = metrics_->GetCounter(
-      "gsn_federation_retries_total",
-      {{"node", options_.node_id}, {"kind", "replay"}},
-      "Federation retry rounds by kind (subscribe/replay/publish)");
-  fed_retries_publish_ = metrics_->GetCounter(
-      "gsn_federation_retries_total",
-      {{"node", options_.node_id}, {"kind", "publish"}},
-      "Federation retry rounds by kind (subscribe/replay/publish)");
-  fed_gaps_ = metrics_->GetCounter(
-      "gsn_federation_gaps_total", node_label,
-      "Stream deliveries that arrived behind a sequence gap");
-  fed_dups_ = metrics_->GetCounter(
-      "gsn_federation_dups_total", node_label,
-      "Duplicate stream deliveries dropped by receiver-side dedup");
-  fed_replays_ = metrics_->GetCounter(
-      "gsn_federation_replays_total", node_label,
-      "Deliveries re-sent from replay buffers in response to NACKs");
-  fed_abandoned_ = metrics_->GetCounter(
-      "gsn_federation_abandoned_total", node_label,
-      "Missing sequences given up on after replay retries exhausted");
-  fed_failovers_ = metrics_->GetCounter(
-      "gsn_federation_failovers_total", node_label,
-      "Remote sources rebound to an alternative producer");
-  fed_resubscribes_ = metrics_->GetCounter(
-      "gsn_federation_resubscribes_total", node_label,
-      "Silent subscriptions re-established on a restarted producer");
-  replay_bytes_ = metrics_->GetGauge(
-      "gsn_replay_buffer_bytes", node_label,
-      "Bytes currently held across producer-side replay buffers");
   // The sharded deployment core (docs/CONCURRENCY.md): resolve the
   // shard count, build the shards, and instrument every lock before
   // any other thread can touch the container.
@@ -107,7 +81,6 @@ Container::Container(Options options)
     shards_.push_back(std::move(shard));
   }
   if (num_shards > 1) tick_pool_ = std::make_unique<ThreadPool>(tick_workers);
-  fed_mu_.Instrument(metrics_, "federation", node_label);
   chain_mu_.Instrument(metrics_, "chaining", node_label);
   tick_micros_ = metrics_->GetHistogram("gsn_tick_micros", node_label,
                                         "Container Tick() wall time");
@@ -141,7 +114,6 @@ Container::Container(Options options)
       "gsn_uptime_seconds", node_label,
       "Seconds since this container was constructed (steady clock)");
   started_steady_micros_ = telemetry::SteadyClock::Instance()->NowMicros();
-  resilience_rng_ = Rng(options_.seed * 65537 + 17);
   wrappers::WrapperRegistry::RegisterBuiltins(&registry_);
   quarantine_ = std::make_unique<QuarantineStore>(
       options_.supervision.quarantine_capacity, metrics_);
@@ -151,21 +123,6 @@ Container::Container(Options options)
   recovery_seconds_gauge_ = metrics_->GetGauge(
       "gsn_recovery_seconds", node_label,
       "Wall-clock seconds the last crash-recovery pass took (floored)");
-  if (options_.network != nullptr) {
-    const Status s = options_.network->RegisterNode(options_.node_id, this);
-    if (!s.ok()) {
-      GSN_LOG(kError, "container")
-          << options_.node_id << ": network registration failed: " << s;
-    }
-    // Real transports report per-peer failures (dial errors, resets,
-    // write-queue overflows) asynchronously; feed them to the circuit
-    // breakers so a dead peer trips its circuit from hard evidence, not
-    // just heartbeat silence. The simulator reports none.
-    options_.network->SetErrorCallback(
-        [this](const std::string& peer, const Status& error) {
-          NotePeerError(peer, error);
-        });
-  }
   last_checkpoint_ = options_.clock->NowMicros();
   // Without an explicit storage_dir both the per-sensor persistence
   // logs and the columnar history land under data_dir, so --data-dir
@@ -214,13 +171,6 @@ Container::~Container() {
   }
   // Quiesce the tick workers before shards/members are destroyed.
   if (tick_pool_ != nullptr) tick_pool_->Shutdown();
-  if (options_.network != nullptr) {
-    // The transport outlives the container in gsnd: drop our error
-    // callback before teardown so a late event-loop notification cannot
-    // call into a destroyed container.
-    options_.network->SetErrorCallback(nullptr);
-    (void)options_.network->UnregisterNode(options_.node_id);
-  }
 }
 
 const char* Container::SensorStateName(SensorState state) {
@@ -325,17 +275,7 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
   // for earlier sources) on any later failure.
   auto unwind = [&] {
     (void)tables_.DropTable(spec.name);
-    const std::vector<std::string> cancelled = CancelSubscriptionsFor(key);
-    if (options_.network != nullptr) {
-      for (const std::string& id : cancelled) {
-        network::UnsubscribeRequest cancel;
-        cancel.subscription_id = id;
-        (void)options_.network->Broadcast(options_.clock->NowMicros(),
-                                          options_.node_id,
-                                          network::kTopicUnsubscribe,
-                                          cancel.Encode());
-      }
-    }
+    federation_.Forget(key);
   };
 
   Deployment deployment;
@@ -501,18 +441,8 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
           << options_.node_id << ": manifest deploy record failed: " << logged;
     }
   }
-  PublishSensor(sensor->spec());
-  // Schedule the publish's retry rounds: a lost broadcast heals long
-  // before the next anti-entropy announcement.
-  if (options_.network != nullptr) {
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    PendingPublish pending;
-    pending.key = key;
-    pending.spec = sensor->spec();
-    pending.next_at =
-        now + options_.resilience.retry.BackoffForAttempt(1, &resilience_rng_);
-    pending_publishes_.push_back(std::move(pending));
-  }
+  federation_.Publish(sensor->name(), sensor->spec().metadata,
+                      sensor->spec().output_structure);
   GSN_LOG(kInfo, "container")
       << options_.node_id << ": deployed '" << sensor->name() << "'";
   return sensor;
@@ -528,7 +458,7 @@ Result<std::unique_ptr<wrappers::Wrapper>> Container::MakeWrapperForSource(
   if (StrEqualsIgnoreCase(source_spec.address.wrapper, "local")) {
     std::map<std::string, std::string> query = source_spec.address.predicates;
     query["node"] = options_.node_id;
-    const std::vector<DirectoryEntry> matches = directory_.Discover(query);
+    const std::vector<DirectoryEntry> matches = federation_.Discover(query);
     if (matches.empty()) {
       return Status::Unavailable(
           "no local virtual sensor matches the address predicates of "
@@ -577,93 +507,10 @@ Result<std::unique_ptr<wrappers::Wrapper>> Container::MakeWrapperForSource(
   }
 
   // wrapper="remote": logical addressing through the directory.
-  if (options_.network == nullptr) {
-    return Status::InvalidArgument(
-        "wrapper=\"remote\" requires the container to be attached to a "
-        "network");
-  }
-  // retry-* predicates configure the subscription's retry policy; they
-  // are not part of the producer's identity, so strip them from the
-  // discovery query.
-  wrappers::WrapperConfig retry_config;
-  retry_config.instance_name = source_spec.alias;
-  retry_config.params = source_spec.address.predicates;
-  GSN_ASSIGN_OR_RETURN(
-      network::RetryPolicy retry_policy,
-      network::RetryPolicy::FromConfig(retry_config,
-                                       options_.resilience.retry));
-  std::map<std::string, std::string> query;
-  for (const auto& [k, v] : source_spec.address.predicates) {
-    if (k.rfind("retry-", 0) != 0) query[k] = v;
-  }
-  const std::vector<DirectoryEntry> matches = directory_.Discover(query);
-  if (matches.empty()) {
-    return Status::Unavailable(
-        "no published virtual sensor matches the address predicates of "
-        "source '" +
-        source_spec.alias +
-        "' (deploy the producer first, or check the predicates)");
-  }
-  const Timestamp now = options_.clock->NowMicros();
-
-  std::string subscription_id;
-  const DirectoryEntry* entry = &matches.front();
-  {
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    // Prefer a producer whose circuit allows traffic right now; fall
-    // back to the first match (subscribe retries take it from there).
-    for (const DirectoryEntry& candidate : matches) {
-      if (PeerAllowsSendLocked(candidate.node_id, now)) {
-        entry = &candidate;
-        break;
-      }
-    }
-    subscription_id =
-        options_.node_id + "#" + std::to_string(next_subscription_++);
-  }
-  network::SubscribeRequest request;
-  request.subscription_id = subscription_id;
-  request.sensor_name = entry->sensor_name;
-  request.subscriber_node = options_.node_id;
-  GSN_RETURN_IF_ERROR(options_.network->Send(now, options_.node_id,
-                                             entry->node_id,
-                                             network::kTopicSubscribe,
-                                             request.Encode()));
-
-  auto wrapper = std::make_unique<RemoteStreamWrapper>(
-      entry->output_schema, entry->node_id, entry->sensor_name);
-  {
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    RemoteSubscription& sub = remote_subs_[subscription_id];
-    sub.wrapper = wrapper.get();
-    sub.deployment_key = deployment_key;
-    sub.peer_node = entry->node_id;
-    sub.predicates = std::move(query);
-    sub.retry = retry_policy;
-    sub.subscribe_attempts = 1;  // the send above
-    sub.next_subscribe_at =
-        now + sub.retry.BackoffForAttempt(1, &resilience_rng_);
-    sub.last_activity = now;
-    subs_by_deployment_[deployment_key].push_back(subscription_id);
-  }
-  return std::unique_ptr<wrappers::Wrapper>(std::move(wrapper));
-}
-
-std::vector<std::string> Container::CancelSubscriptionsFor(
-    const std::string& key) {
-  std::vector<std::string> cancelled;
-  std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-  auto it = subs_by_deployment_.find(key);
-  if (it != subs_by_deployment_.end()) {
-    cancelled = std::move(it->second);
-    subs_by_deployment_.erase(it);
-    for (const std::string& id : cancelled) remote_subs_.erase(id);
-  }
-  for (auto pit = pending_publishes_.begin();
-       pit != pending_publishes_.end();) {
-    pit = pit->key == key ? pending_publishes_.erase(pit) : std::next(pit);
-  }
-  return cancelled;
+  GSN_ASSIGN_OR_RETURN(std::unique_ptr<network::RemoteStreamWrapper> remote,
+                       federation_.Subscribe(deployment_key, source_spec.alias,
+                                             source_spec.address.predicates));
+  return std::unique_ptr<wrappers::Wrapper>(std::move(remote));
 }
 
 Status Container::Undeploy(const std::string& sensor_name,
@@ -718,19 +565,10 @@ Status Container::Undeploy(const std::string& sensor_name,
   }
 
   // Federation bookkeeping: our subscriptions on remote producers are
-  // cancelled (failover can no longer touch their wrappers), remote
-  // consumers of this sensor dropped, pending publish rounds purged.
-  const std::vector<std::string> cancelled = CancelSubscriptionsFor(key);
-  {
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    for (auto it = subscribers_.begin(); it != subscribers_.end();) {
-      if (StrEqualsIgnoreCase(it->second.sensor_name, sensor_name)) {
-        it = subscribers_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  // cancelled (no delivery or failover can reach their wrappers after
+  // this), remote consumers of this sensor dropped, pending publish
+  // rounds purged, and the directory entry retracted.
+  federation_.Forget(deployment->sensor->name());
 
   if (deployment->system_sources > 0) {
     system_sources_total_.fetch_sub(deployment->system_sources,
@@ -738,21 +576,6 @@ Status Container::Undeploy(const std::string& sensor_name,
   }
   deployment->sensor->Stop();
 
-  // Cancel our subscriptions on remote producers.
-  if (options_.network != nullptr) {
-    for (const std::string& id : cancelled) {
-      network::UnsubscribeRequest cancel;
-      cancel.subscription_id = id;
-      // Peer node id is encoded in the wrapper; broadcast is simpler
-      // and idempotent for unknown ids.
-      (void)options_.network->Broadcast(options_.clock->NowMicros(),
-                                        options_.node_id,
-                                        network::kTopicUnsubscribe,
-                                        cancel.Encode());
-    }
-  }
-
-  RetractSensor(deployment->sensor->name());
   GSN_RETURN_IF_ERROR(tables_.DropTable(sensor_name));
   // Operator undeploys retire the sensor's cold history with it;
   // process-exit teardown keeps the segments (they come back with the
@@ -818,11 +641,6 @@ VirtualSensor* Container::FindSensor(const std::string& sensor_name) const {
 
 // ---------------------------------------------------------------- Runtime
 
-namespace {
-/// Anti-entropy period for directory gossip.
-constexpr Timestamp kAnnounceInterval = 5 * kMicrosPerSecond;
-}  // namespace
-
 Result<int> Container::Tick() {
   telemetry::Span tick_span(tick_micros_.get());
   const Timestamp now = options_.clock->NowMicros();
@@ -831,22 +649,10 @@ Result<int> Container::Tick() {
       kMicrosPerSecond);
 
   {
-    telemetry::Span phase(tick_phase_resilience_.get());
-    // Periodic directory re-announcement: lost publish messages heal.
-    bool announce = false;
-    {
-      std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-      if (options_.network != nullptr &&
-          now - last_announce_ >= kAnnounceInterval) {
-        last_announce_ = now;
-        announce = true;
-      }
-    }
-    if (announce) AnnounceAll();
-
-    // Federation resilience round: heartbeats, circuit breakers,
+    // Directory anti-entropy, heartbeats, circuit breakers,
     // subscribe/NACK/publish retries, tips, failover.
-    if (options_.network != nullptr) RunResilience(now);
+    telemetry::Span phase(tick_phase_resilience_.get());
+    federation_.RunRound(now);
   }
 
   // Drain the shards: inline when single-sharded, otherwise one task
@@ -1282,8 +1088,8 @@ Container::Health Container::GetHealth() const {
 
 wrappers::SystemSnapshot Container::ComputeSystemSnapshot() const {
   wrappers::SystemSnapshot snap;
-  // One shard at a time, federation state separately — never more than
-  // one of these locks held at once.
+  // One shard at a time, the engine separately — never more than one
+  // of these locks held at once.
   for (const auto& shard : shards_) {
     std::lock_guard<telemetry::TimedMutex> lock(shard->mu);
     snap.sensors += static_cast<int64_t>(shard->deployments.size());
@@ -1303,18 +1109,13 @@ wrappers::SystemSnapshot Container::ComputeSystemSnapshot() const {
           static_cast<int64_t>(deployment->sensor->QueueDepth());
     }
   }
-  {
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    const Timestamp now = options_.clock->NowMicros();
-    for (const auto& [sub_id, subscriber] : subscribers_) {
-      snap.replay_bytes += static_cast<int64_t>(subscriber.replay.bytes());
-    }
-    snap.peers = static_cast<int64_t>(peers_.size());
-    for (const auto& [peer_id, peer] : peers_) {
-      if (peer.breaker.StateAt(now) == network::CircuitBreaker::State::kOpen) {
-        ++snap.open_circuits;
-      }
-    }
+  for (const FederationEngine::Subscriber& subscriber :
+       federation_.Subscribers()) {
+    snap.replay_bytes += subscriber.replay_bytes;
+  }
+  for (const PeerStatus& peer : federation_.PeerStatuses()) {
+    ++snap.peers;
+    if (peer.circuit == "open") ++snap.open_circuits;
   }
   // Everything below reads components with their own synchronization:
   // holding a shard lock across them would only widen it.
@@ -1405,7 +1206,7 @@ Container::ContainerStatus Container::GetStatus() const {
     status.shards.push_back(row);
     status.locks.push_back(lock_stats(shard->mu));
   }
-  status.locks.push_back(lock_stats(fed_mu_));
+  status.locks.push_back(lock_stats(federation_.lock()));
   status.locks.push_back(lock_stats(chain_mu_));
   status.locks.push_back(lock_stats(query_manager_.cache_lock()));
   const std::pair<const char*, const telemetry::Histogram*> spans[] = {
@@ -1445,7 +1246,6 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
   // compacted-over inode (and be lost to every future recovery).
   // Keeping insert + append atomic also means a checkpoint snapshot
   // always covers exactly the batches appended before it.
-  std::vector<Outbound> remote_sends;
   telemetry::Span storage_span(batch_storage_micros_.get());
   {
     const std::string key = StrToLower(name);
@@ -1466,47 +1266,6 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
             GSN_LOG(kWarn, "container")
                 << name << ": persistence failed: " << s;
             break;
-          }
-        }
-      }
-    }
-  }
-  // Remote deliveries are sequenced and buffered for replay under
-  // fed_mu_ — sequence assignment must be atomic with the
-  // replay-buffer write, and per-subscription monotonicity holds
-  // because one sensor's batches are serialized by its busy flag —
-  // then sent after release.
-  {
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    const Timestamp send_now = options_.clock->NowMicros();
-    if (options_.network != nullptr) {
-      for (auto& [sub_id, subscriber] : subscribers_) {
-        if (!StrEqualsIgnoreCase(subscriber.sensor_name, name)) continue;
-        // An open circuit pauses the sends but not the sequencing: the
-        // deliveries stay in the replay buffer, and the subscriber
-        // NACKs the gap once the peer heals.
-        const bool allowed =
-            PeerAllowsSendLocked(subscriber.subscriber_node, send_now);
-        for (const StreamElement& element : batch) {
-          network::StreamDelivery delivery;
-          delivery.subscription_id = sub_id;
-          delivery.sensor_name = name;
-          delivery.element = element;
-          delivery.signature = integrity_.Sign(name, element);
-          delivery.sequence = subscriber.next_seq++;
-          // One "remote.send" span per target; its context rides in
-          // the delivery (outside the signed payload) so the receiving
-          // node continues the same trace.
-          telemetry::Span send(tracer_, "remote.send", element.trace);
-          send.set_sensor(name);
-          send.set_node(options_.node_id);
-          delivery.trace = send.context();
-          std::string payload = delivery.Encode();
-          subscriber.replay.Put(delivery.sequence, payload);
-          if (allowed) {
-            remote_sends.push_back({subscriber.subscriber_node,
-                                    network::kTopicStream,
-                                    std::move(payload)});
           }
         }
       }
@@ -1536,20 +1295,9 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
   notifications_.OnBatch(name, sensor.output_schema(), batch);
   query_manager_.OnNewElementBatch(name, batch);
 
-  // Remote consumers (each element signed by the integrity layer,
-  // sequenced and buffered above).
-  if (options_.network != nullptr) {
-    const Timestamp send_now = options_.clock->NowMicros();
-    for (Outbound& send : remote_sends) {
-      const Status s =
-          options_.network->Send(send_now, options_.node_id, send.to,
-                                 send.topic, std::move(send.payload));
-      if (!s.ok()) {
-        GSN_LOG(kWarn, "container")
-            << name << ": stream delivery to " << send.to << " failed: " << s;
-      }
-    }
-  }
+  // Remote consumers last, so none is notified before this node's own
+  // (each element signed by the integrity layer).
+  federation_.Deliver(name, batch);
 }
 
 // ---------------------------------------------------------------- Queries
@@ -1569,598 +1317,17 @@ Result<Relation> Container::Query(const std::string& sql_text,
   return query_manager_.Execute(sql_text);
 }
 
-// -------------------------------------------------------------- Directory
+// ------------------------------------------------------------- Federation
 
 std::vector<DirectoryEntry> Container::Discover(
     const std::map<std::string, std::string>& query) const {
-  return directory_.Discover(query);
+  return federation_.Discover(query);
 }
 
-void Container::PublishSensor(const VirtualSensorSpec& spec) {
-  DirectoryEntry entry;
-  entry.sensor_name = spec.name;
-  entry.node_id = options_.node_id;
-  entry.predicates = spec.metadata;
-  entry.output_schema = spec.output_structure;
-  directory_.Upsert(entry);
-  if (options_.network != nullptr) {
-    (void)options_.network->Broadcast(options_.clock->NowMicros(),
-                                      options_.node_id,
-                                      network::kTopicDirPublish,
-                                      entry.Encode());
-  }
-}
-
-void Container::RetractSensor(const std::string& sensor_name) {
-  directory_.Remove(options_.node_id, sensor_name);
-  if (options_.network != nullptr) {
-    network::DirRemove remove;
-    remove.node_id = options_.node_id;
-    remove.sensor_name = sensor_name;
-    (void)options_.network->Broadcast(options_.clock->NowMicros(),
-                                      options_.node_id,
-                                      network::kTopicDirRemove,
-                                      remove.Encode());
-  }
-}
-
-void Container::AnnounceAll() {
-  // shared_ptr copies pin the deployments (and with them the specs)
-  // against a concurrent Undeploy while we publish outside the locks.
-  std::vector<std::shared_ptr<Deployment>> live;
-  for (const auto& shard : shards_) {
-    std::lock_guard<telemetry::TimedMutex> lock(shard->mu);
-    for (const auto& [key, deployment] : shard->deployments) {
-      live.push_back(deployment);
-    }
-  }
-  for (const auto& deployment : live) PublishSensor(deployment->sensor->spec());
-}
-
-// ---------------------------------------------------------------- Network
-
-void Container::OnMessage(const Message& message) {
-  // Any received message is liveness evidence for its sender: refresh
-  // the peer's heartbeat clock and feed its circuit breaker a success.
-  if (!message.from.empty() && message.from != options_.node_id) {
-    const bool new_peer =
-        NotePeerAlive(message.from, options_.clock->NowMicros());
-    // First contact: the peer may not have seen our deploy-time
-    // directory broadcasts (it started later, or sits behind a
-    // forwarder and only now learned our address), so re-announce.
-    if (new_peer) AnnounceAll();
-  }
-  if (message.topic == network::kTopicHeartbeat) {
-    return;  // nothing beyond the liveness note above
-  }
-  if (message.topic == network::kTopicDirPublish) {
-    Result<DirectoryEntry> entry = DirectoryEntry::Decode(message.payload);
-    if (entry.ok()) {
-      directory_.Upsert(*std::move(entry));
-    }
-    return;
-  }
-  if (message.topic == network::kTopicDirRemove) {
-    Result<network::DirRemove> remove =
-        network::DirRemove::Decode(message.payload);
-    if (remove.ok()) directory_.Remove(remove->node_id, remove->sensor_name);
-    return;
-  }
-  if (message.topic == network::kTopicSubscribe) {
-    Result<network::SubscribeRequest> request =
-        network::SubscribeRequest::Decode(message.payload);
-    if (!request.ok()) return;
-    {
-      std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-      // Idempotent: a re-sent request (lost ack) must not reset the
-      // sequence counter or drop the replay buffer.
-      auto [it, inserted] =
-          subscribers_.try_emplace(request->subscription_id);
-      if (inserted) {
-        it->second.sensor_name = request->sensor_name;
-        it->second.subscriber_node = request->subscriber_node;
-        it->second.replay =
-            network::ReplayBuffer(options_.resilience.replay_buffer_bytes);
-      }
-    }
-    network::SubscribeAck ack;
-    ack.subscription_id = request->subscription_id;
-    (void)options_.network->Send(options_.clock->NowMicros(),
-                                 options_.node_id, request->subscriber_node,
-                                 network::kTopicSubAck, ack.Encode());
-    return;
-  }
-  if (message.topic == network::kTopicSubAck) {
-    Result<network::SubscribeAck> ack =
-        network::SubscribeAck::Decode(message.payload);
-    if (!ack.ok()) return;
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    auto it = remote_subs_.find(ack->subscription_id);
-    if (it != remote_subs_.end()) {
-      it->second.acked = true;
-      it->second.last_activity = options_.clock->NowMicros();
-    }
-    return;
-  }
-  if (message.topic == network::kTopicStreamTip) {
-    Result<network::StreamTip> tip =
-        network::StreamTip::Decode(message.payload);
-    if (!tip.ok()) return;
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    auto it = remote_subs_.find(tip->subscription_id);
-    if (it != remote_subs_.end()) {
-      it->second.acked = true;  // a tip implies the producer knows us
-      // A tip only proves the subscription is alive when it reaches
-      // our cursor: a restarted producer tips its fresh (low) sequence
-      // space, and counting that as activity would mask the restart.
-      if (tip->last_sequence + 1 >= it->second.wrapper->expected_sequence()) {
-        it->second.last_activity = options_.clock->NowMicros();
-      }
-      it->second.wrapper->ObserveTip(tip->last_sequence);
-    }
-    return;
-  }
-  if (message.topic == network::kTopicStreamNack) {
-    Result<network::NackRequest> nack =
-        network::NackRequest::Decode(message.payload);
-    if (!nack.ok()) return;
-    // Serve the replay out of the subscriber's buffer; sequences
-    // already evicted stay missing (the subscriber abandons them).
-    std::vector<std::string> payloads;
-    std::string target;
-    {
-      std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-      auto it = subscribers_.find(nack->subscription_id);
-      if (it == subscribers_.end()) return;
-      target = it->second.subscriber_node;
-      constexpr size_t kMaxReplaysPerNack = 1024;
-      for (const network::SeqRange& range : nack->ranges) {
-        for (uint64_t seq = range.from;
-             seq <= range.to && payloads.size() < kMaxReplaysPerNack; ++seq) {
-          const std::string* payload = it->second.replay.Get(seq);
-          if (payload != nullptr) payloads.push_back(*payload);
-        }
-      }
-    }
-    if (!payloads.empty()) {
-      fed_replays_->Increment(static_cast<int64_t>(payloads.size()));
-    }
-    const Timestamp send_now = options_.clock->NowMicros();
-    for (std::string& payload : payloads) {
-      (void)options_.network->Send(send_now, options_.node_id, target,
-                                   network::kTopicStream, std::move(payload));
-    }
-    return;
-  }
-  if (message.topic == network::kTopicUnsubscribe) {
-    Result<network::UnsubscribeRequest> request =
-        network::UnsubscribeRequest::Decode(message.payload);
-    if (!request.ok()) return;
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    subscribers_.erase(request->subscription_id);
-    return;
-  }
-  if (message.topic == network::kTopicStream) {
-    Result<network::StreamDelivery> delivery =
-        network::StreamDelivery::Decode(message.payload);
-    if (!delivery.ok()) return;
-    // Integrity layer: drop elements whose signature does not verify.
-    if (!delivery->signature.empty() &&
-        !integrity_.Verify(delivery->sensor_name, delivery->element,
-                           delivery->signature)) {
-      GSN_LOG(kWarn, "container")
-          << options_.node_id << ": dropped stream element with bad "
-          << "signature from " << message.from;
-      return;
-    }
-    // The Push stays in the lookup's fed_mu_ section: Undeploy erases
-    // the subscription under fed_mu_ before it destroys the sensor that
-    // owns the wrapper, so the wrapper outlives every Push that found
-    // it. Push takes only the wrapper's leaf lock.
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    auto it = remote_subs_.find(delivery->subscription_id);
-    if (it == remote_subs_.end()) return;
-    // A flowing delivery implies the producer registered us even if the
-    // explicit ack was lost.
-    it->second.acked = true;
-    // Restore the producer's trace context so this node's source
-    // admission continues the cross-container trace.
-    delivery->element.trace = delivery->trace;
-    const RemoteStreamWrapper::PushOutcome outcome = it->second.wrapper->Push(
-        std::move(delivery->element), delivery->sequence);
-    if (outcome.duplicate) fed_dups_->Increment();
-    if (outcome.gap_opened) fed_gaps_->Increment();
-    // Admissions and parked futures prove the subscription is live;
-    // pure duplicates below our cursor do not (a restarted producer
-    // streams a fresh sequence space that dedups to nothing).
-    if (outcome.admitted > 0 || outcome.gap_opened) {
-      it->second.last_activity = options_.clock->NowMicros();
-    }
-    return;
-  }
-  GSN_LOG(kWarn, "container")
-      << options_.node_id << ": unknown topic '" << message.topic << "'";
-}
-
-// -------------------------------------------------------------- Resilience
-
-Container::PeerState& Container::PeerStateLocked(const std::string& peer,
-                                                 Timestamp now) {
-  auto [it, inserted] = peers_.try_emplace(peer);
-  if (inserted) {
-    it->second.last_seen = now;
-    it->second.breaker =
-        network::CircuitBreaker(options_.resilience.circuit);
-    it->second.circuit_gauge = metrics_->GetGauge(
-        "gsn_circuit_state",
-        {{"node", options_.node_id}, {"peer", peer}},
-        "Per-peer circuit state (0 closed, 1 open, 2 half-open)");
-  }
-  return it->second;
-}
-
-bool Container::PeerAllowsSendLocked(const std::string& peer, Timestamp now) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) return true;  // no evidence against the peer
-  return it->second.breaker.AllowSend(now);
-}
-
-bool Container::NotePeerAlive(const std::string& from, Timestamp now) {
-  std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-  const bool new_peer = peers_.find(from) == peers_.end();
-  PeerState& peer = PeerStateLocked(from, now);
-  peer.last_seen = now;
-  if (peer.breaker.RecordSuccess()) {
-    GSN_LOG(kInfo, "container")
-        << options_.node_id << ": circuit to " << from << " closed (peer back)";
-  }
-  peer.circuit_gauge->Set(
-      static_cast<int64_t>(peer.breaker.StateAt(now)));
-  return new_peer;
-}
-
-void Container::NotePeerError(const std::string& peer, const Status& error) {
-  if (peer.empty() || peer == options_.node_id) return;
-  const Timestamp now = options_.clock->NowMicros();
-  std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-  // Only peers the resilience layer already tracks: transport errors
-  // carry whatever id the connection had, which for unidentified
-  // inbound links is a raw "ip:port" — creating breaker state (and a
-  // gsn_circuit_state series) for those would leak garbage peers.
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) return;
-  PeerState& state = it->second;
-  if (state.breaker.RecordFailure(now)) {
-    GSN_LOG(kWarn, "container")
-        << options_.node_id << ": circuit to " << peer
-        << " opened (transport: " << error.message() << ")";
-  }
-  state.circuit_gauge->Set(static_cast<int64_t>(state.breaker.StateAt(now)));
-}
-
-bool Container::TryFailoverLocked(const std::string& old_id, Timestamp now,
-                                  std::vector<Outbound>* sends) {
-  auto sub_it = remote_subs_.find(old_id);
-  if (sub_it == remote_subs_.end()) return false;
-  RemoteSubscription sub = sub_it->second;  // copy; re-keyed below
-
-  const std::vector<DirectoryEntry> matches =
-      directory_.Discover(sub.predicates);
-  const DirectoryEntry* target = nullptr;
-  const std::string wrapper_schema = sub.wrapper->output_schema().ToString();
-  for (const DirectoryEntry& entry : matches) {
-    if (entry.node_id == sub.peer_node) continue;
-    if (!PeerAllowsSendLocked(entry.node_id, now)) continue;
-    if (entry.output_schema.ToString() != wrapper_schema) continue;
-    target = &entry;
-    break;
-  }
-  if (target == nullptr) {
-    // No alternative producer: keep the subscription and restart the
-    // subscribe cycle against the current peer (it may come back).
-    sub_it->second.acked = false;
-    sub_it->second.subscribe_attempts = 0;
-    sub_it->second.next_subscribe_at = now;
-    return false;
-  }
-
-  const std::string new_id =
-      options_.node_id + "#" + std::to_string(next_subscription_++);
-  GSN_LOG(kInfo, "container")
-      << options_.node_id << ": failing over subscription " << old_id
-      << " from " << sub.peer_node << " to " << target->node_id << " ("
-      << target->sensor_name << ") as " << new_id;
-
-  // Fresh sequence space on the new producer.
-  sub.wrapper->Rebind(target->node_id, target->sensor_name);
-  sub.peer_node = target->node_id;
-  sub.acked = false;
-  sub.subscribe_attempts = 1;
-  sub.next_subscribe_at =
-      now + sub.retry.BackoffForAttempt(1, &resilience_rng_);
-  sub.last_missing.clear();
-  sub.nack_attempts = 0;
-  sub.next_nack_at = 0;
-
-  // Re-key the consumer deployment's subscription list in place; the
-  // map lives under fed_mu_ (already held), so failover never needs to
-  // reach into a shard.
-  auto dep_it = subs_by_deployment_.find(sub.deployment_key);
-  if (dep_it != subs_by_deployment_.end()) {
-    for (std::string& id : dep_it->second) {
-      if (id == old_id) id = new_id;
-    }
-  }
-
-  network::SubscribeRequest request;
-  request.subscription_id = new_id;
-  request.sensor_name = target->sensor_name;
-  request.subscriber_node = options_.node_id;
-  sends->push_back(
-      {target->node_id, network::kTopicSubscribe, request.Encode()});
-  // Best-effort cancel on whoever held the old subscription.
-  network::UnsubscribeRequest cancel;
-  cancel.subscription_id = old_id;
-  sends->push_back({"", network::kTopicUnsubscribe, cancel.Encode()});
-
-  remote_subs_.erase(sub_it);
-  remote_subs_[new_id] = std::move(sub);
-  fed_failovers_->Increment();
-  return true;
-}
-
-void Container::RestartSubscriptionLocked(const std::string& old_id,
-                                          Timestamp now,
-                                          std::vector<Outbound>* sends) {
-  auto sub_it = remote_subs_.find(old_id);
-  if (sub_it == remote_subs_.end()) return;
-  RemoteSubscription sub = sub_it->second;  // copy; re-keyed below
-
-  const std::string new_id =
-      options_.node_id + "#" + std::to_string(next_subscription_++);
-  GSN_LOG(kWarn, "container")
-      << options_.node_id << ": subscription " << old_id
-      << " went silent on live peer " << sub.peer_node
-      << " (restarted producer?); resubscribing as " << new_id;
-
-  // Fresh sequence space: the restarted producer numbers from 1 again,
-  // and our old cursor would dedup its whole stream away.
-  sub.wrapper->Rebind(sub.peer_node, sub.wrapper->remote_sensor());
-  sub.acked = false;
-  sub.subscribe_attempts = 1;
-  sub.next_subscribe_at =
-      now + sub.retry.BackoffForAttempt(1, &resilience_rng_);
-  sub.last_missing.clear();
-  sub.nack_attempts = 0;
-  sub.next_nack_at = 0;
-  sub.last_activity = now;
-
-  auto dep_it = subs_by_deployment_.find(sub.deployment_key);
-  if (dep_it != subs_by_deployment_.end()) {
-    for (std::string& id : dep_it->second) {
-      if (id == old_id) id = new_id;
-    }
-  }
-
-  network::SubscribeRequest request;
-  request.subscription_id = new_id;
-  request.sensor_name = sub.wrapper->remote_sensor();
-  request.subscriber_node = options_.node_id;
-  sends->push_back(
-      {sub.peer_node, network::kTopicSubscribe, request.Encode()});
-  // If the producer does still hold the old subscription (a quiet
-  // stream we misread), this cancel keeps it from double-streaming.
-  network::UnsubscribeRequest cancel;
-  cancel.subscription_id = old_id;
-  sends->push_back({sub.peer_node, network::kTopicUnsubscribe, cancel.Encode()});
-
-  remote_subs_.erase(sub_it);
-  remote_subs_[new_id] = std::move(sub);
-  fed_resubscribes_->Increment();
-}
-
-void Container::RunResilience(Timestamp now) {
-  const Options::Resilience& config = options_.resilience;
-  std::vector<Outbound> sends;
-  bool heartbeat = false;
-  std::vector<VirtualSensorSpec> republish;
-  {
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-
-    // Liveness beacon.
-    if (now - last_heartbeat_ >= config.heartbeat_interval) {
-      last_heartbeat_ = now;
-      ++heartbeat_beat_;
-      heartbeat = true;
-    }
-
-    // Silent peers accumulate circuit-breaker failures, one per
-    // heartbeat interval past the timeout.
-    for (auto& [peer_id, peer] : peers_) {
-      if (now - peer.last_seen >= config.peer_timeout &&
-          now - peer.last_failure_mark >= config.heartbeat_interval) {
-        peer.last_failure_mark = now;
-        if (peer.breaker.RecordFailure(now)) {
-          GSN_LOG(kWarn, "container")
-              << options_.node_id << ": circuit to " << peer_id << " opened";
-        }
-      }
-      peer.circuit_gauge->Set(
-          static_cast<int64_t>(peer.breaker.StateAt(now)));
-    }
-
-    // Consumer side: subscribe retries, gap repair, failover.
-    std::vector<std::string> failover_candidates;
-    std::vector<std::string> silent_subscriptions;
-    for (auto& [sub_id, sub] : remote_subs_) {
-      auto peer_it = peers_.find(sub.peer_node);
-      const bool peer_open =
-          peer_it != peers_.end() &&
-          peer_it->second.breaker.StateAt(now) ==
-              network::CircuitBreaker::State::kOpen;
-      if (peer_open) {
-        failover_candidates.push_back(sub_id);
-        continue;
-      }
-      // Restart detection: the peer answers heartbeats but the stream
-      // is silent past the tip cadence — after a producer crash the
-      // subscriber table is gone while the redialed link looks
-      // healthy, so nothing else would ever repair this subscription.
-      // The silence clock only runs against a live peer; while the
-      // peer is dark the breaker/failover machinery paces recovery.
-      if (sub.acked && config.subscription_silence_timeout > 0) {
-        const bool peer_alive =
-            peer_it != peers_.end() &&
-            now - peer_it->second.last_seen < config.peer_timeout;
-        if (!peer_alive) {
-          sub.last_activity = now;
-        } else if (now - sub.last_activity >=
-                   config.subscription_silence_timeout) {
-          silent_subscriptions.push_back(sub_id);
-          continue;
-        }
-      }
-      if (!sub.acked) {
-        if (now < sub.next_subscribe_at) continue;
-        if (sub.retry.Exhausted(sub.subscribe_attempts)) {
-          failover_candidates.push_back(sub_id);
-          continue;
-        }
-        ++sub.subscribe_attempts;
-        fed_retries_subscribe_->Increment();
-        network::SubscribeRequest request;
-        request.subscription_id = sub_id;
-        request.sensor_name = sub.wrapper->remote_sensor();
-        request.subscriber_node = options_.node_id;
-        sends.push_back(
-            {sub.peer_node, network::kTopicSubscribe, request.Encode()});
-        sub.next_subscribe_at =
-            now + sub.retry.BackoffForAttempt(sub.subscribe_attempts,
-                                              &resilience_rng_);
-        continue;
-      }
-      // Gap repair: NACK the missing ranges, pacing attempts only
-      // while the missing set makes no progress.
-      std::vector<network::SeqRange> missing = sub.wrapper->MissingRanges();
-      if (missing.empty()) {
-        sub.nack_attempts = 0;
-        sub.last_missing.clear();
-        continue;
-      }
-      if (missing != sub.last_missing) {
-        sub.last_missing = missing;
-        sub.nack_attempts = 0;  // progress — restart the budget
-      }
-      if (now < sub.next_nack_at) continue;
-      if (sub.retry.Exhausted(sub.nack_attempts)) {
-        // The producer can no longer replay these (evicted or gone):
-        // give the head range up so the stream keeps flowing.
-        const int lost = sub.wrapper->AbandonMissingThrough(missing.front().to);
-        if (lost > 0) {
-          fed_abandoned_->Increment(lost);
-          GSN_LOG(kWarn, "container")
-              << options_.node_id << ": abandoned " << lost
-              << " irrecoverable deliveries on " << sub_id;
-        }
-        sub.nack_attempts = 0;
-        sub.last_missing.clear();
-        continue;
-      }
-      ++sub.nack_attempts;
-      fed_retries_replay_->Increment();
-      network::NackRequest nack;
-      nack.subscription_id = sub_id;
-      nack.ranges = std::move(missing);
-      sends.push_back(
-          {sub.peer_node, network::kTopicStreamNack, nack.Encode()});
-      sub.next_nack_at =
-          now + sub.retry.BackoffForAttempt(sub.nack_attempts,
-                                            &resilience_rng_);
-    }
-    for (const std::string& sub_id : failover_candidates) {
-      (void)TryFailoverLocked(sub_id, now, &sends);
-    }
-    for (const std::string& sub_id : silent_subscriptions) {
-      RestartSubscriptionLocked(sub_id, now, &sends);
-    }
-
-    // Producer side: periodic delivery high-water marks let the
-    // subscriber detect tail loss; also refresh the replay gauge.
-    if (now - last_tip_ >= config.tip_interval) {
-      last_tip_ = now;
-      size_t replay_bytes = 0;
-      for (const auto& [sub_id, subscriber] : subscribers_) {
-        replay_bytes += subscriber.replay.bytes();
-        // Tips go out even before the first delivery (last_sequence
-        // 0): they are the subscriber's only liveness proof for a
-        // quiet stream, and its restart detector keys on their cadence.
-        if (!PeerAllowsSendLocked(subscriber.subscriber_node, now)) continue;
-        network::StreamTip tip;
-        tip.subscription_id = sub_id;
-        tip.last_sequence = subscriber.next_seq - 1;
-        sends.push_back(
-            {subscriber.subscriber_node, network::kTopicStreamTip,
-             tip.Encode()});
-      }
-      replay_bytes_->Set(static_cast<int64_t>(replay_bytes));
-    }
-
-    // Directory-publish retry rounds. Each pending entry carries its
-    // own spec copy, so the retry never reaches into a shard's
-    // deployment map (Undeploy purges entries for dead sensors).
-    for (auto it = pending_publishes_.begin();
-         it != pending_publishes_.end();) {
-      if (now < it->next_at) {
-        ++it;
-        continue;
-      }
-      republish.push_back(it->spec);
-      fed_retries_publish_->Increment();
-      ++it->round;
-      if (it->round > config.publish_rounds) {
-        it = pending_publishes_.erase(it);
-      } else {
-        it->next_at =
-            now + config.retry.BackoffForAttempt(it->round, &resilience_rng_);
-        ++it;
-      }
-    }
-  }
-
-  if (heartbeat) {
-    network::Heartbeat beat;
-    beat.node_id = options_.node_id;
-    beat.beat = heartbeat_beat_;
-    (void)options_.network->Broadcast(now, options_.node_id,
-                                      network::kTopicHeartbeat, beat.Encode());
-  }
-  for (Outbound& send : sends) {
-    if (send.to.empty()) {
-      (void)options_.network->Broadcast(now, options_.node_id, send.topic,
-                                        send.payload);
-    } else {
-      (void)options_.network->Send(now, options_.node_id, send.to, send.topic,
-                                   std::move(send.payload));
-    }
-  }
-  for (const VirtualSensorSpec& spec : republish) PublishSensor(spec);
-}
+void Container::AnnounceAll() { federation_.AnnounceAll(); }
 
 std::vector<Container::PeerStatus> Container::PeerStatuses() const {
-  const Timestamp now = options_.clock->NowMicros();
-  std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-  std::vector<PeerStatus> out;
-  out.reserve(peers_.size());
-  for (const auto& [peer_id, peer] : peers_) {
-    PeerStatus status;
-    status.node_id = peer_id;
-    status.circuit =
-        network::CircuitBreaker::StateName(peer.breaker.StateAt(now));
-    status.last_seen = peer.last_seen;
-    status.circuit_opened_total = peer.breaker.opened_total();
-    out.push_back(std::move(status));
-  }
-  return out;
+  return federation_.PeerStatuses();
 }
 
 Result<Relation> Container::CatalogResolver::GetTable(
@@ -2276,13 +1443,10 @@ std::vector<Container::TopologyEdge> Container::Topology() {
       }
     }
   }
-  {
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    for (const auto& [sub_id, subscriber] : subscribers_) {
-      edges.push_back(TopologyEdge{subscriber.sensor_name,
-                                   subscriber.subscriber_node + " (node)",
-                                   "stream"});
-    }
+  for (const FederationEngine::Subscriber& subscriber :
+       federation_.Subscribers()) {
+    edges.push_back(TopologyEdge{subscriber.sensor_name,
+                                 subscriber.node_id + " (node)", "stream"});
   }
   return edges;
 }
@@ -2314,14 +1478,12 @@ Result<Container::SensorStatus> Container::GetSensorStatus(
     status.pool_size =
         std::max(1, deployment.sensor->spec().life_cycle.pool_size);
   }
-  int64_t subs = 0;
-  {
-    std::lock_guard<telemetry::TimedMutex> lock(fed_mu_);
-    for (const auto& [id, subscriber] : subscribers_) {
-      if (StrEqualsIgnoreCase(subscriber.sensor_name, sensor_name)) ++subs;
+  for (const FederationEngine::Subscriber& subscriber :
+       federation_.Subscribers()) {
+    if (StrEqualsIgnoreCase(subscriber.sensor_name, sensor_name)) {
+      ++status.remote_subscribers;
     }
   }
-  status.remote_subscribers = subs;
   return status;
 }
 

@@ -10,17 +10,12 @@
 #include <vector>
 
 #include "gsn/container/access_control.h"
-#include "gsn/container/integrity.h"
+#include "gsn/container/federation_engine.h"
 #include "gsn/container/local_stream_wrapper.h"
 #include "gsn/container/manifest.h"
 #include "gsn/container/notification.h"
 #include "gsn/container/quarantine.h"
 #include "gsn/container/query_manager.h"
-#include "gsn/network/circuit_breaker.h"
-#include "gsn/network/directory.h"
-#include "gsn/network/protocol.h"
-#include "gsn/network/remote_stream_wrapper.h"
-#include "gsn/network/replay_buffer.h"
 #include "gsn/network/retry_policy.h"
 #include "gsn/network/transport.h"
 #include "gsn/storage/columnar/catalog.h"
@@ -39,10 +34,14 @@ namespace gsn::container {
 /// every service around them — the virtual sensor manager with its
 /// life-cycle and input stream management, the storage layer, the query
 /// manager (processor + repository), the notification manager, access
-/// control, data integrity, and the peer-to-peer interface.
+/// control, and the peer-to-peer interface. The peer-to-peer protocol
+/// (directory, remote subscriptions, signed delivery, resilience) is
+/// the FederationEngine the container owns; the container publishes,
+/// subscribes, delivers and forgets deployments through it, and the
+/// engine never calls back.
 ///
-/// The container is driven by Tick(): it polls every sensor's sources,
-/// runs pipelines, retries pending remote subscriptions, and enforces
+/// The container is driven by Tick(): it runs the engine's maintenance
+/// round, polls every sensor's sources, runs pipelines, and enforces
 /// lifetime bounds. With a VirtualClock this is fully deterministic;
 /// live deployments call RunFor()/pump Tick from a thread.
 ///
@@ -58,19 +57,19 @@ namespace gsn::container {
 ///    a stream source queue, the quarantine store, the manifest, the
 ///    segment catalog, the metric registry, the snapshot cache).
 ///  - Never shard -> shard: cross-shard operations (GetStatus,
-///    Checkpoint, snapshots, AnnounceAll, Shutdown) visit shards one
-///    at a time, releasing each before the next.
-///  - fed_mu_ ("federation": subscribers, remote subscriptions, peers,
-///    pending publishes) and chain_mu_ ("chaining": the local-wrapper
-///    fan-out map) are siblings of the shard locks: never held
-///    together with one another or with a shard lock — every path
-///    acquires them sequentially, never nested.
+///    Checkpoint, snapshots, Shutdown) visit shards one at a time,
+///    releasing each before the next.
+///  - The engine's lock ("federation") and chain_mu_ ("chaining": the
+///    local-wrapper fan-out map) are siblings of the shard locks: never
+///    held together with one another or with a shard lock. The engine
+///    guarantees its side (it cannot reach a shard); the container
+///    never calls the engine with a shard lock or chain_mu_ held.
 ///  - chain_mu_ is held ACROSS LocalStreamWrapper::PushBatch so a
 ///    producer's fan-out can never race Undeploy destroying the
 ///    consumer; wrapper pushes only take source-queue leaf locks.
 ///  - snapshot_mu_ stays a leaf: system wrappers scrape the cached
 ///    snapshot without touching any shard/federation lock.
-class Container : public network::NetworkNode {
+class Container {
  public:
   struct Options {
     std::string node_id = "gsn-node";
@@ -98,34 +97,6 @@ class Container : public network::NetworkNode {
     /// see tracer(). Sampling starts off (rate 0); enable via
     /// tracer()->set_sample_rate or the `trace` management command.
     telemetry::Tracer* tracer = nullptr;
-    /// Knobs of the federation resilience layer (docs/FEDERATION.md).
-    /// The defaults suit second-scale links; chaos tests tighten them.
-    struct Resilience {
-      /// Liveness beacon broadcast period; also the spacing between
-      /// circuit-breaker failure marks while a peer stays silent.
-      Timestamp heartbeat_interval = kMicrosPerSecond;
-      /// Peer silence beyond this starts accumulating breaker failures.
-      Timestamp peer_timeout = 3 * kMicrosPerSecond;
-      /// StreamTip (delivery high-water mark) period per subscription.
-      Timestamp tip_interval = kMicrosPerSecond;
-      /// An acked subscription whose stream goes silent this long —
-      /// no admissible delivery and no credible tip — while its peer
-      /// still answers heartbeats is assumed lost on a restarted
-      /// producer (subscriber tables are not durable): the consumer
-      /// rebinds it under a fresh id. The clock only runs against a
-      /// live peer, so partitions and crashes pace by breaker/failover
-      /// instead. Must comfortably exceed tip_interval; 0 disables.
-      Timestamp subscription_silence_timeout = 10 * kMicrosPerSecond;
-      /// Byte budget of each subscriber's producer-side replay buffer.
-      size_t replay_buffer_bytes = 1 << 20;
-      /// Extra directory-publish rounds after a deploy (anti-entropy
-      /// re-announcement covers steady state).
-      int publish_rounds = 3;
-      /// Default backoff policy for subscribe/replay/publish retries;
-      /// per-source `retry-*` predicates override it.
-      network::RetryPolicy retry;
-      network::CircuitBreaker::Config circuit;
-    } resilience;
     /// Knobs of the supervised sensor lifecycle and overload
     /// protection (docs/DURABILITY.md).
     struct Supervision {
@@ -181,7 +152,7 @@ class Container : public network::NetworkNode {
   };
 
   explicit Container(Options options);
-  ~Container() override;
+  ~Container();
 
   Container(const Container&) = delete;
   Container& operator=(const Container&) = delete;
@@ -285,7 +256,6 @@ class Container : public network::NetworkNode {
   const sql::TableResolver& catalog_resolver() const { return catalog_; }
   NotificationManager& notification_manager() { return notifications_; }
   AccessControl& access_control() { return access_control_; }
-  const IntegrityService& integrity() const { return integrity_; }
   storage::TableManager& table_manager() { return tables_; }
   wrappers::WrapperRegistry& wrapper_registry() { return registry_; }
 
@@ -298,10 +268,6 @@ class Container : public network::NetworkNode {
   /// Rebroadcasts every locally hosted sensor's directory entry (used
   /// when a node joins the federation after deploys happened).
   void AnnounceAll();
-
-  // -- network::NetworkNode ----------------------------------------------------
-
-  void OnMessage(const network::Message& message) override;
 
   // -- Introspection ------------------------------------------------------------
 
@@ -332,12 +298,7 @@ class Container : public network::NetworkNode {
   /// Health of one known federation peer (everything this node has
   /// ever heard from), as exposed by /api/v1/peers and the `peers`
   /// management command.
-  struct PeerStatus {
-    std::string node_id;
-    std::string circuit;  // "closed" | "open" | "half-open"
-    Timestamp last_seen = 0;
-    int64_t circuit_opened_total = 0;
-  };
+  using PeerStatus = FederationEngine::PeerStatus;
   std::vector<PeerStatus> PeerStatuses() const;
 
   /// Contention stats of one instrumented container lock.
@@ -479,86 +440,12 @@ class Container : public network::NetworkNode {
     std::shared_ptr<telemetry::Gauge> lock_wait_gauge;
   };
 
-  /// A remote consumer of one of our sensors — the producer half of
-  /// the resilient delivery protocol: a dense per-subscription sequence
-  /// plus a bounded replay buffer serving NACKs.
-  struct RemoteSubscriber {
-    std::string sensor_name;
-    std::string subscriber_node;
-    uint64_t next_seq = 1;  // next sequence number to assign
-    network::ReplayBuffer replay;
-  };
-
-  /// The consumer half of one of our subscriptions on a remote
-  /// producer: subscribe-retry state until acked, then NACK pacing for
-  /// gap repair, and enough context (predicates, owning deployment) to
-  /// fail over to another matching producer when the peer's circuit
-  /// opens.
-  struct RemoteSubscription {
-    network::RemoteStreamWrapper* wrapper = nullptr;  // owned by the sensor
-    std::string deployment_key;  // lowercased owning sensor name
-    std::string peer_node;       // current producer node
-    std::map<std::string, std::string> predicates;  // discovery query
-    network::RetryPolicy retry;
-    bool acked = false;
-    int subscribe_attempts = 0;
-    Timestamp next_subscribe_at = 0;
-    /// NACK pacing: attempts count only while the missing set is
-    /// static — any progress (a range filled or split) resets them.
-    std::vector<network::SeqRange> last_missing;
-    int nack_attempts = 0;
-    Timestamp next_nack_at = 0;
-    /// Last proof the producer still carries this subscription: an
-    /// ack, an admissible delivery, or a tip at/ahead of our cursor.
-    /// Stale duplicates don't count — a restarted producer replays a
-    /// fresh sequence space below our cursor, and that must read as
-    /// silence, not liveness.
-    Timestamp last_activity = 0;
-  };
-
-  /// Heartbeat-driven liveness of one federation peer.
-  struct PeerState {
-    Timestamp last_seen = 0;
-    Timestamp last_failure_mark = 0;
-    network::CircuitBreaker breaker;
-    std::shared_ptr<telemetry::Gauge> circuit_gauge;
-  };
-
-  /// A directory publish still owed its retry rounds. Carries a copy
-  /// of the spec so the resilience round (which holds fed_mu_) never
-  /// has to reach into a shard's deployment map; Undeploy purges the
-  /// entry by key.
-  struct PendingPublish {
-    std::string key;  // lowercased sensor name
-    vsensor::VirtualSensorSpec spec;
-    int round = 1;
-    Timestamp next_at = 0;
-  };
-
-  /// One message to emit once mu_ is released (send-outside-lock
-  /// discipline). Empty `to` means broadcast.
-  struct Outbound {
-    std::string to;
-    std::string topic;
-    std::string payload;
-  };
-
-  /// Builds the wrapper for one source; for wrapper="remote" this
-  /// resolves the predicates against the directory replica, issues the
-  /// subscription, and records the id in subs_by_deployment_ (under
-  /// fed_mu_). `deployment_key` is the lowercased owning sensor name
-  /// (failover bookkeeping for remote sources).
+  /// Builds the wrapper for one source; wrapper="remote" sources are
+  /// subscribed through the federation engine under `deployment_key`
+  /// (the lowercased owning sensor name).
   Result<std::unique_ptr<wrappers::Wrapper>> MakeWrapperForSource(
       const vsensor::StreamSourceSpec& source_spec,
       const std::string& deployment_key, Deployment* deployment);
-  void PublishSensor(const vsensor::VirtualSensorSpec& spec);
-  void RetractSensor(const std::string& sensor_name);
-  /// Drops every federation-side record of `key`'s deployment under
-  /// fed_mu_ (its remote subscriptions, its pending publish rounds)
-  /// and returns the cancelled subscription ids so the caller can
-  /// broadcast unsubscribes outside the lock. Used by Undeploy and by
-  /// DeploySpec's failure unwind.
-  std::vector<std::string> CancelSubscriptionsFor(const std::string& key);
 
   /// Shard hosting `key` (hash of the lowercased sensor name).
   Shard& ShardFor(const std::string& key) const;
@@ -569,47 +456,9 @@ class Container : public network::NetworkNode {
   /// with a single shard).
   int TickShard(Shard& shard, Timestamp now);
 
-  // -- Resilience layer (docs/FEDERATION.md) -------------------------------
-
-  /// One maintenance round: heartbeat broadcast, peer failure marks
-  /// and circuit transitions, subscribe retries, NACK rounds + gap
-  /// abandonment, producer tips, and directory-publish retries. All
-  /// federation state lives under fed_mu_; sends happen after release.
-  void RunResilience(Timestamp now);
-  /// Records liveness evidence for `from` (any received message).
-  /// Returns true when this is the first evidence of the peer — on a
-  /// real transport that triggers a directory re-announce so a peer
-  /// that started (or restarted) after our publish rounds can still
-  /// discover us.
-  bool NotePeerAlive(const std::string& from, Timestamp now);
-  /// Records transport-reported failure evidence (dial failure, reset,
-  /// write error) against `peer`'s circuit breaker. Fired from the
-  /// transport's event-loop thread on real transports; no-op for peers
-  /// the resilience layer has never heard from (pre-contact dial
-  /// retries are the transport's own business) and for non-node peer
-  /// ids such as raw "ip:port" addresses of unidentified connections.
-  void NotePeerError(const std::string& peer, const Status& error);
-  PeerState& PeerStateLocked(const std::string& peer, Timestamp now);
-  /// Whether traffic to `peer` may flow (circuit closed or probing).
-  bool PeerAllowsSendLocked(const std::string& peer, Timestamp now);
-  /// Re-resolves `sub`'s predicates against the directory, excluding
-  /// open-circuit peers, and rebinds the wrapper onto a new producer
-  /// under a fresh subscription id. Returns the sends it queued; false
-  /// when no alternative producer matches.
-  bool TryFailoverLocked(const std::string& old_id, Timestamp now,
-                         std::vector<Outbound>* sends);
-  /// Rebinds a silent-but-acked subscription onto the SAME peer under
-  /// a fresh id with a reset sequence space: the producer answers
-  /// heartbeats but no longer streams, which after a crash/restart
-  /// means its (non-durable) subscriber table lost us. Re-subscribing
-  /// under the old id would collide our high sequence cursor with the
-  /// restarted producer's fresh one, so a new id it is.
-  void RestartSubscriptionLocked(const std::string& old_id, Timestamp now,
-                                 std::vector<Outbound>* sends);
   /// Consumes one pipeline trigger's output batch: single-lock table
-  /// insert, local chaining, persistence, notification fan-out, one
-  /// continuous-query evaluation pass, and per-element signed remote
-  /// delivery.
+  /// insert and persistence, local chaining, notification fan-out, one
+  /// continuous-query evaluation pass, then signed remote delivery.
   void OnSensorBatch(const vsensor::VirtualSensor& sensor,
                      const std::vector<StreamElement>& batch);
 
@@ -631,8 +480,8 @@ class Container : public network::NetworkNode {
 
   // -- Self-observation (docs/TELEMETRY.md) ---------------------------------
 
-  /// Assembles a fresh SystemSnapshot (visits each shard lock and
-  /// fed_mu_ one at a time; sums metric families). Called from Tick()
+  /// Assembles a fresh SystemSnapshot (visits each shard lock and the
+  /// engine's one at a time; sums metric families). Called from Tick()
   /// to refresh the scrape cache and from GetStatus().
   wrappers::SystemSnapshot ComputeSystemSnapshot() const;
   /// Recomputes the snapshot cache system wrappers read. Skipped
@@ -674,8 +523,9 @@ class Container : public network::NetworkNode {
   QueryManager query_manager_;
   NotificationManager notifications_;
   AccessControl access_control_;
-  IntegrityService integrity_;
-  network::DirectoryService directory_;
+  /// The peer-to-peer protocol; registered with options_.network (if
+  /// any) from construction to destruction.
+  FederationEngine federation_;
 
   /// The sharded deployment core (see the class comment for the lock
   /// ordering). Sized at construction; the vector itself is immutable
@@ -687,32 +537,7 @@ class Container : public network::NetworkNode {
   std::unique_ptr<ThreadPool> tick_pool_;
   /// Total deployments across shards (backs gsn_sensors_deployed).
   std::atomic<int64_t> total_deployments_{0};
-
-  /// The federation lock (lock="federation"): guards subscribers_,
-  /// remote_subs_, subs_by_deployment_, peers_, pending_publishes_,
-  /// the announce/heartbeat/tip clocks, and resilience_rng_. Never
-  /// held together with a shard lock or chain_mu_.
-  mutable telemetry::TimedMutex fed_mu_;
-  std::map<std::string, RemoteSubscriber> subscribers_;  // by subscription id
-  /// Subscriptions we hold on remote producers, by our subscription id.
-  std::map<std::string, RemoteSubscription> remote_subs_;
-  /// Deployment key -> the subscription ids its remote sources hold
-  /// (cancelled at undeploy; re-keyed on failover). Lives here rather
-  /// than in Deployment so failover under fed_mu_ never has to take a
-  /// shard lock.
-  std::map<std::string, std::vector<std::string>> subs_by_deployment_;
-  /// Federation peers we have heard from, with their circuit breakers.
-  std::map<std::string, PeerState> peers_;
-  std::vector<PendingPublish> pending_publishes_;
-  int64_t next_subscription_ = 1;  // guarded by fed_mu_
   std::atomic<uint64_t> wrapper_seed_counter_{0};
-  /// Anti-entropy: directory entries are re-broadcast periodically so
-  /// peers converge even when individual publish messages are lost.
-  Timestamp last_announce_ = 0;   // guarded by fed_mu_
-  Timestamp last_heartbeat_ = 0;  // guarded by fed_mu_
-  Timestamp last_tip_ = 0;        // guarded by fed_mu_
-  uint64_t heartbeat_beat_ = 0;   // guarded by fed_mu_
-  Rng resilience_rng_{1};  // backoff jitter; reseeded from options_.seed
 
   /// The chaining lock (lock="chaining"): guards local_wrappers_ and
   /// is held across PushBatch fan-out, so a push can never race the
@@ -722,17 +547,6 @@ class Container : public network::NetworkNode {
   mutable telemetry::TimedMutex chain_mu_;
   /// Local chaining: producer sensor (lowercased) -> consumer wrappers.
   std::multimap<std::string, LocalStreamWrapper*> local_wrappers_;
-  // Federation resilience telemetry (docs/FEDERATION.md).
-  std::shared_ptr<telemetry::Counter> fed_retries_subscribe_;
-  std::shared_ptr<telemetry::Counter> fed_retries_replay_;
-  std::shared_ptr<telemetry::Counter> fed_retries_publish_;
-  std::shared_ptr<telemetry::Counter> fed_gaps_;
-  std::shared_ptr<telemetry::Counter> fed_dups_;
-  std::shared_ptr<telemetry::Counter> fed_replays_;
-  std::shared_ptr<telemetry::Counter> fed_abandoned_;
-  std::shared_ptr<telemetry::Counter> fed_failovers_;
-  std::shared_ptr<telemetry::Counter> fed_resubscribes_;
-  std::shared_ptr<telemetry::Gauge> replay_bytes_;
 
   // -- Durability & supervision (docs/DURABILITY.md) ------------------------
   std::unique_ptr<ContainerManifest> manifest_;  // null without data_dir

@@ -64,14 +64,14 @@ struct UnsubscribeRequest {
 
 /// One pushed stream element. `signature` is the producing container's
 /// HMAC over (sensor name, element) — the integrity layer of Fig 2;
-/// empty means unsigned. `trace` carries the producing container's
+/// a receiver drops any delivery whose signature does not verify,
+/// including an empty one. `trace` carries the producing container's
 /// trace context so the receiving container continues the same trace;
 /// it rides outside the signed payload (observability metadata, not
 /// sensor data). `sequence` is the per-subscription delivery number
 /// (1-based, dense): the receiving RemoteStreamWrapper uses it to
 /// detect gaps (→ NACK/replay) and drop duplicates, so lossy links
-/// still yield exactly-once admission. 0 marks a legacy unsequenced
-/// delivery, admitted as-is.
+/// still yield exactly-once admission.
 struct StreamDelivery {
   std::string subscription_id;
   std::string sensor_name;

@@ -23,13 +23,6 @@ RemoteStreamWrapper::PushOutcome RemoteStreamWrapper::Push(
   std::lock_guard<std::mutex> lock(mu_);
   ++received_;
   PushOutcome outcome;
-  if (sequence == 0) {
-    // Legacy unsequenced delivery: admit as-is.
-    queue_.push_back(std::move(element));
-    ++admitted_;
-    outcome.admitted = 1;
-    return outcome;
-  }
   max_seen_ = std::max(max_seen_, sequence);
   if (sequence < expected_seq_ || pending_.count(sequence)) {
     ++duplicates_;

@@ -47,9 +47,8 @@ class RemoteStreamWrapper : public wrappers::Wrapper {
 
   Result<std::vector<StreamElement>> Poll(Timestamp now) override;
 
-  /// Called by the container when a kTopicStream message arrives.
-  /// `sequence` 0 marks an unsequenced legacy delivery (admitted
-  /// directly); sequences are otherwise 1-based and dense.
+  /// Called by the federation engine when a kTopicStream message
+  /// arrives. Sequences are 1-based and dense.
   PushOutcome Push(StreamElement element, uint64_t sequence);
 
   /// Producer's high-water mark from a StreamTip: sequences up to

@@ -121,20 +121,22 @@ TEST(FailureInjectionTest, TamperedStreamElementsAreRejected) {
   const int64_t count_before = before->rows()[0][0].int_value();
   ASSERT_GT(count_before, 0);
 
-  // Forge a stream delivery with a wrong signature: the integrity layer
-  // must drop it. Subscription ids are "<node>#<n>"; the consumer's
-  // first subscription is consumer#1.
-  gsn::network::StreamDelivery forged;
-  forged.subscription_id = "consumer#1";
-  forged.sensor_name = "gen";
-  forged.signature = std::string(64, 'f');
-  forged.element.timed = fed.clock()->NowMicros();
-  forged.element.values = {Value::Int(999999), Value::Double(0)};
-  ASSERT_TRUE(fed.network()
-                  .Send(fed.clock()->NowMicros(), "attacker-spoof",
-                        "consumer", gsn::network::kTopicStream,
-                        forged.Encode())
-                  .ok());
+  // Forge stream deliveries with a wrong signature and with none: the
+  // integrity layer must drop both. Subscription ids are "<node>#<n>";
+  // the consumer's first subscription is consumer#1.
+  for (const std::string& signature : {std::string(64, 'f'), std::string()}) {
+    gsn::network::StreamDelivery forged;
+    forged.subscription_id = "consumer#1";
+    forged.sensor_name = "gen";
+    forged.signature = signature;
+    forged.element.timed = fed.clock()->NowMicros();
+    forged.element.values = {Value::Int(999999), Value::Double(0)};
+    ASSERT_TRUE(fed.network()
+                    .Send(fed.clock()->NowMicros(), "attacker-spoof",
+                          "consumer", gsn::network::kTopicStream,
+                          forged.Encode())
+                    .ok());
+  }
   ASSERT_TRUE(fed.RunFor(kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
 
   auto forged_rows =

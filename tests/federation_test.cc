@@ -6,6 +6,8 @@
 
 #include "gsn/container/federation.h"
 #include "gsn/container/management_interface.h"
+#include "gsn/network/protocol.h"
+#include "gsn/network/remote_stream_wrapper.h"
 #include "gsn/telemetry/tracing.h"
 #include "gsn/wrappers/rfid_wrapper.h"
 
@@ -153,6 +155,117 @@ TEST(FederationTest, NodeRemovalIsClean) {
   // Remaining node keeps stepping without error.
   ASSERT_TRUE(fed.RunFor(kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
   EXPECT_EQ(fed.NodeIds(), std::vector<std::string>{"b"});
+}
+
+/// A peer that only sends what a test scripts.
+class ScriptedPeer : public network::NetworkNode {
+ public:
+  void OnMessage(const network::Message&) override {}
+};
+
+// Directory entries belong to their node: a peer can neither retract
+// nor forge an entry naming another node. A spoofed dir.remove must not
+// take a node's own sensor out of its replica (which would break its
+// wrapper="local" deploys), nor a third node's; a forged dir.publish
+// naming the node must not be stored or re-announced.
+TEST(FederationTest, PeersCannotRewriteAnotherNodesDirectoryEntries) {
+  ScriptedPeer mallory;  // outlives the federation's simulator
+  Federation fed(3);
+  auto a = fed.AddNode("a");
+  auto b = fed.AddNode("b");
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE((*a)->Deploy(ProducerDescriptor("p", "lab")).ok());
+  ASSERT_TRUE((*b)->Deploy(ProducerDescriptor("q", "lab")).ok());
+  // Past the deploy-time publish rounds, so nothing but the 5 s
+  // anti-entropy could restore an entry before the checks below.
+  ASSERT_TRUE(fed.RunFor(2 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
+  ASSERT_EQ((*a)->Discover({{"location", "lab"}}).size(), 2u);
+
+  ASSERT_TRUE(fed.network().RegisterNode("mallory", &mallory).ok());
+  network::DirRemove remove_own;
+  remove_own.node_id = "a";
+  remove_own.sensor_name = "p";
+  network::DirRemove remove_peer;
+  remove_peer.node_id = "b";
+  remove_peer.sensor_name = "q";
+  network::DirectoryEntry forged;
+  forged.sensor_name = "ghost";
+  forged.node_id = "a";
+  forged.predicates = {{"location", "lab"}};
+  forged.output_schema.AddField("temperature", DataType::kInt);
+  const Timestamp now = fed.clock()->NowMicros();
+  for (const auto& [topic, payload] :
+       {std::pair<std::string, std::string>{network::kTopicDirRemove,
+                                            remove_own.Encode()},
+        {network::kTopicDirRemove, remove_peer.Encode()},
+        {network::kTopicDirPublish, forged.Encode()}}) {
+    ASSERT_TRUE(fed.network().Send(now, "mallory", "a", topic, payload).ok());
+  }
+  ASSERT_TRUE(fed.RunFor(500 * kMicrosPerMilli, 100 * kMicrosPerMilli).ok());
+
+  EXPECT_EQ((*a)->Discover({{"name", "p"}}).size(), 1u);
+  EXPECT_EQ((*a)->Discover({{"name", "q"}}).size(), 1u);
+  EXPECT_TRUE((*a)->Discover({{"name", "ghost"}}).empty());
+  EXPECT_TRUE((*b)->Discover({{"name", "ghost"}}).empty());
+  auto local = (*a)->Deploy(
+      "<virtual-sensor name=\"p-copy\">"
+      "<output-structure>"
+      "  <field name=\"temperature\" type=\"integer\"/>"
+      "</output-structure>"
+      "<input-stream name=\"in\">"
+      "  <stream-source alias=\"src\" storage-size=\"1\">"
+      "    <address wrapper=\"local\">"
+      "      <predicate key=\"name\" val=\"p\"/>"
+      "    </address>"
+      "    <query>select * from wrapper</query>"
+      "  </stream-source>"
+      "  <query>select * from src</query>"
+      "</input-stream>"
+      "</virtual-sensor>");
+  EXPECT_TRUE(local.ok()) << local.status().ToString();
+  ASSERT_TRUE(fed.network().UnregisterNode("mallory").ok());
+}
+
+// A producer acks subscriptions only for sensors it hosts. Once the
+// bound producer undeploys its sensor, the consumer's resubscribe goes
+// unanswered, its retries run out, and it fails over to the equivalent
+// sensor on another node instead of living on the tips of a stream
+// that never flows.
+TEST(FederationTest, UndeployedProducerFailsOverToEquivalentSensor) {
+  Federation fed(17);
+  auto a = fed.AddNode("a");
+  auto b = fed.AddNode("b");
+  auto c = fed.AddNode("c");
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  ASSERT_TRUE((*a)->Deploy(ProducerDescriptor("temps", "lab")).ok());
+  ASSERT_TRUE((*b)->Deploy(ProducerDescriptor("temps", "lab")).ok());
+  ASSERT_TRUE(fed.Step(10 * kMicrosPerMilli).ok());
+  ASSERT_EQ((*c)->Discover({{"location", "lab"}}).size(), 2u);
+  ASSERT_TRUE((*c)->Deploy(ConsumerDescriptor("mirror", "lab")).ok());
+  ASSERT_TRUE(fed.RunFor(2 * kMicrosPerSecond, 100 * kMicrosPerMilli).ok());
+  const auto* remote = dynamic_cast<const network::RemoteStreamWrapper*>(
+      &(*c)->FindSensor("mirror")->FindSource("in", "src1")->wrapper());
+  ASSERT_NE(remote, nullptr);
+  ASSERT_EQ(remote->peer_node(), "a");
+  ASSERT_GT(remote->admitted_count(), 0);
+
+  ASSERT_TRUE((*a)->Undeploy("temps").ok());
+  // Rows from b within 45 s of virtual time.
+  int64_t at_failover = -1;
+  for (int i = 0; i < 450; ++i) {
+    ASSERT_TRUE(fed.Step(100 * kMicrosPerMilli).ok());
+    if (remote->peer_node() != "b") continue;
+    if (at_failover < 0) at_failover = remote->admitted_count();
+    if (remote->admitted_count() > at_failover) break;
+  }
+  EXPECT_EQ(remote->peer_node(), "b");
+  EXPECT_GE(at_failover, 0);
+  EXPECT_GT(remote->admitted_count(), at_failover);
+  EXPECT_EQ((*c)->metrics()
+                ->GetCounter("gsn_federation_failovers_total", {{"node", "c"}},
+                             "")
+                ->Value(),
+            1);
 }
 
 /// The paper's §6 event scenario: "when the RFID reader recognizes an

@@ -271,13 +271,6 @@ TEST(RemoteStreamWrapperTest, DropsDuplicates) {
   EXPECT_EQ(wrapper.admitted_count(), 1);
 }
 
-TEST(RemoteStreamWrapperTest, LegacyUnsequencedDeliveriesAdmitDirectly) {
-  RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor");
-  EXPECT_EQ(wrapper.Push(Element(1), 0).admitted, 1);
-  EXPECT_EQ(wrapper.Push(Element(2), 0).admitted, 1);
-  EXPECT_EQ(wrapper.expected_sequence(), 1u);  // sequencing untouched
-}
-
 TEST(RemoteStreamWrapperTest, MissingRangesFromGapsAndTip) {
   RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor");
   wrapper.Push(Element(1), 1);
