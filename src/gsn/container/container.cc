@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "gsn/sql/parser.h"
+#include "gsn/types/codec.h"
 #include "gsn/util/logging.h"
 #include "gsn/util/strings.h"
 
@@ -17,6 +18,11 @@ using vsensor::VirtualSensor;
 using vsensor::VirtualSensorSpec;
 
 namespace {
+/// Bound on rows a permanent table parks between a window eviction and
+/// the checkpoint that flushes them into a segment; oldest dropped (and
+/// counted) beyond it.
+constexpr size_t kMaxPendingHistoryRows = 1 << 18;
+
 /// Fills in the defaults members read during construction.
 Container::Options WithDefaultClock(Container::Options options) {
   if (options.clock == nullptr) options.clock = SystemClock::Shared();
@@ -131,7 +137,7 @@ Container::Container(Options options)
   // The history tier opens before manifest recovery: redeployed sensors
   // dedup their WAL-replayed pending rows against already-flushed
   // segments (see DeploySpec).
-  if (options_.columnar.enabled && !options_.storage_dir.empty()) {
+  if (!options_.storage_dir.empty()) {
     storage::columnar::SegmentCatalog::Options seg_options;
     seg_options.rows_per_chunk = options_.columnar.rows_per_chunk;
     seg_options.metrics = metrics_;
@@ -204,11 +210,6 @@ void Container::RecoverFromManifest() {
         << options_.node_id << ": manifest unreadable: " << events.status();
     return;
   }
-  if (torn) {
-    GSN_LOG(kWarn, "container")
-        << options_.node_id << ": manifest had a torn tail; recovered "
-        << events->size() << " events";
-  }
   Result<std::unique_ptr<ContainerManifest>> manifest =
       ContainerManifest::Open(path);
   if (!manifest.ok()) {
@@ -272,9 +273,10 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
       tables_.CreateTable(spec.name, spec.output_structure,
                           spec.storage.history));
   // Undo table creation (and any remote subscriptions already issued
-  // for earlier sources) on any later failure.
+  // for earlier sources) on any later failure. By `key`: `spec` is
+  // moved into the sensor before the last failure points.
   auto unwind = [&] {
-    (void)tables_.DropTable(spec.name);
+    (void)tables_.DropTable(key);
     federation_.Forget(key);
   };
 
@@ -290,26 +292,19 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
     // of the retention window are exactly the ones the next checkpoint
     // owes the history tier (or, post-crash, the ones to dedup below).
     if (segments_ != nullptr) {
-      table->EnableHistoryCapture(options_.columnar.max_pending_rows);
+      table->EnableHistoryCapture(kMaxPendingHistoryRows);
     }
-    bool truncated = false;
-    Result<std::vector<StreamElement>> recovered =
-        storage::PersistenceLog::Recover(path, &truncated);
-    if (!recovered.ok()) {
+    // An element that does not decode, or that the table rejects, is
+    // skipped by the record rule; replay goes on past it.
+    auto restore = [table](std::string_view payload) -> Status {
+      GSN_ASSIGN_OR_RETURN(StreamElement element,
+                           Codec::DecodeElementFromString(payload));
+      return table->Insert(element);
+    };
+    const Status replayed = storage::RecordLog::Replay(path, restore).status();
+    if (!replayed.ok()) {
       unwind();
-      return recovered.status();
-    }
-    for (const StreamElement& e : *recovered) {
-      const Status s = table->Insert(e);
-      if (!s.ok()) {
-        GSN_LOG(kWarn, "container")
-            << spec.name << ": skipping incompatible recovered element: " << s;
-      }
-    }
-    if (truncated) {
-      GSN_LOG(kWarn, "container")
-          << spec.name << ": persistence log had a torn tail; recovered "
-          << recovered->size() << " elements";
+      return replayed;
     }
     // Window/segment seam dedup: a crash between a segment flush and
     // the WAL rewrite leaves the flushed rows in both tiers. The rows
@@ -337,8 +332,8 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
             << " replayed row(s) already flushed to segments";
       }
     }
-    Result<std::unique_ptr<storage::PersistenceLog>> log =
-        storage::PersistenceLog::Open(path);
+    Result<std::unique_ptr<storage::RecordLog>> log =
+        storage::RecordLog::Open(path);
     if (!log.ok()) {
       unwind();
       return log.status();
@@ -695,11 +690,14 @@ Result<int> Container::Tick() {
   dispatch_phase.Stop();
 
   // Periodic checkpoint: bound the manifest and every WAL (and with
-  // them, the next recovery) to the live state. try_lock keeps the
-  // trigger single-flight across concurrent Tick drivers; the WAL
+  // them, the next recovery) to the live state, and move evicted rows
+  // into the history tier. It needs storage, not a manifest:
+  // storage_dir alone has WALs and segments to compact. try_lock keeps
+  // the trigger single-flight across concurrent Tick drivers; the WAL
   // swaps inside Checkpoint() are serialized against pipeline appends
   // by each shard's lock.
-  if (manifest_ != nullptr && options_.supervision.checkpoint_interval > 0) {
+  if (!options_.storage_dir.empty() &&
+      options_.supervision.checkpoint_interval > 0) {
     std::unique_lock<std::mutex> cp_lock(checkpoint_mu_, std::try_to_lock);
     if (cp_lock.owns_lock() &&
         now - last_checkpoint_ >= options_.supervision.checkpoint_interval) {
@@ -971,31 +969,15 @@ Status Container::Checkpoint() {
       // Rewrite the WAL to exactly the rows still inside the table's
       // retention window: recovery replays O(window), not O(history).
       // Pipeline appends (OnSensorBatch) also run under this shard's
-      // lock, so nobody can write through the old handle mid-rewrite;
-      // destroying it first honors Rewrite's contract (a surviving
-      // handle's buffered writes would land on the renamed-over inode
-      // and be lost).
-      const std::string path = deployment.log->path();
-      deployment.log.reset();
-      Result<std::unique_ptr<storage::PersistenceLog>> rewritten =
-          storage::PersistenceLog::Rewrite(path,
-                                           deployment.table->SnapshotElements());
-      if (!rewritten.ok()) {
-        if (first_error.ok()) first_error = rewritten.status();
-        // Compaction failed, but persistence must go on: reopen the
-        // uncompacted log for appending.
-        Result<std::unique_ptr<storage::PersistenceLog>> reopened =
-            storage::PersistenceLog::Open(path);
-        if (reopened.ok()) {
-          deployment.log = *std::move(reopened);
-        } else {
-          GSN_LOG(kError, "container")
-              << options_.node_id << ": '" << deployment.sensor->name()
-              << "' WAL lost after failed checkpoint: " << reopened.status();
-        }
-        continue;
+      // lock, so none lands between the snapshot and the swap. A failed
+      // Replace leaves the uncompacted WAL appendable.
+      std::vector<std::string> payloads;
+      for (const StreamElement& element :
+           deployment.table->SnapshotElements()) {
+        payloads.push_back(Codec::EncodeElementToString(element));
       }
-      deployment.log = *std::move(rewritten);
+      const Status replaced = deployment.log->Replace(payloads);
+      if (!replaced.ok() && first_error.ok()) first_error = replaced;
     }
   }
   if (manifest_ != nullptr) {
@@ -1241,11 +1223,11 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
 
   // Storage layer: the whole batch lands under the sensor's shard lock.
   // The WAL append stays inside the same critical section: Checkpoint()
-  // destroys and replaces the log handle under the shard lock, so an
-  // append racing a swap would write through a dead handle or onto the
-  // compacted-over inode (and be lost to every future recovery).
-  // Keeping insert + append atomic also means a checkpoint snapshot
-  // always covers exactly the batches appended before it.
+  // snapshots the table and replaces the WAL under the shard lock, so
+  // an append landing between the two would be dropped by the swap
+  // (and lost to every future recovery). Keeping insert + append
+  // atomic means a checkpoint snapshot always covers exactly the
+  // batches appended before it.
   telemetry::Span storage_span(batch_storage_micros_.get());
   {
     const std::string key = StrToLower(name);
@@ -1260,8 +1242,11 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
         }
       }
       if (it->second->log != nullptr) {
+        std::string payload;
         for (const StreamElement& element : batch) {
-          const Status s = it->second->log->Append(element);
+          payload.clear();
+          Codec::EncodeElement(element, &payload);
+          const Status s = it->second->log->Append(payload);
           if (!s.ok()) {
             GSN_LOG(kWarn, "container")
                 << name << ": persistence failed: " << s;

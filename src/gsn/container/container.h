@@ -121,20 +121,15 @@ class Container {
       /// checkpoints (the `checkpoint` management command still works).
       Timestamp checkpoint_interval = 30 * kMicrosPerSecond;
     } supervision;
-    /// Knobs of the tiered columnar history (docs/STORAGE.md). With a
+    /// The tiered columnar history (docs/STORAGE.md). With a
     /// durability root (data_dir or storage_dir) present, checkpoints
     /// flush rows falling out of each permanent sensor's retention
     /// window into immutable columnar segments instead of discarding
     /// them; SQL then scans segments + live window as one relation.
     struct Columnar {
-      /// False keeps the pre-tiered behaviour: evicted rows are gone.
-      bool enabled = true;
       /// Rows per column-chunk group inside a segment — the zone-map
       /// pruning granularity.
       size_t rows_per_chunk = 1024;
-      /// Bound on rows parked per table between a window eviction and
-      /// the checkpoint flush; oldest dropped (and counted) beyond it.
-      size_t max_pending_rows = 1 << 18;
     } columnar;
     /// Knobs of the sharded container core (docs/CONCURRENCY.md).
     struct Sharding {
@@ -233,7 +228,7 @@ class Container {
   /// The crash-recovery manifest (null when data_dir is empty).
   ContainerManifest* manifest() const { return manifest_.get(); }
   /// The tiered columnar history catalog (docs/STORAGE.md); null when
-  /// columnar.enabled is false or no durability root is configured.
+  /// no durability root is configured or the catalog failed to open.
   storage::columnar::SegmentCatalog* segment_catalog() const {
     return segments_.get();
   }
@@ -383,11 +378,11 @@ class Container {
     std::string key;  // lowercased sensor name; shard-map key
     std::unique_ptr<vsensor::VirtualSensor> sensor;
     storage::Table* table = nullptr;  // owned by tables_
-    /// Guarded by the shard lock: OnSensorBatch (tick workers) appends
-    /// and Checkpoint() destroys/replaces the handle, both under the
-    /// shard lock, so an append can never race a compaction swap
-    /// (PersistenceLog::Rewrite requires the prior handle gone first).
-    std::unique_ptr<storage::PersistenceLog> log;
+    /// The sensor's WAL, one Codec::EncodeElement payload per stored
+    /// element. OnSensorBatch (tick workers) appends and Checkpoint()
+    /// replaces it, both under the shard lock, so a checkpoint's
+    /// snapshot covers exactly the rows appended before its Replace.
+    std::unique_ptr<storage::RecordLog> log;
     Timestamp deployed_at = 0;
     Timestamp expires_at = 0;  // 0 = never
     /// Per-sensor tick exclusivity (guarded by the shard lock): a tick
@@ -550,9 +545,10 @@ class Container {
 
   // -- Durability & supervision (docs/DURABILITY.md) ------------------------
   std::unique_ptr<ContainerManifest> manifest_;  // null without data_dir
-  /// Tiered columnar history (docs/STORAGE.md); null when disabled or
-  /// no durability root exists. Declared before recovery runs so
-  /// redeployed sensors can dedup pending rows against it.
+  /// Tiered columnar history (docs/STORAGE.md); null when no
+  /// durability root exists or the catalog failed to open. Declared
+  /// before recovery runs so redeployed sensors can dedup pending rows
+  /// against it.
   std::unique_ptr<storage::columnar::SegmentCatalog> segments_;
   std::unique_ptr<QuarantineStore> quarantine_;
   /// True while the constructor replays the manifest: redeploys must

@@ -1,36 +1,25 @@
 #include "gsn/container/manifest.h"
 
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
-
-#include "gsn/storage/persistence_log.h"
+#include "gsn/types/codec.h"
 #include "gsn/util/strings.h"
 
 namespace gsn::container {
 
 namespace {
 
-/// Event payload: kind:u8 name_len:u32 name xml. The frame around it
-/// (magic/len/crc) comes from the shared log-record framing.
-std::string EncodeEvent(const ContainerManifest::Event& event) {
-  std::string payload;
-  payload.push_back(static_cast<char>(event.kind));
-  const uint32_t name_len = static_cast<uint32_t>(event.sensor_name.size());
-  for (int i = 0; i < 4; ++i) {
-    payload.push_back(static_cast<char>((name_len >> (8 * i)) & 0xff));
-  }
-  payload += event.sensor_name;
-  payload += event.descriptor_xml;
+/// Event payload: kind:u8, then the sensor name as Codec::EncodeString
+/// (name_len:u32 name), then the descriptor xml to the end.
+std::string EncodeEvent(ContainerManifest::Event::Kind kind,
+                        const std::string& sensor_name,
+                        const std::string& descriptor_xml) {
+  std::string payload(1, static_cast<char>(kind));
+  Codec::EncodeString(sensor_name, &payload);
+  payload += descriptor_xml;
   return payload;
 }
 
 Result<ContainerManifest::Event> DecodeEvent(std::string_view payload) {
-  if (payload.size() < 5) {
-    return Status::ParseError("manifest event too short");
-  }
+  if (payload.empty()) return Status::ParseError("empty manifest event");
   ContainerManifest::Event event;
   const uint8_t kind = static_cast<uint8_t>(payload[0]);
   if (kind != static_cast<uint8_t>(ContainerManifest::Event::Kind::kDeploy) &&
@@ -40,16 +29,9 @@ Result<ContainerManifest::Event> DecodeEvent(std::string_view payload) {
                               std::to_string(kind));
   }
   event.kind = static_cast<ContainerManifest::Event::Kind>(kind);
-  uint32_t name_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    name_len |= static_cast<uint32_t>(static_cast<uint8_t>(payload[1 + i]))
-                << (8 * i);
-  }
-  if (payload.size() < 5 + static_cast<size_t>(name_len)) {
-    return Status::ParseError("manifest event name truncated");
-  }
-  event.sensor_name = std::string(payload.substr(5, name_len));
-  event.descriptor_xml = std::string(payload.substr(5 + name_len));
+  size_t pos = 1;
+  GSN_ASSIGN_OR_RETURN(event.sensor_name, Codec::DecodeString(payload, &pos));
+  event.descriptor_xml = std::string(payload.substr(pos));
   return event;
 }
 
@@ -57,86 +39,34 @@ Result<ContainerManifest::Event> DecodeEvent(std::string_view payload) {
 
 Result<std::unique_ptr<ContainerManifest>> ContainerManifest::Open(
     const std::string& path) {
-  GSN_ASSIGN_OR_RETURN(std::string contents, storage::ReadLogFile(path));
-  bool torn = false;
-  const size_t valid_prefix =
-      storage::ScanLogRecords(contents, nullptr, &torn);
-  if (torn) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, valid_prefix, ec);
-    if (ec) {
-      return Status::IoError("cannot truncate torn manifest tail of " + path +
-                             ": " + ec.message());
-    }
-  }
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    return Status::IoError("cannot open container manifest: " + path);
-  }
-  return std::unique_ptr<ContainerManifest>(new ContainerManifest(path, f));
-}
-
-ContainerManifest::~ContainerManifest() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status ContainerManifest::AppendLocked(const Event& event) {
-  const std::string record = storage::FrameLogRecord(EncodeEvent(event));
-  if (std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
-    return Status::IoError("short write to " + path_);
-  }
-  if (std::fflush(file_) != 0) {
-    return Status::IoError("flush failed for " + path_);
-  }
-  ++appended_;
-  return Status::OK();
+  GSN_ASSIGN_OR_RETURN(std::unique_ptr<storage::RecordLog> log,
+                       storage::RecordLog::Open(path));
+  return std::unique_ptr<ContainerManifest>(
+      new ContainerManifest(std::move(log)));
 }
 
 Status ContainerManifest::AppendDeploy(const std::string& sensor_name,
                                        const std::string& descriptor_xml) {
-  Event event;
-  event.kind = Event::Kind::kDeploy;
-  event.sensor_name = StrToLower(sensor_name);
-  event.descriptor_xml = descriptor_xml;
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(event);
+  return log_->Append(EncodeEvent(Event::Kind::kDeploy,
+                                  StrToLower(sensor_name), descriptor_xml));
 }
 
 Status ContainerManifest::AppendUndeploy(const std::string& sensor_name) {
-  Event event;
-  event.kind = Event::Kind::kUndeploy;
-  event.sensor_name = StrToLower(sensor_name);
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(event);
-}
-
-Status ContainerManifest::Sync() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (std::fflush(file_) != 0) {
-    return Status::IoError("flush failed for " + path_);
-  }
-  if (::fsync(::fileno(file_)) != 0) {
-    return Status::IoError("fsync failed for " + path_ + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
+  return log_->Append(
+      EncodeEvent(Event::Kind::kUndeploy, StrToLower(sensor_name), ""));
 }
 
 Result<std::vector<ContainerManifest::Event>> ContainerManifest::Recover(
     const std::string& path, bool* truncated_tail) {
-  GSN_ASSIGN_OR_RETURN(std::string contents, storage::ReadLogFile(path));
-  std::vector<std::string_view> payloads;
-  storage::ScanLogRecords(contents, &payloads, truncated_tail);
   std::vector<Event> out;
-  out.reserve(payloads.size());
-  for (const std::string_view payload : payloads) {
-    Result<Event> event = DecodeEvent(payload);
-    if (!event.ok()) {
-      if (truncated_tail != nullptr) *truncated_tail = true;
-      break;
-    }
-    out.push_back(*std::move(event));
-  }
+  auto decode = [&out](std::string_view payload) -> Status {
+    GSN_ASSIGN_OR_RETURN(Event event, DecodeEvent(payload));
+    out.push_back(std::move(event));
+    return Status::OK();
+  };
+  GSN_ASSIGN_OR_RETURN(storage::RecordLog::ReplayStats stats,
+                       storage::RecordLog::Replay(path, decode));
+  if (truncated_tail != nullptr) *truncated_tail = stats.torn_tail;
   return out;
 }
 
@@ -163,29 +93,12 @@ std::vector<std::pair<std::string, std::string>> ContainerManifest::LiveSet(
 
 Status ContainerManifest::Compact(
     const std::vector<std::pair<std::string, std::string>>& live) {
-  std::string contents;
+  std::vector<std::string> payloads;
+  payloads.reserve(live.size());
   for (const auto& [name, xml] : live) {
-    Event event;
-    event.kind = Event::Kind::kDeploy;
-    event.sensor_name = name;
-    event.descriptor_xml = xml;
-    contents += storage::FrameLogRecord(EncodeEvent(event));
+    payloads.push_back(EncodeEvent(Event::Kind::kDeploy, name, xml));
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fclose(file_);
-  file_ = nullptr;
-  GSN_RETURN_IF_ERROR(storage::WriteFileAtomic(path_, contents));
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::IoError("cannot reopen compacted manifest: " + path_);
-  }
-  appended_ = 0;
-  return Status::OK();
-}
-
-size_t ContainerManifest::appended_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return appended_;
+  return log_->Replace(payloads);
 }
 
 }  // namespace gsn::container

@@ -1,20 +1,19 @@
 #ifndef GSN_CONTAINER_MANIFEST_H_
 #define GSN_CONTAINER_MANIFEST_H_
 
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "gsn/storage/persistence_log.h"
 #include "gsn/util/result.h"
 
 namespace gsn::container {
 
-/// Durable record of the container's deployed set: an append-log of
-/// deploy/undeploy events under the container's --data-dir, using the
-/// same framed-record format as the per-sensor persistence logs
+/// Durable record of the container's deployed set: a storage::RecordLog
+/// of deploy/undeploy events under the container's --data-dir, framed
+/// and replayed like the per-sensor persistence logs
 /// (docs/DURABILITY.md). A restarted container replays the manifest to
 /// redeploy every descriptor that was live when the process died — the
 /// paper's container "manages every aspect of the virtual sensor life
@@ -38,20 +37,16 @@ class ContainerManifest {
   static Result<std::unique_ptr<ContainerManifest>> Open(
       const std::string& path);
 
-  ~ContainerManifest();
-
-  ContainerManifest(const ContainerManifest&) = delete;
-  ContainerManifest& operator=(const ContainerManifest&) = delete;
-
   Status AppendDeploy(const std::string& sensor_name,
                       const std::string& descriptor_xml);
   Status AppendUndeploy(const std::string& sensor_name);
 
   /// Flushes and fsyncs the manifest (drain shutdown).
-  Status Sync();
+  Status Sync() { return log_->Sync(); }
 
   /// Reads every intact event from `path` (static: usable before
-  /// opening for append). `truncated_tail` reports a torn tail.
+  /// opening for append). `truncated_tail` reports a torn tail; an
+  /// intact record whose event does not decode is skipped.
   static Result<std::vector<Event>> Recover(const std::string& path,
                                             bool* truncated_tail);
 
@@ -64,23 +59,19 @@ class ContainerManifest {
       const std::vector<Event>& events);
 
   /// Checkpoint: atomically rewrites the manifest to one deploy event
-  /// per entry of `live` and reopens the append handle.
+  /// per entry of `live`. On failure the uncompacted manifest stays
+  /// appendable.
   Status Compact(const std::vector<std::pair<std::string, std::string>>& live);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_->path(); }
   /// Events appended through this handle (compaction resets it).
-  size_t appended_count() const;
+  size_t appended_count() const { return log_->appended_count(); }
 
  private:
-  ContainerManifest(std::string path, std::FILE* file)
-      : path_(std::move(path)), file_(file) {}
+  explicit ContainerManifest(std::unique_ptr<storage::RecordLog> log)
+      : log_(std::move(log)) {}
 
-  Status AppendLocked(const Event& event);
-
-  const std::string path_;
-  std::FILE* file_;
-  mutable std::mutex mu_;
-  size_t appended_ = 0;
+  std::unique_ptr<storage::RecordLog> log_;
 };
 
 }  // namespace gsn::container

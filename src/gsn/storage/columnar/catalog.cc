@@ -1,15 +1,10 @@
 #include "gsn/storage/columnar/catalog.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <utility>
 
-#include "gsn/storage/persistence_log.h"
 #include "gsn/types/codec.h"
 #include "gsn/util/logging.h"
 #include "gsn/util/strings.h"
@@ -63,33 +58,6 @@ Result<std::pair<char, SegmentMeta>> ParseJournalRecord(
   return std::make_pair(kind, std::move(meta));
 }
 
-Status WriteSegmentFile(const std::string& path, std::string_view contents) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IoError("cannot create segment file " + path + ": " +
-                           std::strerror(errno));
-  }
-  Status status = Status::OK();
-  if (!contents.empty() &&
-      std::fwrite(contents.data(), 1, contents.size(), file) !=
-          contents.size()) {
-    status = Status::IoError("short write to " + path);
-  }
-  if (status.ok() && std::fflush(file) != 0) {
-    status = Status::IoError("flush failed for " + path);
-  }
-  if (status.ok() && ::fsync(::fileno(file)) != 0) {
-    status = Status::IoError("fsync failed for " + path + ": " +
-                             std::strerror(errno));
-  }
-  std::fclose(file);
-  if (!status.ok()) {
-    std::error_code ec;
-    fs::remove(path, ec);
-  }
-  return status;
-}
-
 }  // namespace
 
 SegmentCatalog::SegmentCatalog(std::string dir, Options options)
@@ -110,11 +78,6 @@ SegmentCatalog::SegmentCatalog(std::string dir, Options options)
   }
 }
 
-SegmentCatalog::~SegmentCatalog() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (journal_ != nullptr) std::fclose(journal_);
-}
-
 Result<std::unique_ptr<SegmentCatalog>> SegmentCatalog::Open(
     const std::string& dir, Options options) {
   std::error_code ec;
@@ -126,8 +89,17 @@ Result<std::unique_ptr<SegmentCatalog>> SegmentCatalog::Open(
   std::unique_ptr<SegmentCatalog> catalog(
       new SegmentCatalog(dir, std::move(options)));
   std::lock_guard<std::mutex> lock(catalog->mu_);
-  GSN_RETURN_IF_ERROR(catalog->ReplayJournalLocked());
-  GSN_RETURN_IF_ERROR(catalog->CompactJournalLocked());
+  const std::string journal = dir + "/" + kJournalName;
+  GSN_RETURN_IF_ERROR(catalog->ReplayJournalLocked(journal));
+  // Compact the journal to the surviving set.
+  std::vector<std::string> live;
+  for (const auto& [table, metas] : catalog->by_table_) {
+    for (const SegmentMeta& meta : metas) {
+      live.push_back(JournalRecord(kAddRecord, meta));
+    }
+  }
+  GSN_ASSIGN_OR_RETURN(catalog->journal_, RecordLog::Open(journal));
+  GSN_RETURN_IF_ERROR(catalog->journal_->Replace(live));
   catalog->UpdateGaugesLocked();
   return catalog;
 }
@@ -137,30 +109,19 @@ std::string SegmentCatalog::SegmentPath(const SegmentMeta& meta) const {
          std::string(kSegmentFileSuffix);
 }
 
-Status SegmentCatalog::ReplayJournalLocked() {
-  GSN_ASSIGN_OR_RETURN(std::string contents,
-                       ReadLogFile(dir_ + "/" + kJournalName));
-  std::vector<std::string_view> payloads;
-  bool torn = false;
-  ScanLogRecords(contents, &payloads, &torn);
-  if (torn) {
-    GSN_LOG(kWarn, "columnar") << "segment catalog journal had a torn tail; truncating";
-  }
-  for (std::string_view payload : payloads) {
-    Result<std::pair<char, SegmentMeta>> record = ParseJournalRecord(payload);
-    if (!record.ok()) {
-      GSN_LOG(kWarn, "columnar") << "skipping bad catalog record: "
-                    << record.status().ToString();
-      continue;
-    }
-    auto& [kind, meta] = *record;
+Status SegmentCatalog::ReplayJournalLocked(const std::string& journal) {
+  auto apply = [this](std::string_view payload) -> Status {
+    GSN_ASSIGN_OR_RETURN(auto record, ParseJournalRecord(payload));
+    auto& [kind, meta] = record;
     if (kind == kAddRecord) {
       next_id_ = std::max(next_id_, meta.id + 1);
       by_table_[meta.table].push_back(std::move(meta));
     } else {
       by_table_.erase(meta.table);
     }
-  }
+    return Status::OK();
+  };
+  GSN_RETURN_IF_ERROR(RecordLog::Replay(journal, apply).status());
 
   // Reconcile against the filesystem: a journaled segment must exist
   // with the journaled size and an intact footer, else it is the relic
@@ -216,46 +177,11 @@ Status SegmentCatalog::ReplayJournalLocked() {
   return Status::OK();
 }
 
-Status SegmentCatalog::CompactJournalLocked() {
-  if (journal_ != nullptr) {
-    std::fclose(journal_);
-    journal_ = nullptr;
-  }
-  std::string contents;
-  for (const auto& [table, metas] : by_table_) {
-    for (const SegmentMeta& meta : metas) {
-      contents += FrameLogRecord(JournalRecord(kAddRecord, meta));
-    }
-  }
-  const std::string path = dir_ + "/" + kJournalName;
-  GSN_RETURN_IF_ERROR(WriteFileAtomic(path, contents));
-  journal_ = std::fopen(path.c_str(), "ab");
-  if (journal_ == nullptr) {
-    return Status::IoError("cannot open catalog journal " + path + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
 Status SegmentCatalog::AppendJournalLocked(char kind, const SegmentMeta& meta) {
-  if (journal_ == nullptr) {
-    return Status::Internal("segment catalog journal is not open");
-  }
-  const std::string record = FrameLogRecord(JournalRecord(kind, meta));
-  if (std::fwrite(record.data(), 1, record.size(), journal_) !=
-      record.size()) {
-    return Status::IoError("short write to segment catalog journal");
-  }
-  if (std::fflush(journal_) != 0) {
-    return Status::IoError("flush failed for segment catalog journal");
-  }
+  GSN_RETURN_IF_ERROR(journal_->Append(JournalRecord(kind, meta)));
   // The journal append is the commit point a later WAL rewrite relies
   // on — it must be durable before the caller drops the rows' WAL copy.
-  if (::fsync(::fileno(journal_)) != 0) {
-    return Status::IoError("fsync failed for segment catalog journal: " +
-                           std::string(std::strerror(errno)));
-  }
-  return Status::OK();
+  return journal_->Sync();
 }
 
 void SegmentCatalog::UpdateGaugesLocked() {
@@ -298,7 +224,7 @@ Result<SegmentMeta> SegmentCatalog::Flush(const std::string& table,
                            ec.message());
   }
   const std::string path = SegmentPath(meta);
-  GSN_RETURN_IF_ERROR(WriteSegmentFile(path, encoded.contents));
+  GSN_RETURN_IF_ERROR(WriteFileSynced(path, encoded.contents));
   Status journaled = AppendJournalLocked(kAddRecord, meta);
   if (!journaled.ok()) {
     fs::remove(path, ec);

@@ -2,7 +2,6 @@
 #define GSN_STORAGE_COLUMNAR_CATALOG_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,6 +10,7 @@
 
 #include "gsn/sql/scan_predicate.h"
 #include "gsn/storage/columnar/segment.h"
+#include "gsn/storage/persistence_log.h"
 #include "gsn/telemetry/metrics.h"
 #include "gsn/types/schema.h"
 #include "gsn/util/result.h"
@@ -31,8 +31,7 @@ struct SegmentMeta {
 
 /// Tracks the live columnar segments of one container under
 /// `<dir>/<table>/seg-<id>.gsnseg`, journaled in `<dir>/catalog.gsnlog`
-/// (CRC-framed add/drop records, torn tail truncated like every GSN
-/// append log).
+/// (a RecordLog of add/drop records).
 ///
 /// Recovery (Open) replays the journal, then reconciles it against the
 /// filesystem: journaled segments whose file is missing, truncated, or
@@ -61,8 +60,6 @@ class SegmentCatalog {
   /// Opens (creating if needed) the catalog rooted at `dir`.
   static Result<std::unique_ptr<SegmentCatalog>> Open(const std::string& dir,
                                                       Options options);
-  ~SegmentCatalog();
-
   SegmentCatalog(const SegmentCatalog&) = delete;
   SegmentCatalog& operator=(const SegmentCatalog&) = delete;
 
@@ -105,8 +102,7 @@ class SegmentCatalog {
  private:
   SegmentCatalog(std::string dir, Options options);
 
-  Status ReplayJournalLocked();
-  Status CompactJournalLocked();
+  Status ReplayJournalLocked(const std::string& journal);
   Status AppendJournalLocked(char kind, const SegmentMeta& meta);
   void UpdateGaugesLocked();
 
@@ -116,7 +112,7 @@ class SegmentCatalog {
   mutable std::mutex mu_;
   std::map<std::string, std::vector<SegmentMeta>> by_table_;
   uint64_t next_id_ = 1;
-  std::FILE* journal_ = nullptr;
+  std::unique_ptr<RecordLog> journal_;
   size_t discarded_on_recovery_ = 0;
   size_t orphans_removed_ = 0;
 

@@ -18,7 +18,7 @@ namespace gsn::storage::columnar {
 /// predicates cannot rule out.
 ///
 /// On-disk layout: a sequence of CRC-framed records (the same
-/// magic:u8 len:u32 payload crc32:u32 framing as PersistenceLog, so a
+/// magic:u8 len:u32 payload crc32:u32 framing as every RecordLog, so a
 /// torn tail truncates identically on recovery):
 ///
 ///   header record  'H' version:u32 table row-schema row_count:u64

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <memory>
 
+#include "gsn/util/logging.h"
+
 namespace gsn::storage {
 
 namespace {
@@ -110,20 +112,29 @@ Result<std::string> ReadLogFile(const std::string& path) {
   return contents;
 }
 
-Status WriteFileAtomic(const std::string& path, std::string_view contents) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+Status WriteFileSynced(const std::string& path, std::string_view contents) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
-    return Status::IoError("cannot open temp file: " + tmp);
+    return Status::IoError("cannot create " + path + ": " +
+                           std::strerror(errno));
   }
+  Status status = Status::OK();
   if (!contents.empty() &&
       std::fwrite(contents.data(), 1, contents.size(), f) != contents.size()) {
-    std::fclose(f);
-    return Status::IoError("short write to " + tmp);
+    status = Status::IoError("short write to " + path);
   }
-  const Status synced = FlushAndFsync(f, tmp);
+  if (status.ok()) status = FlushAndFsync(f, path);
   std::fclose(f);
-  if (!synced.ok()) return synced;
+  if (!status.ok()) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+  }
+  return status;
+}
+
+Status WriteFileAtomic(const std::string& path, std::string_view contents) {
+  const std::string tmp = path + ".tmp";
+  GSN_RETURN_IF_ERROR(WriteFileSynced(tmp, contents));
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
@@ -133,11 +144,10 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   return Status::OK();
 }
 
-Result<std::unique_ptr<PersistenceLog>> PersistenceLog::Open(
-    const std::string& path) {
+Result<std::unique_ptr<RecordLog>> RecordLog::Open(const std::string& path) {
   // Torn-tail repair: find the valid prefix and truncate anything after
   // it, so appends are never written behind a corrupt record (where
-  // every future Recover would stop before them and silently lose them).
+  // every future Replay would stop before them and silently lose them).
   GSN_ASSIGN_OR_RETURN(std::string contents, ReadLogFile(path));
   bool torn = false;
   const size_t valid_prefix = ScanLogRecords(contents, nullptr, &torn);
@@ -151,30 +161,40 @@ Result<std::unique_ptr<PersistenceLog>> PersistenceLog::Open(
   }
   std::FILE* f = std::fopen(path.c_str(), "ab");
   if (f == nullptr) {
-    return Status::IoError("cannot open persistence log: " + path);
+    return Status::IoError("cannot open record log " + path + ": " +
+                           std::strerror(errno));
   }
-  return std::unique_ptr<PersistenceLog>(new PersistenceLog(path, f));
+  return std::unique_ptr<RecordLog>(new RecordLog(path, f));
 }
 
-Result<std::unique_ptr<PersistenceLog>> PersistenceLog::Rewrite(
-    const std::string& path, const std::vector<StreamElement>& elements) {
-  std::string contents;
-  for (const StreamElement& element : elements) {
-    std::string payload;
-    Codec::EncodeElement(element, &payload);
-    contents += FrameLogRecord(payload);
+Result<RecordLog::ReplayStats> RecordLog::Replay(const std::string& path,
+                                                 const Visitor& visit) {
+  GSN_ASSIGN_OR_RETURN(std::string contents, ReadLogFile(path));
+  std::vector<std::string_view> payloads;
+  ReplayStats stats;
+  ScanLogRecords(contents, &payloads, &stats.torn_tail);
+  stats.records = payloads.size();
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    const Status visited = visit(payloads[i]);
+    if (!visited.ok()) {
+      // The frame and CRC are intact, so the log goes on past it.
+      ++stats.skipped;
+      GSN_LOG(kWarn, "storage") << path << ": skipping record " << i
+                                << " with an undecodable payload: "
+                                << visited;
+    }
   }
-  GSN_RETURN_IF_ERROR(WriteFileAtomic(path, contents));
-  return Open(path);
+  if (stats.torn_tail) {
+    GSN_LOG(kWarn, "storage") << path << ": torn tail after "
+                              << stats.records
+                              << " record(s); the next open truncates it";
+  }
+  return stats;
 }
 
-PersistenceLog::~PersistenceLog() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+RecordLog::~RecordLog() { std::fclose(file_); }
 
-Status PersistenceLog::Append(const StreamElement& element) {
-  std::string payload;
-  Codec::EncodeElement(element, &payload);
+Status RecordLog::Append(std::string_view payload) {
   const std::string record = FrameLogRecord(payload);
   std::lock_guard<std::mutex> lock(mu_);
   if (std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
@@ -187,34 +207,47 @@ Status PersistenceLog::Append(const StreamElement& element) {
   return Status::OK();
 }
 
-Status PersistenceLog::Sync() {
+Status RecordLog::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
   return FlushAndFsync(file_, path_);
 }
 
-size_t PersistenceLog::appended_count() const {
+Status RecordLog::Replace(const std::vector<std::string>& payloads) {
+  std::string contents;
+  for (const std::string& payload : payloads) {
+    contents += FrameLogRecord(payload);
+  }
+  const std::string tmp = path_ + ".tmp";
   std::lock_guard<std::mutex> lock(mu_);
-  return appended_;
+  GSN_RETURN_IF_ERROR(WriteFileSynced(tmp, contents));
+  // The new handle opens on the temp file before the rename: every
+  // failure up to and including the rename leaves the old file and
+  // handle as they were, and after it appends follow the renamed inode.
+  std::error_code ec;
+  std::FILE* next = std::fopen(tmp.c_str(), "ab");
+  if (next == nullptr) {
+    const Status opened = Status::IoError("cannot open " + tmp + ": " +
+                                          std::strerror(errno));
+    std::filesystem::remove(tmp, ec);
+    return opened;
+  }
+  std::filesystem::rename(tmp, path_, ec);
+  if (ec) {
+    const Status renamed = Status::IoError("rename " + tmp + " -> " + path_ +
+                                           ": " + ec.message());
+    std::fclose(next);
+    std::filesystem::remove(tmp, ec);
+    return renamed;
+  }
+  std::fclose(file_);
+  file_ = next;
+  appended_ = 0;
+  return Status::OK();
 }
 
-Result<std::vector<StreamElement>> PersistenceLog::Recover(
-    const std::string& path, bool* truncated_tail) {
-  GSN_ASSIGN_OR_RETURN(std::string contents, ReadLogFile(path));
-  std::vector<std::string_view> payloads;
-  ScanLogRecords(contents, &payloads, truncated_tail);
-  std::vector<StreamElement> out;
-  out.reserve(payloads.size());
-  for (const std::string_view payload : payloads) {
-    Result<StreamElement> elem = Codec::DecodeElementFromString(payload);
-    if (!elem.ok()) {
-      // An intact frame around an undecodable payload is corruption the
-      // CRC missed; treat like a torn tail.
-      if (truncated_tail != nullptr) *truncated_tail = true;
-      break;
-    }
-    out.push_back(*std::move(elem));
-  }
-  return out;
+size_t RecordLog::appended_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return appended_;
 }
 
 }  // namespace gsn::storage

@@ -2,81 +2,95 @@
 #define GSN_STORAGE_PERSISTENCE_LOG_H_
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "gsn/types/codec.h"
-#include "gsn/types/schema.h"
 #include "gsn/util/result.h"
 
 namespace gsn::storage {
 
-/// Append-only on-disk log of stream elements for one virtual sensor
-/// with `<storage permanent-storage="true">`. The Java GSN delegated
-/// durability to MySQL; here each permanent table owns one log file.
+/// One GSN append log: a file of CRC-framed records behind one append
+/// handle. Each permanent sensor's write-ahead log (one
+/// Codec::EncodeElement payload per stored element; the Java GSN
+/// delegated this durability to MySQL), the container manifest and the
+/// segment-catalog journal are RecordLogs, and nothing else opens,
+/// appends to, fsyncs, replaces or replays one.
 ///
-/// Record format: magic:u8 len:u32 payload crc32:u32, where payload is
-/// Codec::EncodeElement. Recovery stops at the first corrupt or
-/// truncated record (a torn tail write is expected after a crash) and
-/// reports how many records were recovered. Open truncates such a torn
-/// tail before appending, so post-crash appends land after the last
-/// intact record instead of behind garbage that every future Recover
-/// would stop at.
-class PersistenceLog {
+/// The record rule, the same for every log: the frame (magic, length,
+/// CRC) decides where the log ends. Replay stops at the first torn or
+/// corrupt frame (a torn tail write is expected after a crash), and
+/// Open truncates the file there, so appends land right behind the last
+/// intact record. A frame whose payload the caller's decoder rejects is
+/// skipped with a warning while replay goes on, so Replay always
+/// accepts the prefix that Open appends after.
+///
+/// Thread-safe. The handle's lock is held only around its own file I/O
+/// and takes no other lock: it is the innermost leaf of
+/// docs/CONCURRENCY.md.
+class RecordLog {
  public:
-  /// Opens (creating if needed) the log at `path` for appending. A torn
-  /// or corrupt tail left by a crash is truncated to the last intact
-  /// record first.
-  static Result<std::unique_ptr<PersistenceLog>> Open(const std::string& path);
+  /// Decodes and applies one intact record's payload. A non-OK status
+  /// rejects the record: Replay logs it and skips to the next one.
+  using Visitor = std::function<Status(std::string_view payload)>;
 
-  /// Atomically replaces the log at `path` with exactly `elements`
-  /// (write temp file, fsync, rename) and returns a fresh append
-  /// handle. This is the checkpoint/compaction primitive: rewriting
-  /// with the rows still inside the table's retention window bounds the
-  /// log — and therefore recovery — to O(window). Any prior handle on
-  /// `path` must be destroyed before calling.
-  static Result<std::unique_ptr<PersistenceLog>> Rewrite(
-      const std::string& path, const std::vector<StreamElement>& elements);
+  struct ReplayStats {
+    size_t records = 0;      ///< intact frames, rejected ones included
+    size_t skipped = 0;      ///< frames whose payload the visitor rejected
+    bool torn_tail = false;  ///< bytes past the last intact frame
+  };
 
-  ~PersistenceLog();
+  /// Opens (creating if needed) the log at `path` for appending, first
+  /// truncating a torn or corrupt tail to the last intact record.
+  static Result<std::unique_ptr<RecordLog>> Open(const std::string& path);
 
-  PersistenceLog(const PersistenceLog&) = delete;
-  PersistenceLog& operator=(const PersistenceLog&) = delete;
+  /// Visits the payload of every intact record at `path`, in order
+  /// (static: recovery replays before it opens for append). A missing
+  /// file is an empty log (first boot).
+  static Result<ReplayStats> Replay(const std::string& path,
+                                    const Visitor& visit);
 
-  /// Appends one element and flushes it to the OS.
-  Status Append(const StreamElement& element);
+  ~RecordLog();
 
-  /// Flushes and fsyncs the log to durable storage (drain shutdown).
+  RecordLog(const RecordLog&) = delete;
+  RecordLog& operator=(const RecordLog&) = delete;
+
+  /// Frames `payload`, appends it and flushes it to the OS: it survives
+  /// a kill -9, and Sync makes it survive power loss.
+  Status Append(std::string_view payload);
+
+  /// Flushes and fsyncs the log to durable storage.
   Status Sync();
 
-  /// Reads every intact record from `path` (static: usable before
-  /// opening for append). `truncated_tail` reports whether recovery
-  /// stopped early due to a torn/corrupt record.
-  static Result<std::vector<StreamElement>> Recover(const std::string& path,
-                                                    bool* truncated_tail);
+  /// Compaction: atomically replaces the log with exactly `payloads`
+  /// (temp file, fsync, rename) and keeps appending to the new file. On
+  /// failure the old file and this handle stay exactly as they were,
+  /// still appendable, so there is never a moment without a handle.
+  Status Replace(const std::vector<std::string>& payloads);
 
   const std::string& path() const { return path_; }
-  /// Records appended through this handle.
+  /// Records appended through this handle since Open or the last
+  /// successful Replace.
   size_t appended_count() const;
 
  private:
-  PersistenceLog(std::string path, std::FILE* file)
+  RecordLog(std::string path, std::FILE* file)
       : path_(std::move(path)), file_(file) {}
 
   const std::string path_;
-  std::FILE* file_;
   mutable std::mutex mu_;
-  size_t appended_ = 0;
+  std::FILE* file_;      // guarded by mu_
+  size_t appended_ = 0;  // guarded by mu_
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) used for log records.
 uint32_t Crc32(const void* data, size_t len);
 
 // -- Record framing shared by every GSN append-log ------------------------
-// (the per-sensor persistence logs above and the container manifest).
+// (RecordLog above and the columnar segment files).
 
 /// Frames one payload as magic:u8 len:u32 payload crc32:u32.
 std::string FrameLogRecord(std::string_view payload);
@@ -92,6 +106,10 @@ size_t ScanLogRecords(std::string_view contents,
 /// Reads a whole file into `contents`. Missing file = empty contents
 /// (first boot), not an error.
 Result<std::string> ReadLogFile(const std::string& path);
+
+/// Creates (or truncates) `path`, writes `contents`, flushes and
+/// fsyncs. On failure the partial file is removed.
+Status WriteFileSynced(const std::string& path, std::string_view contents);
 
 /// Writes `contents` to `path` atomically: temp file in the same
 /// directory, flush + fsync, rename over the target.

@@ -557,7 +557,7 @@ TEST(TieredHistoryTest, CrashBeforeWalRewriteDeduplicatesTheSeam) {
     ASSERT_GT(container.segment_catalog()->segment_count(), 0u);
   }
   // "Undo" the rewrite: the on-disk state is now exactly a crash after
-  // the journal fsync and before PersistenceLog::Rewrite.
+  // the journal fsync and before the WAL's RecordLog::Replace.
   fs::remove(wal);
   fs::rename(wal_backup, wal);
 

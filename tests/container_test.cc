@@ -217,6 +217,54 @@ TEST_F(ContainerTest, FileChannelWritesNdjson) {
   std::filesystem::remove(path);
 }
 
+/// A device that cannot be opened: Start() fails after the deploy has
+/// created the sensor's table and moved its spec into the sensor.
+class OfflineWrapper : public wrappers::Wrapper {
+ public:
+  OfflineWrapper() { schema_.AddField("seq", DataType::kInt); }
+  const Schema& output_schema() const override { return schema_; }
+  Status Start() override { return Status::Unavailable("device offline"); }
+  Result<std::vector<StreamElement>> Poll(Timestamp) override {
+    return std::vector<StreamElement>{};
+  }
+  std::string type_name() const override { return "offline"; }
+
+ private:
+  Schema schema_;
+};
+
+std::string SeqDescriptor(const std::string& name, const std::string& wrapper) {
+  return "<virtual-sensor name=\"" + name + "\">"
+         "<output-structure>"
+         "  <field name=\"seq\" type=\"integer\"/>"
+         "</output-structure>"
+         "<input-stream name=\"in\">"
+         "  <stream-source alias=\"src\" storage-size=\"1\">"
+         "    <address wrapper=\"" + wrapper + "\"/>"
+         "    <query>select seq from wrapper</query>"
+         "  </stream-source>"
+         "  <query>select * from src</query>"
+         "</input-stream>"
+         "</virtual-sensor>";
+}
+
+TEST(ContainerDeployTest, FailedStartReleasesItsTable) {
+  Container::Options options;
+  options.node_id = "n";
+  options.clock = std::make_shared<VirtualClock>();
+  Container container(std::move(options));
+  container.wrapper_registry().Register(
+      "offline", [](const wrappers::WrapperConfig&)
+                     -> Result<std::unique_ptr<wrappers::Wrapper>> {
+        return std::unique_ptr<wrappers::Wrapper>(
+            std::make_unique<OfflineWrapper>());
+      });
+  EXPECT_EQ(container.Deploy(SeqDescriptor("S", "offline")).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(container.table_manager().ListTables().empty());
+  EXPECT_TRUE(container.Deploy(SeqDescriptor("S", "generator")).ok());
+}
+
 // ------------------------------------------------------------- Persistence
 
 TEST(ContainerPersistenceTest, OutputSurvivesRestart) {

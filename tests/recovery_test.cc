@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "gsn/container/container.h"
 #include "gsn/container/manifest.h"
 #include "gsn/storage/persistence_log.h"
+#include "gsn/types/codec.h"
 
 namespace gsn::container {
 namespace {
@@ -84,6 +87,31 @@ int64_t CountRows(Container* container, const std::string& table) {
   auto result = container->Query("select count(*) from \"" + table + "\"");
   if (!result.ok()) return -1;
   return result->rows()[0][0].int_value();
+}
+
+/// The elements the WAL at `path` replays, in order.
+Result<std::vector<StreamElement>> RecoverWal(const std::string& path) {
+  std::vector<StreamElement> out;
+  auto decode = [&out](std::string_view payload) -> Status {
+    GSN_ASSIGN_OR_RETURN(StreamElement e,
+                         Codec::DecodeElementFromString(payload));
+    out.push_back(std::move(e));
+    return Status::OK();
+  };
+  GSN_RETURN_IF_ERROR(storage::RecordLog::Replay(path, decode).status());
+  return out;
+}
+
+/// Appends raw bytes to `path`, as a foreign writer or bit rot would.
+void AppendBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out << bytes;
+}
+
+std::vector<std::string> SortedSensors(const Container& container) {
+  std::vector<std::string> names = container.ListSensors();
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 // ----------------------------------------------------------- Manifest unit
@@ -182,6 +210,27 @@ TEST(ContainerManifestTest, CompactRewritesToLiveSet) {
   EXPECT_EQ(live[1].first, "late");
 }
 
+// The manifest's bytes are a format that a data directory written by
+// an older build must keep recovering: each event is kind:u8, the
+// lowercased name as u32 LE length + bytes, then the descriptor xml,
+// inside the shared record frame.
+TEST(ContainerManifestTest, EventBytesAreStable) {
+  TempDir dir("manifest_bytes");
+  const std::string path = dir.path() + "/manifest.gsnlog";
+  {
+    auto manifest = ContainerManifest::Open(path);
+    ASSERT_TRUE(manifest.ok());
+    ASSERT_TRUE((*manifest)->AppendDeploy("Hall", "<x/>").ok());
+    ASSERT_TRUE((*manifest)->AppendUndeploy("Hall").ok());
+  }
+  const std::string deploy("\x01\x04\x00\x00\x00hall<x/>", 13);
+  const std::string undeploy("\x02\x04\x00\x00\x00hall", 9);
+  auto contents = storage::ReadLogFile(path);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(*contents, storage::FrameLogRecord(deploy) +
+                           storage::FrameLogRecord(undeploy));
+}
+
 // ------------------------------------------------------- Container recovery
 
 TEST(ContainerRecoveryTest, RestartRedeploysSensorsAndRecoversTables) {
@@ -261,12 +310,12 @@ TEST(ContainerRecoveryTest, CheckpointBoundsWalAndManifestReplay) {
     // checkpoints.
     ASSERT_TRUE(container.Deploy(GenDescriptor("ckpt", true, "5")).ok());
     RunTicks(&container, clock, 40);
-    auto before = storage::PersistenceLog::Recover(wal, nullptr);
+    auto before = RecoverWal(wal);
     ASSERT_TRUE(before.ok());
     EXPECT_GT(before->size(), 5u);  // unbounded history so far
 
     ASSERT_TRUE(container.Checkpoint().ok());
-    auto after = storage::PersistenceLog::Recover(wal, nullptr);
+    auto after = RecoverWal(wal);
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(after->size(), 5u);  // O(window), not O(history)
 
@@ -278,7 +327,7 @@ TEST(ContainerRecoveryTest, CheckpointBoundsWalAndManifestReplay) {
 
     // Post-checkpoint appends land after the compacted prefix.
     RunTicks(&container, clock, 3);
-    auto suffix = storage::PersistenceLog::Recover(wal, nullptr);
+    auto suffix = RecoverWal(wal);
     ASSERT_TRUE(suffix.ok());
     EXPECT_EQ(suffix->size(), 5u + 3u);  // checkpoint + suffix only
   }
@@ -309,11 +358,31 @@ TEST(ContainerRecoveryTest, PeriodicCheckpointRunsFromTick) {
   ASSERT_TRUE(container.Deploy(GenDescriptor("p", true, "5")).ok());
   RunTicks(&container, clock, 30);  // 3s: at least two checkpoint rounds
   auto recovered =
-      storage::PersistenceLog::Recover(dir.path() + "/p.gsnlog", nullptr);
+      RecoverWal(dir.path() + "/p.gsnlog");
   ASSERT_TRUE(recovered.ok());
   // The WAL stays near the retention window instead of the full 29-row
   // history (a few post-checkpoint appends ride on top).
   EXPECT_LE(recovered->size(), 5u + 10u);
+}
+
+// The checkpoint needs storage, not a manifest: with storage_dir alone
+// the WAL still compacts and evicted rows still move into segments.
+TEST(ContainerRecoveryTest, PeriodicCheckpointRunsWithStorageDirAlone) {
+  TempDir dir("periodic_storage_only");
+  auto clock = std::make_shared<VirtualClock>();
+  Container::Options options = DataDirOptions(dir.path(), clock);
+  options.storage_dir = options.data_dir;
+  options.data_dir.clear();
+  options.supervision.checkpoint_interval = kMicrosPerSecond;
+  Container container(std::move(options));
+  ASSERT_EQ(container.manifest(), nullptr);
+  ASSERT_TRUE(container.Deploy(GenDescriptor("p", true, "5")).ok());
+  RunTicks(&container, clock, 30);  // 3s: at least two checkpoint rounds
+  auto recovered = RecoverWal(dir.path() + "/p.gsnlog");
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_LE(recovered->size(), 5u + 10u);
+  ASSERT_NE(container.segment_catalog(), nullptr);
+  EXPECT_GT(container.segment_catalog()->segment_count(), 0u);
 }
 
 TEST(ContainerRecoveryTest, StorageDirDefaultsToDataDir) {
@@ -328,6 +397,92 @@ TEST(ContainerRecoveryTest, StorageDirDefaultsToDataDir) {
   // landed next to the manifest.
   EXPECT_TRUE(fs::exists(dir.path() + "/solo.gsnlog"));
   EXPECT_TRUE(fs::exists(dir.path() + "/manifest.gsnlog"));
+}
+
+// ------------------------------------------------------------ Record rule
+
+// A checkpoint whose manifest compaction fails must leave the manifest
+// appendable: later deploys are still recorded and come back.
+TEST(ContainerRecoveryTest,
+     FailedManifestCompactionKeepsTheManifestAppendable) {
+  TempDir dir("manifest_compact_fails");
+  auto clock = std::make_shared<VirtualClock>();
+  {
+    Container container(DataDirOptions(dir.path(), clock));
+    ASSERT_TRUE(container.Deploy(GenDescriptor("first")).ok());
+    // The compaction's temp file cannot be created.
+    fs::create_directories(dir.path() + "/manifest.gsnlog.tmp");
+    EXPECT_FALSE(container.Checkpoint().ok());
+    ASSERT_TRUE(container.Deploy(GenDescriptor("second")).ok());
+    RunTicks(&container, clock, 3);
+  }
+  Container container(DataDirOptions(dir.path(), clock));
+  EXPECT_EQ(container.recovery_failures(), 0u);
+  EXPECT_EQ(SortedSensors(container),
+            (std::vector<std::string>{"first", "second"}));
+}
+
+// An intact frame whose payload does not decode is skipped, not taken
+// for the end of the WAL: the rows on both sides of it recover, and rows
+// appended after that recovery survive the next one.
+TEST(ContainerRecoveryTest, UndecodableWalRecordIsSkipped) {
+  TempDir dir("wal_undecodable");
+  auto clock = std::make_shared<VirtualClock>();
+  const std::string wal = dir.path() + "/w.gsnlog";
+  int64_t rows_before = 0;
+  {
+    Container container(DataDirOptions(dir.path(), clock));
+    ASSERT_TRUE(container.Deploy(GenDescriptor("w")).ok());
+    RunTicks(&container, clock, 6);
+    rows_before = CountRows(&container, "w");
+    ASSERT_GT(rows_before, 0);
+  }
+  auto elements = RecoverWal(wal);
+  ASSERT_TRUE(elements.ok());
+  ASSERT_EQ(static_cast<int64_t>(elements->size()), rows_before);
+  StreamElement after_bad = elements->back();
+  after_bad.timed += 1;
+  after_bad.values[0] = Value::Int(1000);
+  AppendBytes(wal, storage::FrameLogRecord("not a stream element") +
+                       storage::FrameLogRecord(
+                           Codec::EncodeElementToString(after_bad)));
+
+  int64_t rows_after_recovery = 0;
+  {
+    Container container(DataDirOptions(dir.path(), clock));
+    EXPECT_EQ(CountRows(&container, "w"), rows_before + 1);
+    auto newest = container.Query("select max(seq) from w");
+    ASSERT_TRUE(newest.ok());
+    EXPECT_EQ(newest->rows()[0][0].int_value(), 1000);
+    RunTicks(&container, clock, 6);
+    rows_after_recovery = CountRows(&container, "w");
+    ASSERT_GT(rows_after_recovery, rows_before + 1);
+  }
+  Container container(DataDirOptions(dir.path(), clock));
+  EXPECT_EQ(CountRows(&container, "w"), rows_after_recovery);
+}
+
+// The same rule for the manifest: an intact event of an unknown kind is
+// skipped, and a sensor deployed after that recovery comes back.
+TEST(ContainerRecoveryTest, UndecodableManifestEventIsSkipped) {
+  TempDir dir("manifest_undecodable");
+  auto clock = std::make_shared<VirtualClock>();
+  const std::string manifest = dir.path() + "/manifest.gsnlog";
+  {
+    Container container(DataDirOptions(dir.path(), clock));
+    ASSERT_TRUE(container.Deploy(GenDescriptor("before")).ok());
+  }
+  AppendBytes(manifest,
+              storage::FrameLogRecord(std::string("\x09\x01\x00\x00\x00x", 6)));
+  {
+    Container container(DataDirOptions(dir.path(), clock));
+    EXPECT_EQ(SortedSensors(container), std::vector<std::string>{"before"});
+    ASSERT_TRUE(container.Deploy(GenDescriptor("after")).ok());
+  }
+  Container container(DataDirOptions(dir.path(), clock));
+  EXPECT_EQ(container.recovery_failures(), 0u);
+  EXPECT_EQ(SortedSensors(container),
+            (std::vector<std::string>{"after", "before"}));
 }
 
 // ------------------------------------------------------- Concurrent drivers

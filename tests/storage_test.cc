@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <set>
+#include <thread>
 
 #include "gsn/storage/persistence_log.h"
 #include "gsn/storage/table.h"
 #include "gsn/storage/window_buffer.h"
 #include "gsn/types/codec.h"
+#include "gsn/util/logging.h"
+#include "gsn/util/rng.h"
 
 namespace gsn::storage {
 namespace {
@@ -310,7 +315,7 @@ TEST(CodecTest, TrailingBytesRejected) {
   EXPECT_FALSE(Codec::DecodeElementFromString(buf).ok());
 }
 
-// --------------------------------------------------------- PersistenceLog
+// ---------------------------------- persistence log (a RecordLog of elements)
 
 class PersistenceLogTest : public ::testing::Test {
  protected:
@@ -322,20 +327,39 @@ class PersistenceLogTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove(path_); }
 
+  /// The persistence log is a RecordLog of Codec element payloads.
+  static std::string Payload(const StreamElement& e) {
+    return Codec::EncodeElementToString(e);
+  }
+  /// Replays the log into its elements, as recovery does.
+  Result<std::vector<StreamElement>> Recover(bool* truncated) {
+    std::vector<StreamElement> out;
+    auto decode = [&out](std::string_view payload) -> Status {
+      GSN_ASSIGN_OR_RETURN(StreamElement e,
+                           Codec::DecodeElementFromString(payload));
+      out.push_back(std::move(e));
+      return Status::OK();
+    };
+    GSN_ASSIGN_OR_RETURN(RecordLog::ReplayStats stats,
+                         RecordLog::Replay(path_.string(), decode));
+    if (truncated != nullptr) *truncated = stats.torn_tail;
+    return out;
+  }
+
   std::filesystem::path path_;
 };
 
 TEST_F(PersistenceLogTest, AppendAndRecover) {
   {
-    auto log = PersistenceLog::Open(path_.string());
+    auto log = RecordLog::Open(path_.string());
     ASSERT_TRUE(log.ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE((*log)->Append(Elem(i * 100, i)).ok());
+      ASSERT_TRUE((*log)->Append(Payload(Elem(i * 100, i))).ok());
     }
     EXPECT_EQ((*log)->appended_count(), 10u);
   }
   bool truncated = false;
-  auto recovered = PersistenceLog::Recover(path_.string(), &truncated);
+  auto recovered = Recover(&truncated);
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(truncated);
   ASSERT_EQ(recovered->size(), 10u);
@@ -345,7 +369,7 @@ TEST_F(PersistenceLogTest, AppendAndRecover) {
 
 TEST_F(PersistenceLogTest, MissingFileIsEmptyHistory) {
   bool truncated = true;
-  auto recovered = PersistenceLog::Recover(path_.string(), &truncated);
+  auto recovered = Recover(&truncated);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(recovered->empty());
   EXPECT_FALSE(truncated);
@@ -353,17 +377,17 @@ TEST_F(PersistenceLogTest, MissingFileIsEmptyHistory) {
 
 TEST_F(PersistenceLogTest, TornTailWriteIsDroppedOnRecovery) {
   {
-    auto log = PersistenceLog::Open(path_.string());
+    auto log = RecordLog::Open(path_.string());
     ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->Append(Elem(1, 1)).ok());
-    ASSERT_TRUE((*log)->Append(Elem(2, 2)).ok());
+    ASSERT_TRUE((*log)->Append(Payload(Elem(1, 1))).ok());
+    ASSERT_TRUE((*log)->Append(Payload(Elem(2, 2))).ok());
   }
   // Simulate a crash mid-write: chop the last few bytes.
   const auto size = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, size - 3);
 
   bool truncated = false;
-  auto recovered = PersistenceLog::Recover(path_.string(), &truncated);
+  auto recovered = Recover(&truncated);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(truncated);
   ASSERT_EQ(recovered->size(), 1u);
@@ -372,9 +396,9 @@ TEST_F(PersistenceLogTest, TornTailWriteIsDroppedOnRecovery) {
 
 TEST_F(PersistenceLogTest, CorruptPayloadDetectedByCrc) {
   {
-    auto log = PersistenceLog::Open(path_.string());
+    auto log = RecordLog::Open(path_.string());
     ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->Append(Elem(1, 1)).ok());
+    ASSERT_TRUE((*log)->Append(Payload(Elem(1, 1))).ok());
   }
   // Flip a byte in the middle of the file.
   std::FILE* f = std::fopen(path_.c_str(), "r+b");
@@ -384,7 +408,7 @@ TEST_F(PersistenceLogTest, CorruptPayloadDetectedByCrc) {
   std::fclose(f);
 
   bool truncated = false;
-  auto recovered = PersistenceLog::Recover(path_.string(), &truncated);
+  auto recovered = Recover(&truncated);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(truncated);
   EXPECT_TRUE(recovered->empty());
@@ -395,10 +419,10 @@ TEST_F(PersistenceLogTest, OpenTruncatesTornTailSoLaterAppendsSurvive) {
   // every post-crash append sat behind the corrupt bytes and every
   // future Recover stopped before them — durable writes silently lost.
   {
-    auto log = PersistenceLog::Open(path_.string());
+    auto log = RecordLog::Open(path_.string());
     ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->Append(Elem(1, 1)).ok());
-    ASSERT_TRUE((*log)->Append(Elem(2, 2)).ok());
+    ASSERT_TRUE((*log)->Append(Payload(Elem(1, 1))).ok());
+    ASSERT_TRUE((*log)->Append(Payload(Elem(2, 2))).ok());
   }
   // Crash mid-write: hand-corrupt the tail by chopping bytes.
   const auto size = std::filesystem::file_size(path_);
@@ -406,13 +430,13 @@ TEST_F(PersistenceLogTest, OpenTruncatesTornTailSoLaterAppendsSurvive) {
 
   // Reopen (the post-crash boot) and append new history.
   {
-    auto log = PersistenceLog::Open(path_.string());
+    auto log = RecordLog::Open(path_.string());
     ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->Append(Elem(3, 3)).ok());
+    ASSERT_TRUE((*log)->Append(Payload(Elem(3, 3))).ok());
   }
 
   bool truncated = true;
-  auto recovered = PersistenceLog::Recover(path_.string(), &truncated);
+  auto recovered = Recover(&truncated);
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(truncated);  // Open repaired the tail
   ASSERT_EQ(recovered->size(), 2u);
@@ -422,21 +446,23 @@ TEST_F(PersistenceLogTest, OpenTruncatesTornTailSoLaterAppendsSurvive) {
 
 TEST_F(PersistenceLogTest, RewriteCompactsToGivenElements) {
   {
-    auto log = PersistenceLog::Open(path_.string());
+    auto log = RecordLog::Open(path_.string());
     ASSERT_TRUE(log.ok());
     for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE((*log)->Append(Elem(i, i)).ok());
+      ASSERT_TRUE((*log)->Append(Payload(Elem(i, i))).ok());
     }
   }
   const auto before = std::filesystem::file_size(path_);
   // Checkpoint keeps only the retention window (here: the last 2).
-  auto compacted =
-      PersistenceLog::Rewrite(path_.string(), {Elem(98, 98), Elem(99, 99)});
+  auto compacted = RecordLog::Open(path_.string());
   ASSERT_TRUE(compacted.ok());
+  ASSERT_TRUE(
+      (*compacted)->Replace({Payload(Elem(98, 98)), Payload(Elem(99, 99))})
+          .ok());
   EXPECT_LT(std::filesystem::file_size(path_), before);
-  // The handle returned by Rewrite stays appendable.
-  ASSERT_TRUE((*compacted)->Append(Elem(100, 100)).ok());
-  auto recovered = PersistenceLog::Recover(path_.string(), nullptr);
+  // The replaced log stays appendable.
+  ASSERT_TRUE((*compacted)->Append(Payload(Elem(100, 100))).ok());
+  auto recovered = Recover(nullptr);
   ASSERT_TRUE(recovered.ok());
   ASSERT_EQ(recovered->size(), 3u);
   EXPECT_EQ((*recovered)[0].values[0], Value::Int(98));
@@ -445,16 +471,286 @@ TEST_F(PersistenceLogTest, RewriteCompactsToGivenElements) {
 
 TEST_F(PersistenceLogTest, ReopenAppends) {
   {
-    auto log = PersistenceLog::Open(path_.string());
-    ASSERT_TRUE((*log)->Append(Elem(1, 1)).ok());
+    auto log = RecordLog::Open(path_.string());
+    ASSERT_TRUE((*log)->Append(Payload(Elem(1, 1))).ok());
   }
   {
-    auto log = PersistenceLog::Open(path_.string());
-    ASSERT_TRUE((*log)->Append(Elem(2, 2)).ok());
+    auto log = RecordLog::Open(path_.string());
+    ASSERT_TRUE((*log)->Append(Payload(Elem(2, 2))).ok());
   }
-  auto recovered = PersistenceLog::Recover(path_.string(), nullptr);
+  auto recovered = Recover(nullptr);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->size(), 2u);
+}
+
+// --------------------------------------------------------------- RecordLog
+
+class RecordLogTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = (std::filesystem::temp_directory_path() /
+             ("gsn_record_log_test_" + std::to_string(::getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+                .string();
+    TearDown();
+  }
+  void TearDown() override {
+    std::filesystem::remove(path_);
+    std::filesystem::remove_all(path_ + ".tmp");
+  }
+
+  /// Every payload Replay visits, in order.
+  std::vector<std::string> ReplayAll(RecordLog::ReplayStats* stats) {
+    std::vector<std::string> out;
+    auto collect = [&out](std::string_view payload) -> Status {
+      out.emplace_back(payload);
+      return Status::OK();
+    };
+    auto replayed = RecordLog::Replay(path_, collect);
+    EXPECT_TRUE(replayed.ok());
+    if (replayed.ok()) *stats = *replayed;
+    return out;
+  }
+
+  void Overwrite(const std::string& bytes) {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+
+  std::string path_;
+};
+
+/// `n` random payloads: mostly short, sometimes empty, sometimes past
+/// ReadLogFile's 64 KiB read buffer; the last one always short, so a
+/// byte sweep over it stays cheap.
+std::vector<std::string> RandomPayloads(Rng* rng, size_t n) {
+  std::vector<std::string> payloads;
+  for (size_t i = 0; i < n; ++i) {
+    size_t size = rng->NextUint64(40);
+    const uint64_t shape = rng->NextUint64(6);
+    if (shape == 0) size = 0;
+    if (shape == 1 && i + 1 < n) size = 64 * 1024 + rng->NextUint64(512);
+    std::string payload(size, '\0');
+    for (char& c : payload) c = static_cast<char>(rng->NextUint64(256));
+    payloads.push_back(std::move(payload));
+  }
+  return payloads;
+}
+
+TEST_F(RecordLogTest, SeededAppendCutFlipReplaceProperty) {
+  // Every cut and flip below is a torn tail that Replay warns about.
+  struct QuietLogs {
+    LogLevel saved = Logger::Instance().min_level();
+    QuietLogs() { Logger::Instance().set_min_level(LogLevel::kError); }
+    ~QuietLogs() { Logger::Instance().set_min_level(saved); }
+  } quiet;
+  bool saw_empty = false;
+  bool saw_large = false;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TearDown();
+    Rng rng(seed);
+    const std::vector<std::string> payloads =
+        RandomPayloads(&rng, 3 + rng.NextUint64(6));
+    std::vector<size_t> starts;  // byte offset of each record
+    size_t size = 0;
+    for (const std::string& payload : payloads) {
+      starts.push_back(size);
+      size += payload.size() + 9;
+      saw_empty |= payload.empty();
+      saw_large |= payload.size() > 64 * 1024;
+    }
+
+    // Appended payloads replay exactly.
+    {
+      auto log = RecordLog::Open(path_);
+      ASSERT_TRUE(log.ok());
+      for (const std::string& payload : payloads) {
+        ASSERT_TRUE((*log)->Append(payload).ok());
+      }
+      EXPECT_EQ((*log)->appended_count(), payloads.size());
+    }
+    RecordLog::ReplayStats stats;
+    EXPECT_EQ(ReplayAll(&stats), payloads);
+    EXPECT_EQ(stats.records, payloads.size());
+    EXPECT_EQ(stats.skipped, 0u);
+    EXPECT_FALSE(stats.torn_tail);
+    auto whole = ReadLogFile(path_);
+    ASSERT_TRUE(whole.ok());
+    ASSERT_EQ(whole->size(), size);
+
+    // A cut anywhere inside the last record is a torn tail; Open repairs
+    // it and a fresh append replays right behind the intact prefix.
+    const std::vector<std::string> prefix(payloads.begin(),
+                                          payloads.end() - 1);
+    for (size_t cut = starts.back() + 1; cut < size; ++cut) {
+      SCOPED_TRACE("cut at " + std::to_string(cut));
+      Overwrite(whole->substr(0, cut));
+      EXPECT_EQ(ReplayAll(&stats), prefix);
+      EXPECT_TRUE(stats.torn_tail);
+      {
+        auto log = RecordLog::Open(path_);
+        ASSERT_TRUE(log.ok());
+        ASSERT_TRUE((*log)->Append("fresh").ok());
+      }
+      std::vector<std::string> repaired = prefix;
+      repaired.push_back("fresh");
+      EXPECT_EQ(ReplayAll(&stats), repaired);
+      EXPECT_FALSE(stats.torn_tail);
+    }
+
+    // Flipping any byte of a record's frame (magic, length, CRC) ends
+    // the log before that record.
+    for (size_t r = 0; r < payloads.size(); ++r) {
+      const size_t end = starts[r] + payloads[r].size() + 9;
+      for (size_t at : {starts[r], starts[r] + 1, starts[r] + 2, starts[r] + 3,
+                        starts[r] + 4, end - 4, end - 3, end - 2, end - 1}) {
+        SCOPED_TRACE("flip at " + std::to_string(at));
+        std::string flipped = *whole;
+        flipped[at] = static_cast<char>(flipped[at] ^
+                                        (1 + rng.NextUint64(255)));
+        Overwrite(flipped);
+        EXPECT_EQ(ReplayAll(&stats),
+                  std::vector<std::string>(payloads.begin(),
+                                           payloads.begin() + r));
+        EXPECT_TRUE(stats.torn_tail);
+      }
+    }
+
+    // Replay after Replace is the replacement, then later appends.
+    Overwrite(*whole);
+    const std::vector<std::string> replacement =
+        RandomPayloads(&rng, rng.NextUint64(4));
+    const std::vector<std::string> later = RandomPayloads(&rng, 2);
+    {
+      auto log = RecordLog::Open(path_);
+      ASSERT_TRUE(log.ok());
+      ASSERT_TRUE((*log)->Replace(replacement).ok());
+      EXPECT_EQ((*log)->appended_count(), 0u);
+      for (const std::string& payload : later) {
+        ASSERT_TRUE((*log)->Append(payload).ok());
+      }
+    }
+    std::vector<std::string> expected = replacement;
+    expected.insert(expected.end(), later.begin(), later.end());
+    EXPECT_EQ(ReplayAll(&stats), expected);
+    EXPECT_FALSE(stats.torn_tail);
+  }
+  EXPECT_TRUE(saw_empty);
+  EXPECT_TRUE(saw_large);
+}
+
+// The record rule: an intact frame whose payload the decoder rejects is
+// skipped with one warning, and replay goes on past it.
+TEST_F(RecordLogTest, RejectedPayloadIsSkippedWithOneWarning) {
+  {
+    auto log = RecordLog::Open(path_);
+    ASSERT_TRUE(log.ok());
+    for (const char* payload : {"a", "bad", "c"}) {
+      ASSERT_TRUE((*log)->Append(payload).ok());
+    }
+  }
+  std::vector<std::string> warnings;
+  Logger::Instance().SetSink(
+      [&warnings](const std::string& line) { warnings.push_back(line); });
+  std::vector<std::string> visited;
+  auto replayed =
+      RecordLog::Replay(path_, [&visited](std::string_view payload) {
+        if (payload == "bad") return Status::ParseError("not a record");
+        visited.emplace_back(payload);
+        return Status::OK();
+      });
+  Logger::Instance().SetSink(nullptr);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(visited, (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(replayed->records, 3u);
+  EXPECT_EQ(replayed->skipped, 1u);
+  EXPECT_FALSE(replayed->torn_tail);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("not a record"), std::string::npos);
+}
+
+// A compaction that cannot write its temp file leaves the old log and
+// handle as they were, still appendable.
+TEST_F(RecordLogTest, FailedReplaceLeavesTheOldLogAppendable) {
+  auto log = RecordLog::Open(path_);
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE((*log)->Append("a").ok());
+  std::filesystem::create_directories(path_ + ".tmp");
+  EXPECT_FALSE((*log)->Replace({"x"}).ok());
+  ASSERT_TRUE((*log)->Append("b").ok());
+  EXPECT_EQ((*log)->appended_count(), 2u);
+  RecordLog::ReplayStats stats;
+  EXPECT_EQ(ReplayAll(&stats), (std::vector<std::string>{"a", "b"}));
+
+  std::filesystem::remove(path_ + ".tmp");
+  ASSERT_TRUE((*log)->Replace({"x"}).ok());
+  ASSERT_TRUE((*log)->Append("c").ok());
+  EXPECT_EQ(ReplayAll(&stats), (std::vector<std::string>{"x", "c"}));
+  EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
+}
+
+// Appends from several threads race Replace and Sync on one handle: no
+// append tears the log, and every append that began after the last
+// Replace returned is in it.
+TEST_F(RecordLogTest, ConcurrentAppendsReplaceAndSync) {
+  constexpr int kWriters = 4;
+  constexpr int kAppendsPerWriter = 300;
+  constexpr int kReplaces = 12;
+  auto log = RecordLog::Open(path_);
+  ASSERT_TRUE(log.ok());
+  RecordLog* handle = log->get();
+
+  std::atomic<int> replaces_done{0};
+  // Per writer: the replace generation each append saw before it began.
+  std::vector<std::vector<int>> began_after(kWriters);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kAppendsPerWriter; ++i) {
+        began_after[w].push_back(replaces_done.load());
+        EXPECT_TRUE(
+            handle->Append(Codec::EncodeElementToString(Elem(w, i))).ok());
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int r = 1; r <= kReplaces; ++r) {
+      EXPECT_TRUE(
+          handle->Replace({Codec::EncodeElementToString(Elem(-1, r))}).ok());
+      replaces_done.store(r);
+      EXPECT_TRUE(handle->Sync().ok());
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  std::vector<StreamElement> replayed;
+  auto decode = [&replayed](std::string_view payload) -> Status {
+    GSN_ASSIGN_OR_RETURN(StreamElement e,
+                         Codec::DecodeElementFromString(payload));
+    replayed.push_back(std::move(e));
+    return Status::OK();
+  };
+  auto stats = RecordLog::Replay(path_, decode);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_FALSE(stats->torn_tail);
+  EXPECT_EQ(stats->skipped, 0u);
+  ASSERT_FALSE(replayed.empty());
+  // The last replacement heads the log.
+  EXPECT_EQ(replayed[0].timed, -1);
+  EXPECT_EQ(replayed[0].values[0], Value::Int(kReplaces));
+  std::set<std::pair<Timestamp, int64_t>> present;
+  for (const StreamElement& e : replayed) {
+    present.emplace(e.timed, e.values[0].int_value());
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kAppendsPerWriter; ++i) {
+      if (began_after[w][i] < kReplaces) continue;
+      EXPECT_TRUE(present.count({w, i})) << "writer " << w << " append " << i;
+    }
+  }
 }
 
 TEST(Crc32Test, KnownVector) {
