@@ -1,11 +1,13 @@
 // Ablation: count- vs time-based windows (DESIGN.md §4). Measures the
 // storage layer's window maintenance (Add + Snapshot) and the SQL
 // aggregation cost over growing window populations — the mechanism
-// behind Fig 3's interval dependence.
+// behind Fig 3's interval dependence — through the executor and through
+// the window's incremental answer.
 
 #include <benchmark/benchmark.h>
 
 #include "gsn/sql/executor.h"
+#include "gsn/sql/incremental.h"
 #include "gsn/sql/parser.h"
 #include "gsn/storage/window_buffer.h"
 
@@ -89,6 +91,34 @@ void BM_AvgOverWindow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_AvgOverWindow)->Arg(2)->Arg(20)->Arg(200)->Arg(2000);
+
+/// The same statement answered incrementally (docs/PERFORMANCE.md §6):
+/// the window folds its kept `value` column, no snapshot, no executor.
+void BM_AvgOverWindowIncremental(benchmark::State& state) {
+  gsn::Schema schema;
+  schema.AddField("seq", gsn::DataType::kInt);
+  schema.AddField("value", gsn::DataType::kDouble);
+  WindowSpec spec;
+  spec.kind = WindowSpec::Kind::kCount;
+  spec.count = state.range(0);
+  gsn::storage::WindowBuffer buffer(spec);
+  for (int i = 0; i < state.range(0); ++i) {
+    buffer.Add(Elem(i * kMicrosPerMilli));
+  }
+  auto stmt = gsn::sql::ParseSelect("select avg(value) from wrapper");
+  const auto plan = gsn::sql::CompileIncremental(**stmt, "wrapper",
+                                                 schema.WithTimedField());
+  if (!plan.has_value()) {
+    state.SkipWithError("statement did not compile to the incremental path");
+    return;
+  }
+  const Timestamp now = state.range(0) * kMicrosPerMilli;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(buffer.Answer(*plan, now));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_AvgOverWindowIncremental)->Arg(2)->Arg(20)->Arg(200)->Arg(2000);
 
 }  // namespace
 

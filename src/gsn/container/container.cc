@@ -283,11 +283,13 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
   Deployment deployment;
   deployment.key = key;
   deployment.table = table;
+  // The table's scans read the history segments that survived for its
+  // name; later checkpoints publish theirs to it as they flush.
+  if (segments_ != nullptr) table->AttachSegments(segments_->SegmentsFor(key));
 
   // Permanent storage: open the per-sensor log and replay history.
   if (spec.storage.permanent && !options_.storage_dir.empty()) {
-    const std::string path =
-        options_.storage_dir + "/" + StrToLower(spec.name) + ".gsnlog";
+    const std::string path = WalPath(key);
     // Capture must be on before WAL replay: rows the replay pushes out
     // of the retention window are exactly the ones the next checkpoint
     // owes the history tier (or, post-crash, the ones to dedup below).
@@ -572,15 +574,28 @@ Status Container::Undeploy(const std::string& sensor_name,
   deployment->sensor->Stop();
 
   GSN_RETURN_IF_ERROR(tables_.DropTable(sensor_name));
-  // Operator undeploys retire the sensor's cold history with it;
-  // process-exit teardown keeps the segments (they come back with the
-  // sensor on restart), mirroring the manifest rule below.
-  if (segments_ != nullptr && !recovering_ && record_undeploy) {
-    const Status dropped = segments_->DropTable(key);
-    if (!dropped.ok()) {
-      GSN_LOG(kWarn, "container")
-          << options_.node_id << ": segment drop for '" << sensor_name
-          << "' failed: " << dropped;
+  // Operator undeploys retire the sensor's cold history and its WAL
+  // with it, so deploying the name again starts empty; process-exit
+  // teardown keeps both (they come back with the sensor on restart),
+  // mirroring the manifest rule below.
+  if (!recovering_ && record_undeploy) {
+    if (segments_ != nullptr) {
+      const Status dropped = segments_->DropTable(key);
+      if (!dropped.ok()) {
+        GSN_LOG(kWarn, "container")
+            << options_.node_id << ": segment drop for '" << sensor_name
+            << "' failed: " << dropped;
+      }
+    }
+    if (deployment->log != nullptr) {
+      deployment->log.reset();
+      std::error_code ec;
+      std::filesystem::remove(WalPath(key), ec);
+      if (ec) {
+        GSN_LOG(kWarn, "container")
+            << options_.node_id << ": WAL removal for '" << sensor_name
+            << "' failed: " << ec.message();
+      }
     }
   }
   // Retire the sensor's metric series; its handles die with `deployment`.
@@ -948,22 +963,25 @@ Status Container::Checkpoint() {
       // the WAL rewrite drops them from the log. Durability order is
       // segment fsync -> catalog journal fsync -> WAL rewrite, so a
       // crash at any point leaves every row in at least one tier (the
-      // deploy-time seam dedup handles "in both"). If the flush fails
-      // the rows go back to pending and the rewrite is skipped — the
-      // uncompacted WAL remains their durable home.
+      // deploy-time seam dedup handles "in both"). The rows stay pending,
+      // and so visible to queries, until the table publishes the
+      // segment in one step; if the flush fails nothing is published
+      // and the rewrite is skipped — the uncompacted WAL remains their
+      // durable home.
       if (segments_ != nullptr && deployment.table->history_capture_enabled()) {
-        Relation::RowList evicted = deployment.table->TakeEvicted();
+        const Relation::RowList evicted =
+            deployment.table->PendingEvictedRows();
         if (!evicted.empty()) {
           Result<storage::columnar::SegmentMeta> flushed = segments_->Flush(
               key, deployment.table->row_schema(), evicted);
           if (!flushed.ok()) {
-            deployment.table->RestoreEvicted(std::move(evicted));
             if (first_error.ok()) first_error = flushed.status();
             GSN_LOG(kWarn, "container")
                 << options_.node_id << ": '" << deployment.sensor->name()
                 << "' segment flush failed: " << flushed.status();
             continue;
           }
+          deployment.table->PublishSegment(*std::move(flushed), evicted);
         }
       }
       // Rewrite the WAL to exactly the rows still inside the table's
@@ -1385,16 +1403,29 @@ Result<Relation> Container::CatalogResolver::GetTable(
   return container_->tables_.GetTable(name);
 }
 
+namespace {
+
+bool IsVirtualTable(const std::string& key) {
+  return key == "gsn_sensors" || key == "gsn_wrappers" ||
+         key == "gsn_directory";
+}
+
+}  // namespace
+
 Result<Relation> Container::CatalogResolver::GetTableFiltered(
     const std::string& name, const sql::ScanPredicate& predicate,
     sql::ScanStats* stats) const {
-  const std::string key = StrToLower(name);
   // The gsn_* virtual tables are synthesized per query; no cold tier
   // to prune, so the predicate is left to the WHERE evaluation.
-  if (key == "gsn_sensors" || key == "gsn_wrappers" || key == "gsn_directory") {
-    return GetTable(name);
-  }
+  if (IsVirtualTable(StrToLower(name))) return GetTable(name);
   return container_->tables_.GetTableFiltered(name, predicate, stats);
+}
+
+sql::ViewVersion Container::CatalogResolver::TableVersion(
+    const std::string& name) const {
+  // A virtual table is rebuilt per query: it has no versioned view.
+  if (IsVirtualTable(StrToLower(name))) return sql::ViewVersion{};
+  return container_->tables_.TableVersion(name);
 }
 
 std::vector<Container::TopologyEdge> Container::Topology() {

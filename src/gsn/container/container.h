@@ -484,6 +484,11 @@ class Container {
   /// feature costs nothing when unused.
   void RefreshSystemSnapshot();
 
+  /// `<storage_dir>/<key>.gsnlog`: a permanent sensor's WAL.
+  std::string WalPath(const std::string& key) const {
+    return options_.storage_dir + "/" + key + ".gsnlog";
+  }
+
   /// System catalog exposed to SQL: virtual tables describing the
   /// container itself, falling back to the sensor output tables.
   class CatalogResolver : public sql::TableResolver {
@@ -496,6 +501,7 @@ class Container {
     Result<Relation> GetTableFiltered(const std::string& name,
                                       const sql::ScanPredicate& predicate,
                                       sql::ScanStats* stats) const override;
+    sql::ViewVersion TableVersion(const std::string& name) const override;
 
    private:
     Container* container_;

@@ -89,6 +89,10 @@ QueryManager::QueryManager(const sql::TableResolver* resolver,
   metrics_.continuous_runs = registry->GetCounter(
       "gsn_continuous_runs_total", {},
       "Continuous query re-executions triggered by new elements");
+  metrics_.continuous_reseeds = registry->GetCounter(
+      "gsn_continuous_reseeds_total", {},
+      "Running folds of continuous aggregates rebuilt from a full scan "
+      "after their table's view changed other than by the batch");
   metrics_.slow_queries = registry->GetCounter(
       "gsn_slow_queries_total", {},
       "Queries that crossed the slow-query threshold");
@@ -242,6 +246,9 @@ Result<int64_t> QueryManager::RegisterContinuous(const std::string& sql_text,
   query.stmt = stmt;
   CollectTables(*stmt, &query.tables);
   query.callback = std::move(callback);
+  if (sql::IncrementalShape(*stmt) == sql::IncrementalPlan::Shape::kAggregate) {
+    query.running = std::make_shared<RunningFold>();
+  }
   std::lock_guard<telemetry::TimedMutex> lock(mu_);
   const int64_t id = next_id_++;
   continuous_[id] = std::move(query);
@@ -263,44 +270,106 @@ size_t QueryManager::NumContinuous() const {
 
 int QueryManager::OnNewElement(const std::string& sensor_name,
                                const TraceContext& trace) {
+  return RunContinuous(sensor_name, trace, nullptr);
+}
+
+int QueryManager::RunContinuous(const std::string& sensor_name,
+                                const TraceContext& trace,
+                                const std::vector<StreamElement>* batch) {
   const std::string key = StrToLower(sensor_name);
   struct Pending {
     std::shared_ptr<sql::SelectStmt> stmt;
     ContinuousCallback callback;
     std::string sql_text;
+    std::shared_ptr<RunningFold> running;
   };
   std::vector<Pending> pending;
   {
     std::lock_guard<telemetry::TimedMutex> lock(mu_);
     for (const auto& [id, query] : continuous_) {
       if (query.tables.count(key)) {
-        pending.push_back({query.stmt, query.callback, query.sql_text});
+        pending.push_back(
+            {query.stmt, query.callback, query.sql_text, query.running});
       }
     }
   }
   const std::string source = "continuous:" + StrToLower(sensor_name);
   int ran = 0;
   for (const Pending& p : pending) {
-    sql::Executor exec(resolver_);
     sql::AnalyzeCollector analyze;
     const bool analyzing = slow_query_micros() > 0;
-    if (analyzing) exec.set_analyze(&analyze);
     telemetry::Span exec_span(tracer_.load(std::memory_order_relaxed),
                               "query.continuous", trace,
                               metrics_.exec_micros.get());
     exec_span.set_sensor(sensor_name);
-    Result<Relation> result = exec.Execute(*p.stmt);
+    std::optional<Result<Relation>> result;
+    if (p.running != nullptr) {
+      result = RunIncremental(*p.stmt, p.running.get(), batch);
+    }
+    const bool executed = !result.has_value();
+    if (executed) {
+      sql::Executor exec(resolver_);
+      if (analyzing) exec.set_analyze(&analyze);
+      result = exec.Execute(*p.stmt);
+    }
     const int64_t elapsed = exec_span.Stop();
     metrics_.continuous_runs->Increment();
-    if (!result.ok()) exec_span.set_error();
+    if (!result->ok()) exec_span.set_error();
     MaybeLogSlow(p.sql_text, source, elapsed, p.stmt.get(),
-                 analyzing ? &analyze : nullptr);
-    if (result.ok()) {
-      p.callback(sensor_name, *result);
+                 analyzing && executed ? &analyze : nullptr);
+    if (result->ok()) {
+      p.callback(sensor_name, **result);
       ++ran;
     }
   }
   return ran;
+}
+
+std::optional<Result<Relation>> QueryManager::RunIncremental(
+    const sql::SelectStmt& stmt, RunningFold* running,
+    const std::vector<StreamElement>* batch) {
+  const std::string& table = stmt.from[0]->table_name;
+  const sql::ViewVersion now = resolver_->TableVersion(table);
+  if (now.epoch == 0) return std::nullopt;
+  {
+    std::lock_guard<std::mutex> lock(running->mu);
+    if (running->plan.has_value() && now.epoch == running->version.epoch) {
+      // The view grew by exactly this batch: fold just the batch in.
+      if (batch != nullptr &&
+          now.appended == running->version.appended + batch->size()) {
+        for (const StreamElement& element : *batch) {
+          running->plan->Accumulate(*Relation::RowFromElement(element),
+                                    &running->folds);
+        }
+        running->rows += static_cast<int64_t>(batch->size());
+        running->version = now;
+      }
+      if (running->version == now) {
+        return running->plan->AggregateAnswer(running->folds, running->rows);
+      }
+    }
+  }
+  // Any other change: one fold of the whole view, at the version the
+  // scan read.
+  sql::ScanStats stats;
+  Result<Relation> view =
+      resolver_->GetTableFiltered(table, sql::ScanPredicate{}, &stats);
+  if (!view.ok() || stats.version.epoch == 0) return std::nullopt;
+  // A statement naming a column the table lacks fails in the executor.
+  std::optional<sql::IncrementalPlan> plan =
+      sql::CompileIncremental(stmt, table, view->schema());
+  if (!plan.has_value()) return std::nullopt;
+  std::vector<sql::Fold> folds = plan->NewFolds();
+  for (const Relation::SharedRow& row : view->shared_rows()) {
+    plan->Accumulate(*row, &folds);
+  }
+  metrics_.continuous_reseeds->Increment();
+  std::lock_guard<std::mutex> lock(running->mu);
+  running->plan = std::move(plan);
+  running->folds = std::move(folds);
+  running->rows = static_cast<int64_t>(view->NumRows());
+  running->version = stats.version;
+  return running->plan->AggregateAnswer(running->folds, running->rows);
 }
 
 int QueryManager::OnNewElementBatch(const std::string& sensor_name,
@@ -316,7 +385,7 @@ int QueryManager::OnNewElementBatch(const std::string& sensor_name,
   // The batch is fully inserted into the sensor's table by the time the
   // container invokes us, so one run per affected query sees the same
   // table state as the last of N per-element runs.
-  return OnNewElement(sensor_name, trace);
+  return RunContinuous(sensor_name, trace, &batch);
 }
 
 void QueryManager::set_cache_enabled(bool enabled) {
@@ -355,6 +424,7 @@ QueryManager::Stats QueryManager::stats() const {
   stats.cache_hits = metrics_.cache_hits->Value();
   stats.cache_misses = metrics_.cache_misses->Value();
   stats.continuous_runs = metrics_.continuous_runs->Value();
+  stats.continuous_reseeds = metrics_.continuous_reseeds->Value();
   stats.slow_queries = metrics_.slow_queries->Value();
   stats.parse_micros = metrics_.parse_micros->TakeSnapshot().sum;
   stats.exec_micros = metrics_.exec_micros->TakeSnapshot().sum;

@@ -8,11 +8,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "gsn/sql/executor.h"
+#include "gsn/sql/incremental.h"
 #include "gsn/telemetry/metrics.h"
 #include "gsn/telemetry/profiler.h"
 #include "gsn/telemetry/tracing.h"
@@ -77,6 +79,14 @@ class QueryManager {
   /// per affected query yields exactly the result the last per-element
   /// re-execution would have — N-1 intermediate runs are skipped. The
   /// runs continue the trace of the first traced element in the batch.
+  ///
+  /// A query of the aggregate shape over one table (sql/incremental.h)
+  /// keeps a running fold instead: while the table's view has only
+  /// grown by `batch` since its last fold, it folds just `batch` in;
+  /// any other change re-seeds it with one fold of the whole view
+  /// (counted in gsn_continuous_reseeds_total). Batches of one table
+  /// must arrive in insert order, one at a time, as the container's
+  /// per-sensor pipeline delivers them.
   int OnNewElementBatch(const std::string& sensor_name,
                         const std::vector<StreamElement>& batch);
 
@@ -134,6 +144,7 @@ class QueryManager {
     int64_t cache_hits = 0;
     int64_t cache_misses = 0;
     int64_t continuous_runs = 0;
+    int64_t continuous_reseeds = 0;
     int64_t slow_queries = 0;
     /// Cumulative wall time split by phase, microseconds.
     int64_t parse_micros = 0;
@@ -154,12 +165,36 @@ class QueryManager {
   const telemetry::TimedMutex& cache_lock() const { return mu_; }
 
  private:
+  /// The running state of an aggregate-shaped continuous query: once
+  /// seeded (`plan` set), `folds` cover exactly its table's view at
+  /// `version`. `mu` is a leaf, taken with no other lock held.
+  struct RunningFold {
+    std::mutex mu;
+    sql::ViewVersion version;
+    std::optional<sql::IncrementalPlan> plan;
+    std::vector<sql::Fold> folds;
+    int64_t rows = 0;
+  };
+
   struct ContinuousQuery {
     std::string sql_text;
     std::shared_ptr<sql::SelectStmt> stmt;
     std::set<std::string> tables;  // lowercased base tables referenced
     ContinuousCallback callback;
+    /// Set for the aggregate shape over one table.
+    std::shared_ptr<RunningFold> running;
   };
+
+  /// Re-runs the continuous queries on `sensor_name`; `batch` is what
+  /// the sensor's table just appended, when known.
+  int RunContinuous(const std::string& sensor_name, const TraceContext& trace,
+                    const std::vector<StreamElement>* batch);
+  /// The answer of an aggregate-shaped continuous query from its running
+  /// fold; nullopt when the executor has to answer (unversioned table,
+  /// or names the statement does not resolve against it).
+  std::optional<Result<Relation>> RunIncremental(
+      const sql::SelectStmt& stmt, RunningFold* running,
+      const std::vector<StreamElement>* batch);
 
   static constexpr size_t kSlowLogCapacity = 32;
 
@@ -180,6 +215,7 @@ class QueryManager {
     std::shared_ptr<telemetry::Counter> cache_misses;
     std::shared_ptr<telemetry::Counter> cache_evictions;
     std::shared_ptr<telemetry::Counter> continuous_runs;
+    std::shared_ptr<telemetry::Counter> continuous_reseeds;
     std::shared_ptr<telemetry::Counter> slow_queries;
     std::shared_ptr<telemetry::Histogram> parse_micros;
     std::shared_ptr<telemetry::Histogram> exec_micros;

@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 
+#include "gsn/sql/incremental.h"
 #include "gsn/sql/parser.h"
 #include "gsn/telemetry/metrics.h"
 #include "gsn/util/strings.h"
@@ -726,90 +727,6 @@ struct ValueLess {
   }
 };
 
-/// Running COUNT/SUM/AVG/MIN/MAX over a group's non-NULL argument
-/// values, fed in input order. SUM stays integral while every value is
-/// an int or bool; the double sum runs alongside in the same order, so
-/// either result equals summing the gathered values afterwards.
-class Fold {
- public:
-  enum class Kind { kCount, kSum, kAvg, kMin, kMax };
-
-  /// The fold computing aggregate `fn`; nullopt for the ones that need
-  /// every value first (STDDEV, VARIANCE).
-  static std::optional<Kind> KindOf(const std::string& fn) {
-    if (fn == "COUNT") return Kind::kCount;
-    if (fn == "SUM") return Kind::kSum;
-    if (fn == "AVG") return Kind::kAvg;
-    if (fn == "MIN") return Kind::kMin;
-    if (fn == "MAX") return Kind::kMax;
-    return std::nullopt;
-  }
-
-  explicit Fold(Kind kind) : kind_(kind) {}
-
-  void Add(Value v) {
-    ++count_;
-    switch (kind_) {
-      case Kind::kCount:
-        return;
-      case Kind::kMin:
-      case Kind::kMax: {
-        if (count_ == 1) {
-          best_ = std::move(v);
-          return;
-        }
-        const int c = v.Compare(best_);
-        if (kind_ == Kind::kMin ? c < 0 : c > 0) best_ = std::move(v);
-        return;
-      }
-      case Kind::kSum:
-      case Kind::kAvg: {
-        if (v.is_int() || v.is_bool()) {
-          // Wrapping add: a SUM that later turns double discards this
-          // partial sum, so its overflow must not trap.
-          int_sum_ += static_cast<uint64_t>(v.is_int() ? v.int_value()
-                                                       : v.bool_value());
-        } else {
-          all_int_ = false;
-        }
-        Result<double> d = v.AsDouble();
-        if (d.ok()) {
-          sum_ += *d;
-        } else if (not_numeric_.ok()) {
-          not_numeric_ = d.status();
-        }
-        return;
-      }
-    }
-  }
-
-  Result<Value> Finish() const {
-    if (kind_ == Kind::kCount) return Value::Int(count_);
-    if (count_ == 0) return Value::Null();
-    switch (kind_) {
-      case Kind::kMin:
-      case Kind::kMax:
-        return best_;
-      case Kind::kSum:
-        if (all_int_) return Value::Int(static_cast<int64_t>(int_sum_));
-        GSN_RETURN_IF_ERROR(not_numeric_);
-        return Value::Double(sum_);
-      default:
-        GSN_RETURN_IF_ERROR(not_numeric_);
-        return Value::Double(sum_ / static_cast<double>(count_));
-    }
-  }
-
- private:
-  Kind kind_;
-  int64_t count_ = 0;
-  Value best_;
-  bool all_int_ = true;
-  uint64_t int_sum_ = 0;
-  double sum_ = 0;
-  Status not_numeric_;  // first SUM/AVG value without a numeric reading
-};
-
 /// Computes one aggregate over the rows of a group. COUNT/SUM/AVG/MIN/MAX
 /// fold each value as it is evaluated; DISTINCT, STDDEV and VARIANCE
 /// gather the non-NULL values first.
@@ -835,7 +752,7 @@ Result<Value> ComputeAggregate(Evaluator& eval, const Expr& agg,
     GSN_ASSIGN_OR_RETURN(Value v, eval.Eval(*agg.children[0], binding));
     if (v.is_null()) continue;
     if (streams) {
-      fold.Add(std::move(v));
+      fold.Add(v);
     } else {
       values.push_back(std::move(v));
     }
@@ -846,7 +763,7 @@ Result<Value> ComputeAggregate(Evaluator& eval, const Expr& agg,
     values.assign(uniq.begin(), uniq.end());
   }
   if (kind.has_value()) {
-    for (Value& v : values) fold.Add(std::move(v));
+    for (const Value& v : values) fold.Add(v);
     return fold.Finish();
   }
   if (fn != "STDDEV" && fn != "VARIANCE") {
@@ -988,6 +905,35 @@ std::string OutputName(const SelectItem& item) {
   if (!item.alias.empty()) return item.alias;
   if (item.expr->kind == ExprKind::kColumnRef) return item.expr->column;
   return StrToLower(item.expr->ToString());
+}
+
+/// The schema of `stmt`'s select list over `in_schema`: a star expands
+/// to the base names of the input columns it covers, any other item is
+/// named by OutputName and typed by inference.
+Result<Schema> OutputSchema(const SelectStmt& stmt, const Schema& in_schema) {
+  Schema out_schema;
+  for (const SelectItem& item : stmt.items) {
+    if (item.is_star) {
+      for (const Field& f : in_schema.fields()) {
+        std::string_view fq, base;
+        SplitFieldName(f.name, &fq, &base);
+        if (!item.star_qualifier.empty() &&
+            !StrEqualsIgnoreCase(fq, item.star_qualifier)) {
+          continue;
+        }
+        out_schema.AddField(std::string(base), f.type);
+      }
+      if (!item.star_qualifier.empty() &&
+          out_schema.empty()) {
+        return Status::ExecutionError("unknown table in " +
+                                      item.star_qualifier + ".*");
+      }
+    } else {
+      out_schema.AddField(OutputName(item),
+                          InferTypeOrDefault(*item.expr, in_schema));
+    }
+  }
+  return out_schema;
 }
 
 /// Prefixes every field of `schema` with `alias.` (stripping any
@@ -1397,29 +1343,7 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
     }
   }
 
-  // Build output schema from select items.
-  Schema out_schema;
-  for (const SelectItem& item : stmt.items) {
-    if (item.is_star) {
-      for (const Field& f : in_schema.fields()) {
-        std::string_view fq, base;
-        SplitFieldName(f.name, &fq, &base);
-        if (!item.star_qualifier.empty() &&
-            !StrEqualsIgnoreCase(fq, item.star_qualifier)) {
-          continue;
-        }
-        out_schema.AddField(std::string(base), f.type);
-      }
-      if (!item.star_qualifier.empty() &&
-          out_schema.empty()) {
-        return Status::ExecutionError("unknown table in " +
-                                      item.star_qualifier + ".*");
-      }
-    } else {
-      out_schema.AddField(OutputName(item),
-                          InferTypeOrDefault(*item.expr, in_schema));
-    }
-  }
+  GSN_ASSIGN_OR_RETURN(const Schema out_schema, OutputSchema(stmt, in_schema));
 
   CoreResult result;
   result.projected = Relation(out_schema);
@@ -1793,6 +1717,73 @@ Result<Relation> Executor::Execute(const SelectStmt& stmt) const {
 Result<Relation> Executor::Query(const std::string& sql) const {
   GSN_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt, ParseSelect(sql));
   return Execute(*stmt);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental shapes (incremental.h)
+// ---------------------------------------------------------------------------
+
+std::optional<IncrementalPlan> CompileIncremental(const SelectStmt& stmt,
+                                                  std::string_view relation,
+                                                  const Schema& row_schema) {
+  const std::optional<IncrementalPlan::Shape> shape = IncrementalShape(stmt);
+  const TableRef* ref = shape.has_value() ? stmt.from[0].get() : nullptr;
+  if (ref == nullptr || !StrEqualsIgnoreCase(ref->table_name, relation)) {
+    return std::nullopt;
+  }
+  // Resolve names exactly as the executor would over this relation.
+  const Schema in_schema = QualifySchema(
+      row_schema, ref->alias.empty() ? StrToLower(ref->table_name)
+                                     : ref->alias);
+  Result<Schema> out_schema = OutputSchema(stmt, in_schema);
+  if (!out_schema.ok()) return std::nullopt;
+  IncrementalPlan plan;
+  plan.shape = *shape;
+  plan.output_schema = *std::move(out_schema);
+  const auto slot_of = [&in_schema](const Expr& column) {
+    return ResolveColumn(in_schema, column.qualifier, column.column);
+  };
+
+  if (plan.shape == IncrementalPlan::Shape::kAggregate) {
+    for (const SelectItem& item : stmt.items) {
+      const Expr& arg = *item.expr->children[0];
+      IncrementalPlan::Aggregate agg;
+      agg.kind = *Fold::KindOf(item.expr->function);
+      agg.count_star = arg.kind == ExprKind::kStar;
+      if (!agg.count_star) {
+        Result<size_t> slot = slot_of(arg);
+        if (!slot.ok()) return std::nullopt;
+        agg.slot = *slot;
+      }
+      plan.aggregates.push_back(agg);
+    }
+    return plan;
+  }
+
+  // Newest row. The executor sorts on the key resolved against the
+  // output columns first, then the source row; either way it must be
+  // slot 0, the row's `timed`, for the newest entry to be its answer.
+  const bool pass_through = stmt.items[0].is_star;
+  if (!pass_through) {
+    for (const SelectItem& item : stmt.items) {
+      Result<size_t> slot = slot_of(*item.expr);
+      if (!slot.ok()) return std::nullopt;
+      plan.projection.push_back(*slot);
+    }
+  }
+  const Expr& key = *stmt.order_by[0].expr;
+  Result<size_t> key_slot =
+      ResolveColumn(plan.output_schema, key.qualifier, key.column);
+  if (key_slot.ok()) {
+    if (!pass_through) key_slot = plan.projection[*key_slot];
+  } else if (key_slot.status().code() == StatusCode::kNotFound) {
+    key_slot = slot_of(key);
+  }
+  if (!key_slot.ok() || *key_slot != 0 || row_schema.empty() ||
+      !StrEqualsIgnoreCase(row_schema.field(0).name, kTimedField)) {
+    return std::nullopt;
+  }
+  return plan;
 }
 
 }  // namespace gsn::sql

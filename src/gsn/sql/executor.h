@@ -36,6 +36,15 @@ class TableResolver {
     (void)stats;
     return GetTable(name);
   }
+
+  /// The current version of `name`'s view, for continuous aggregates
+  /// that fold only what a batch appended; a versioning resolver also
+  /// reports in ScanStats::version the version each scan read. The
+  /// default (epoch 0) leaves every statement to the executor.
+  virtual ViewVersion TableVersion(const std::string& name) const {
+    (void)name;
+    return ViewVersion{};
+  }
 };
 
 /// Simple in-memory resolver backed by a name → Relation map.

@@ -36,6 +36,19 @@ struct ScanPredicate {
   std::string ToString() const;
 };
 
+/// How far one table's unified view (segments + pending + live rows)
+/// has grown. `epoch` changes whenever the view changes other than by
+/// appending rows at its end (a row leaves it, or rows enter anywhere
+/// else), and `appended` counts the rows appended since. Epochs are
+/// unique process-wide, so a dropped and recreated table never repeats
+/// one; epoch 0 means the resolver does not version the table.
+struct ViewVersion {
+  uint64_t epoch = 0;
+  uint64_t appended = 0;
+
+  bool operator==(const ViewVersion&) const = default;
+};
+
 /// Counters a storage tier fills in while serving one pruned scan;
 /// surfaced through EXPLAIN ANALYZE and the gsn_segment_* metrics.
 struct ScanStats {
@@ -46,6 +59,7 @@ struct ScanStats {
   int64_t segment_rows = 0;      ///< rows decoded out of segments
   int64_t pending_rows = 0;      ///< evicted-but-unflushed rows served
   int64_t memory_rows = 0;       ///< live window rows served
+  ViewVersion version;           ///< the view this scan read
 
   bool FromSegments() const { return segments_total > 0; }
 };

@@ -239,7 +239,14 @@ Status SegmentCatalog::Scan(const std::string& table, const Schema& row_schema,
                             const sql::ScanPredicate& predicate,
                             Relation::RowList* out,
                             sql::ScanStats* stats) const {
-  std::vector<SegmentMeta> metas = SegmentsFor(table);
+  return ScanSegments(SegmentsFor(table), row_schema, predicate, out, stats);
+}
+
+Status SegmentCatalog::ScanSegments(const std::vector<SegmentMeta>& metas,
+                                    const Schema& row_schema,
+                                    const sql::ScanPredicate& predicate,
+                                    Relation::RowList* out,
+                                    sql::ScanStats* stats) const {
   if (metas.empty()) return Status::OK();
 
   // Bounds on the leading `timed` column prune whole segments off the

@@ -80,6 +80,13 @@ class SegmentCatalog {
   Status Scan(const std::string& table, const Schema& row_schema,
               const sql::ScanPredicate& predicate, Relation::RowList* out,
               sql::ScanStats* stats) const;
+  /// Scan over the given segments (oldest first) instead of the
+  /// catalog's current list: a table scans the segments it has made
+  /// visible (Table::ScanUnified).
+  Status ScanSegments(const std::vector<SegmentMeta>& segments,
+                      const Schema& row_schema,
+                      const sql::ScanPredicate& predicate,
+                      Relation::RowList* out, sql::ScanStats* stats) const;
 
   /// Drops and deletes every segment of `table` (operator undeploy).
   Status DropTable(const std::string& table);

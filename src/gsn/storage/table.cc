@@ -1,17 +1,39 @@
 #include "gsn/storage/table.h"
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
+#include <set>
 
-#include "gsn/storage/columnar/catalog.h"
 #include "gsn/util/logging.h"
 
 namespace gsn::storage {
+
+namespace {
+
+/// Process-wide, so a dropped and recreated table never repeats an
+/// epoch a continuous query already folded.
+std::atomic<uint64_t> g_next_epoch{1};
+
+}  // namespace
 
 Table::Table(std::string name, Schema element_schema, WindowSpec retention)
     : name_(std::move(name)),
       element_schema_(std::move(element_schema)),
       row_schema_(element_schema_.WithTimedField()),
-      retention_(retention) {}
+      retention_(retention) {
+  NewEpochLocked();  // not yet shared: no lock needed
+}
+
+void Table::NewEpochLocked() {
+  version_.epoch = g_next_epoch.fetch_add(1, std::memory_order_relaxed);
+  version_.appended = 0;
+}
+
+sql::ViewVersion Table::version() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return version_;
+}
 
 Status Table::InsertLocked(const StreamElement& element) {
   if (element.values.size() != element_schema_.size()) {
@@ -27,6 +49,7 @@ Status Table::InsertLocked(const StreamElement& element) {
   if (!rows_.empty() && entry.timed < rows_.back().timed) sorted_ = false;
   approx_bytes_ += entry.bytes;
   rows_.push_back(std::move(entry));
+  ++version_.appended;
   EvictLocked(element.timed);
   if (rows_.empty()) sorted_ = true;
   return Status::OK();
@@ -46,13 +69,17 @@ Status Table::InsertBatch(const std::vector<StreamElement>& elements) {
 }
 
 void Table::EvictLocked(Timestamp now) {
-  const auto evict_front = [this] {
+  bool left_view = false;
+  const auto evict_front = [this, &left_view] {
     if (capture_evicted_) {
       pending_evicted_.push_back(std::move(rows_.front().row));
       while (pending_evicted_.size() > max_pending_rows_) {
         pending_evicted_.pop_front();
         ++pending_dropped_;
+        left_view = true;
       }
+    } else {
+      left_view = true;
     }
     approx_bytes_ -= std::min(approx_bytes_, rows_.front().bytes);
     rows_.pop_front();
@@ -67,6 +94,7 @@ void Table::EvictLocked(Timestamp now) {
       evict_front();
     }
   }
+  if (left_view) NewEpochLocked();
 }
 
 Relation Table::Scan() const {
@@ -125,33 +153,46 @@ bool Table::history_capture_enabled() const {
   return capture_evicted_;
 }
 
-Relation::RowList Table::TakeEvicted() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Relation::RowList out(pending_evicted_.begin(), pending_evicted_.end());
-  pending_evicted_.clear();
-  return out;
-}
-
-void Table::RestoreEvicted(Relation::RowList rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_evicted_.insert(pending_evicted_.begin(), rows.begin(), rows.end());
-  while (pending_evicted_.size() > max_pending_rows_ &&
-         max_pending_rows_ > 0) {
-    pending_evicted_.pop_front();
-    ++pending_dropped_;
-  }
-}
-
 Relation::RowList Table::PendingEvictedRows() const {
   std::lock_guard<std::mutex> lock(mu_);
   return Relation::RowList(pending_evicted_.begin(), pending_evicted_.end());
 }
 
+void Table::PublishSegment(columnar::SegmentMeta segment,
+                           const Relation::RowList& rows) {
+  std::lock_guard<std::mutex> lock(mu_);
+  segments_.push_back(std::move(segment));
+  if (rows.size() <= pending_evicted_.size() &&
+      std::equal(rows.begin(), rows.end(), pending_evicted_.begin())) {
+    // The same rows, one tier down: the view is unchanged.
+    pending_evicted_.erase(pending_evicted_.begin(),
+                           pending_evicted_.begin() +
+                               static_cast<long>(rows.size()));
+    return;
+  }
+  // Pending changed while the segment was written (overflow, Clear,
+  // recovery dedup): the segment brings back rows that had left.
+  std::set<const Relation::Row*> flushed;
+  for (const Relation::SharedRow& row : rows) flushed.insert(row.get());
+  std::erase_if(pending_evicted_, [&flushed](const Relation::SharedRow& row) {
+    return flushed.count(row.get()) > 0;
+  });
+  NewEpochLocked();
+}
+
+void Table::AttachSegments(std::vector<columnar::SegmentMeta> segments) {
+  std::lock_guard<std::mutex> lock(mu_);
+  segments_ = std::move(segments);
+  NewEpochLocked();
+}
+
 void Table::DropPendingPrefix(size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   n = std::min(n, pending_evicted_.size());
+  if (n == 0) return;
   pending_evicted_.erase(pending_evicted_.begin(),
                          pending_evicted_.begin() + static_cast<long>(n));
+  NewEpochLocked();
 }
 
 uint64_t Table::pending_dropped() const {
@@ -162,25 +203,36 @@ uint64_t Table::pending_dropped() const {
 Relation Table::ScanUnified(const columnar::SegmentCatalog* catalog,
                             const sql::ScanPredicate& predicate,
                             sql::ScanStats* stats) const {
-  Relation::RowList rows;
-  if (catalog != nullptr) {
-    // Cold tier first: segments are strictly older than anything still
-    // pending or live, so appending tiers in order keeps the relation
-    // oldest-first end to end.
-    Status scanned =
-        catalog->Scan(name_, row_schema_, predicate, &rows, stats);
-    if (!scanned.ok()) {
-      GSN_LOG(kWarn, "storage") << "segment scan failed for " << name_ << ": "
-                                << scanned.ToString();
+  // The three tiers are fixed in one critical section; only the
+  // immutable segment files are read after it.
+  std::vector<columnar::SegmentMeta> segments;
+  Relation::RowList recent;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (catalog != nullptr) segments = segments_;
+    if (stats != nullptr) {
+      stats->pending_rows += static_cast<int64_t>(pending_evicted_.size());
+      stats->memory_rows += static_cast<int64_t>(rows_.size());
+      stats->version = version_;
     }
+    recent.reserve(pending_evicted_.size() + rows_.size());
+    recent.insert(recent.end(), pending_evicted_.begin(),
+                  pending_evicted_.end());
+    for (const Entry& e : rows_) recent.push_back(e.row);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stats != nullptr) {
-    stats->pending_rows += static_cast<int64_t>(pending_evicted_.size());
-    stats->memory_rows += static_cast<int64_t>(rows_.size());
+  if (segments.empty()) return Relation(row_schema_, std::move(recent));
+  // Cold tier first: segments are strictly older than anything still
+  // pending or live, so appending tiers in order keeps the relation
+  // oldest-first end to end.
+  Relation::RowList rows;
+  Status scanned =
+      catalog->ScanSegments(segments, row_schema_, predicate, &rows, stats);
+  if (!scanned.ok()) {
+    GSN_LOG(kWarn, "storage") << "segment scan failed for " << name_ << ": "
+                              << scanned.ToString();
   }
-  rows.insert(rows.end(), pending_evicted_.begin(), pending_evicted_.end());
-  for (const Entry& e : rows_) rows.push_back(e.row);
+  rows.insert(rows.end(), std::make_move_iterator(recent.begin()),
+              std::make_move_iterator(recent.end()));
   return Relation(row_schema_, std::move(rows));
 }
 
@@ -200,6 +252,7 @@ void Table::Clear() {
   pending_evicted_.clear();
   approx_bytes_ = 0;
   sorted_ = true;
+  NewEpochLocked();
 }
 
 Result<Table*> TableManager::CreateTable(const std::string& name,
@@ -270,6 +323,12 @@ Result<Relation> TableManager::GetTableFiltered(
   // window scan tables always served.
   if (catalog == nullptr && stats == nullptr) return table->Scan();
   return table->ScanUnified(catalog, predicate, stats);
+}
+
+sql::ViewVersion TableManager::TableVersion(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tables_.find(StrToLower(name));
+  return it == tables_.end() ? sql::ViewVersion{} : it->second->version();
 }
 
 }  // namespace gsn::storage

@@ -9,14 +9,11 @@
 #include <vector>
 
 #include "gsn/sql/executor.h"
+#include "gsn/storage/columnar/catalog.h"
 #include "gsn/types/schema.h"
 #include "gsn/util/strings.h"
 
 namespace gsn::storage {
-
-namespace columnar {
-class SegmentCatalog;
-}  // namespace columnar
 
 /// A windowed stream table: the storage layer's unit of persistence
 /// for one virtual sensor's output (paper §4: "the storage layer ...
@@ -64,9 +61,11 @@ class Table {
   // -- Tiered history capture ----------------------------------------------
   // With capture enabled, rows leaving the retention window are parked
   // in a bounded pending queue instead of being dropped; the container
-  // checkpoint takes them (TakeEvicted) and flushes them into columnar
-  // segments. Pending rows stay query-visible through ScanUnified so
-  // history never blinks out between eviction and flush.
+  // checkpoint flushes a copy of them into a columnar segment and then
+  // publishes it (PublishSegment). The table decides under its own lock
+  // which segments a scan reads, and a segment becomes visible in the
+  // same critical section that drops its rows from pending, so history
+  // never blinks out and no row is seen twice.
 
   /// Starts capturing evicted rows, keeping at most `max_pending_rows`
   /// (oldest dropped first when the bound is hit; dropped rows are
@@ -74,26 +73,36 @@ class Table {
   void EnableHistoryCapture(size_t max_pending_rows);
   bool history_capture_enabled() const;
 
-  /// Removes and returns the pending evicted rows (oldest first).
-  Relation::RowList TakeEvicted();
-  /// Returns rows taken by TakeEvicted after a failed flush; they go
-  /// back in front of anything evicted meanwhile.
-  void RestoreEvicted(Relation::RowList rows);
   /// Copy of the pending evicted rows (oldest first).
   Relation::RowList PendingEvictedRows() const;
+  /// Makes `segment`, flushed from `rows` (a PendingEvictedRows() copy),
+  /// visible to scans and drops those rows from pending, atomically. A
+  /// flush that failed publishes nothing, so its rows stay pending.
+  void PublishSegment(columnar::SegmentMeta segment,
+                      const Relation::RowList& rows);
+  /// The segments scans read before pending (at deploy: the catalog's
+  /// surviving segments for this table), replacing any attached.
+  void AttachSegments(std::vector<columnar::SegmentMeta> segments);
   /// Drops the first `n` pending rows (recovery dedup against already
   /// flushed segments).
   void DropPendingPrefix(size_t n);
   /// Evicted rows dropped because the pending bound was hit.
   uint64_t pending_dropped() const;
 
-  /// One relation over all three tiers, oldest first: `catalog`'s
-  /// segments for this table (zone-map pruned by `predicate`), then
-  /// the pending evicted rows, then the live window. `catalog` may be
-  /// null and `stats` may be null.
+  /// One relation over all three tiers, oldest first: the attached
+  /// segments read through `catalog` (zone-map pruned by `predicate`),
+  /// then the pending evicted rows, then the live window. `catalog` may
+  /// be null (no segments are read) and `stats` may be null; `stats`
+  /// also receives the view version the scan read.
   Relation ScanUnified(const columnar::SegmentCatalog* catalog,
                        const sql::ScanPredicate& predicate,
                        sql::ScanStats* stats) const;
+
+  /// The version of the ScanUnified view (see sql::ViewVersion): rows
+  /// moving between tiers keep it; eviction without capture, a pending
+  /// overflow, DropPendingPrefix, Clear and AttachSegments change the
+  /// epoch.
+  sql::ViewVersion version() const;
 
   size_t NumRows() const;
   /// Total payload bytes currently held (for resource accounting).
@@ -109,6 +118,8 @@ class Table {
 
   Status InsertLocked(const StreamElement& element);
   void EvictLocked(Timestamp now);
+  /// Starts a new view epoch: the view changed other than by appending.
+  void NewEpochLocked();
 
   const std::string name_;
   const Schema element_schema_;
@@ -126,6 +137,9 @@ class Table {
   size_t max_pending_rows_ = 0;
   std::deque<Relation::SharedRow> pending_evicted_;
   uint64_t pending_dropped_ = 0;
+  /// Segments visible to ScanUnified, oldest first.
+  std::vector<columnar::SegmentMeta> segments_;
+  sql::ViewVersion version_;
 };
 
 /// Catalog of tables inside one GSN container; implements TableResolver
@@ -157,6 +171,7 @@ class TableManager : public sql::TableResolver {
   Result<Relation> GetTableFiltered(const std::string& name,
                                     const sql::ScanPredicate& predicate,
                                     sql::ScanStats* stats) const override;
+  sql::ViewVersion TableVersion(const std::string& name) const override;
 
  private:
   mutable std::mutex mu_;

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <vector>
 
+#include "gsn/sql/incremental.h"
 #include "gsn/types/schema.h"
 #include "gsn/util/strings.h"
 
@@ -58,6 +59,17 @@ class WindowBuffer {
   /// by `timed`, sharing the buffered rows.
   Relation SnapshotRelation(Timestamp now, const Schema& element_schema) const;
 
+  /// Answers `plan`, compiled against this window's relation, as of
+  /// `now` without taking a snapshot: the newest-row shape returns the
+  /// first entry of the trailing run of equal newest `timed` inside
+  /// `now`'s cut; the aggregate shape folds each argument column over
+  /// the live suffix. An argument column is read out of the rows once —
+  /// over the buffered rows when a plan first asks for it, then from
+  /// each row as it enters — and kept beside them under the window
+  /// lock. Equals Executor over SnapshotRelation(now), bit for bit.
+  Result<Relation> Answer(const sql::IncrementalPlan& plan,
+                          Timestamp now) const;
+
   /// Number of elements currently buffered (before lazy time expiry).
   size_t size() const;
   void Clear();
@@ -72,13 +84,22 @@ class WindowBuffer {
   };
 
   void EvictLocked(Timestamp now);
+  /// Index of the first entry inside `now`'s cut.
+  size_t LiveBeginLocked(Timestamp now) const;
   Relation::RowList SnapshotRowsLocked(Timestamp now) const;
+  /// The kept argument column for row slot `slot`, filled on first use.
+  const std::deque<Value>& ColumnLocked(size_t slot) const;
 
   WindowSpec spec_;
   mutable std::mutex mu_;
   /// Always non-decreasing in timed (maintained on Add), so the
   /// binary-search snapshot path never degrades.
   std::deque<Entry> entries_;
+  /// Argument columns of incremental aggregates, parallel to entries_:
+  /// columns_[k][i] is entries_[i]'s value at row slot column_slots_[k].
+  /// Mutable: Answer() adds a column the first time a plan reads it.
+  mutable std::vector<size_t> column_slots_;
+  mutable std::vector<std::deque<Value>> columns_;
 };
 
 }  // namespace gsn::storage

@@ -86,6 +86,12 @@ class StreamSource {
   /// The window contents as a flat relation (schema: timed + wrapper
   /// schema), i.e. the WRAPPER relation of the source query.
   Relation WindowRelation(Timestamp now) const;
+  /// `plan`'s answer over the window as of `now`, from the state the
+  /// window keeps beside its rows (WindowBuffer::Answer).
+  Result<Relation> WindowAnswer(const sql::IncrementalPlan& plan,
+                                Timestamp now) const {
+    return window_.Answer(plan, now);
+  }
 
   /// Simulates link loss/recovery for this source.
   void SetConnected(bool connected);

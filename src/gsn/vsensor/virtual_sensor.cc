@@ -61,10 +61,17 @@ VirtualSensor::VirtualSensor(
     Result<std::unique_ptr<sql::SelectStmt>> q =
         sql::ParseSelect(rt.spec->query);
     if (q.ok()) rt.query = *std::move(q);
-    for (const StreamSourceSpec& src : rt.spec->sources) {
+    for (size_t s = 0; s < rt.spec->sources.size(); ++s) {
       Result<std::unique_ptr<sql::SelectStmt>> sq =
-          sql::ParseSelect(src.query);
+          sql::ParseSelect(rt.spec->sources[s].query);
       rt.source_queries.push_back(sq.ok() ? *std::move(sq) : nullptr);
+      std::optional<sql::IncrementalPlan> plan;
+      if (rt.source_queries.back() != nullptr && s < rt.sources.size()) {
+        plan = sql::CompileIncremental(
+            *rt.source_queries.back(), "wrapper",
+            rt.sources[s]->wrapper().output_schema().WithTimedField());
+      }
+      rt.source_plans.push_back(std::move(plan));
     }
     // Rate bound: allow an initial burst of one element.
     rt.tokens = rt.spec->max_rate > 0 ? 1.0 : 0.0;
@@ -248,15 +255,20 @@ Result<int> VirtualSensor::ProcessStream(StreamRuntime* stream, Timestamp now,
     stage.set_node(node_);
     for (size_t i = 0; i < stream->sources.size(); ++i) {
       StreamSource* source = stream->sources[i].get();
-      sql::MapResolver wrapper_relation;
-      wrapper_relation.Put("wrapper", source->WindowRelation(now));
-      sql::Executor source_exec(&wrapper_relation);
       if (stream->source_queries[i] == nullptr) {
         return Status::Internal("source query not parsed for alias '" +
                                 source->spec().alias + "'");
       }
-      GSN_ASSIGN_OR_RETURN(Relation temp,
-                           source_exec.Execute(*stream->source_queries[i]));
+      Relation temp;
+      if (const auto& plan = stream->source_plans[i]; plan.has_value()) {
+        GSN_ASSIGN_OR_RETURN(temp, source->WindowAnswer(*plan, now));
+      } else {
+        sql::MapResolver wrapper_relation;
+        wrapper_relation.Put("wrapper", source->WindowRelation(now));
+        sql::Executor source_exec(&wrapper_relation);
+        GSN_ASSIGN_OR_RETURN(temp,
+                             source_exec.Execute(*stream->source_queries[i]));
+      }
       temp_relations.Put(source->spec().alias, std::move(temp));
     }
   }

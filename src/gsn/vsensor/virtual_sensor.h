@@ -4,10 +4,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "gsn/sql/executor.h"
+#include "gsn/sql/incremental.h"
 #include "gsn/telemetry/metrics.h"
 #include "gsn/telemetry/tracing.h"
 #include "gsn/util/clock.h"
@@ -142,6 +144,9 @@ class VirtualSensor {
     std::vector<std::unique_ptr<StreamSource>> sources;
     std::unique_ptr<sql::SelectStmt> query;          // parsed stream query
     std::vector<std::unique_ptr<sql::SelectStmt>> source_queries;
+    /// Per source: its query compiled for the window's incremental
+    /// answers, when it has one of the two shapes (sql/incremental.h).
+    std::vector<std::optional<sql::IncrementalPlan>> source_plans;
     // Token bucket for the rate bound.
     double tokens = 0;
     Timestamp last_refill = 0;

@@ -726,18 +726,31 @@ TEST_P(FederationChaosTransportTest, ExactlyOnceSurvivesLossPartitionReset) {
   const int64_t before_drain = admitted();
   const RemoteStreamWrapper* remote = FindRemote(consumer, "mirror");
   ASSERT_NE(remote, nullptr);
+  // The epoll loop may admit a frame between two reads, so the two
+  // counters are read as one consistent pair: admission only grows and
+  // moves both together, so an admitted count unchanged across the
+  // expected_sequence() read belongs with it.
+  const auto sequencing = [remote] {
+    for (;;) {
+      const int64_t admitted_before = remote->admitted_count();
+      const uint64_t expected = remote->expected_sequence();
+      if (remote->admitted_count() == admitted_before) {
+        return std::make_pair(expected, admitted_before);
+      }
+    }
+  };
   for (int i = 0; i < 400; ++i) {
     ASSERT_TRUE(harness->Step(100 * kMicrosPerMilli).ok());
-    if (remote->admitted_count() > before_drain + 10 &&
-        remote->expected_sequence() ==
-            static_cast<uint64_t>(remote->admitted_count()) + 1) {
+    const auto [expected, admitted_now] = sequencing();
+    if (admitted_now > before_drain + 10 &&
+        expected == static_cast<uint64_t>(admitted_now) + 1) {
       break;
     }
   }
-  EXPECT_GT(remote->admitted_count(), before_drain);
+  const auto [expected, admitted_now] = sequencing();
+  EXPECT_GT(admitted_now, before_drain);
   EXPECT_EQ(remote->abandoned_count(), 0);
-  EXPECT_EQ(remote->expected_sequence(),
-            static_cast<uint64_t>(remote->admitted_count()) + 1);
+  EXPECT_EQ(expected, static_cast<uint64_t>(admitted_now) + 1);
 
   auto got =
       consumer->Query("select count(*), count(distinct seq) from mirror");

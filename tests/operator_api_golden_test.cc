@@ -425,6 +425,7 @@ TEST_F(OperatorApiGoldenTest, MaskedStatusTransportAndMetrics) {
             "gsn_admission_queue_depth gauge\n"
             "gsn_admission_shed_total counter\n"
             "gsn_build_info gauge\n"
+            "gsn_continuous_reseeds_total counter\n"
             "gsn_continuous_runs_total counter\n"
             "gsn_federation_abandoned_total counter\n"
             "gsn_federation_dups_total counter\n"

@@ -307,7 +307,10 @@ TEST(TracingConcurrencyTest, RecordWhileScrapeIsSafe) {
   for (int s = 0; s < 2; ++s) {
     scrapers.emplace_back([&tracer, &stop] {
       size_t total = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
+      // Scrape until the store has been seen non-empty, not just until
+      // `stop`: a scraper first scheduled after the writers finished
+      // must still read what they recorded.
+      while (!stop.load(std::memory_order_relaxed) || total == 0) {
         total += tracer.store().Snapshot().size();
         total += tracer.store().ForTrace(1, 1).size() +
                  static_cast<size_t>(tracer.store().dropped());
