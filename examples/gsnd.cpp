@@ -4,6 +4,11 @@
 //   build/examples/example_gsnd --data-dir /var/lib/gsn
 //       --descriptors ./virtual-sensors --port 8080 [--tick-ms 100]
 //
+// * --tick-ms sets the cadence of the interval rounds: polls of pull
+//   wrappers (devices, generators), federation maintenance and
+//   checkpoints. It does not set the hop latency: an element delivered
+//   into a wrapper="remote" or "local" source wakes the pump at once
+//   (docs/PERFORMANCE.md §7).
 // * --data-dir makes the node durable: the container manifest and the
 //   per-sensor persistence logs live there, so a crashed or killed
 //   daemon restarted over the same directory redeploys its sensors and
@@ -59,6 +64,9 @@ int Usage(const char* argv0) {
                "          [--node-id ID] [--tick-ms N] [--shards N]\n"
                "          [--listen N] [--peer NAME=HOST:PORT]...\n"
                "          [--chaos-seed N]\n"
+               "       --tick-ms sets the cadence of pull-wrapper polls,\n"
+               "       federation maintenance and checkpoints; pushed\n"
+               "       (remote/local) elements wake the pump at once\n"
                "       GSN_SHARDS=N in the environment sets the default\n"
                "       shard/tick-worker count (0 = hardware concurrency)\n"
                "       --listen binds the federation peer plane; --peer\n"

@@ -92,8 +92,8 @@ Container::Container(Options options)
                                         "Container Tick() wall time");
   const char* phase_help =
       "Per-tick latency breakdown by scheduling phase (resilience / "
-      "dispatch / checkpoint) plus the pool-thread storage and fan-out "
-      "spans";
+      "dispatch / checkpoint), whole arrival rounds, plus the "
+      "pool-thread storage and fan-out spans";
   tick_phase_resilience_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "resilience"}}, phase_help);
@@ -103,6 +103,9 @@ Container::Container(Options options)
   tick_phase_checkpoint_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "checkpoint"}}, phase_help);
+  tick_phase_arrival_ = metrics_->GetHistogram(
+      "gsn_tick_phase_micros",
+      {{"node", options_.node_id}, {"phase", "arrival"}}, phase_help);
   batch_storage_micros_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "storage"}}, phase_help);
@@ -272,17 +275,22 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
       storage::Table * table,
       tables_.CreateTable(spec.name, spec.output_structure,
                           spec.storage.history));
-  // Undo table creation (and any remote subscriptions already issued
-  // for earlier sources) on any later failure. By `key`: `spec` is
+  // Built in place, not moved: its push sources' arrival callbacks
+  // hold its address (for its woken flag) from the moment they exist.
+  auto deployment = std::make_shared<Deployment>();
+  deployment->key = key;
+  deployment->table = table;
+  // Undo table creation, and the local and remote subscriptions already
+  // made for earlier sources, on any later failure. By `key`: `spec` is
   // moved into the sensor before the last failure points.
   auto unwind = [&] {
+    {
+      std::lock_guard<telemetry::TimedMutex> lock(chain_mu_);
+      DetachLocalSourcesLocked(*deployment);
+    }
     (void)tables_.DropTable(key);
     federation_.Forget(key);
   };
-
-  Deployment deployment;
-  deployment.key = key;
-  deployment.table = table;
   // The table's scans read the history segments that survived for its
   // name; later checkpoints publish theirs to it as they flush.
   if (segments_ != nullptr) table->AttachSegments(segments_->SegmentsFor(key));
@@ -340,7 +348,7 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
       unwind();
       return log.status();
     }
-    deployment.log = *std::move(log);
+    deployment->log = *std::move(log);
   }
 
   // Wrappers and stream sources.
@@ -350,7 +358,7 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
     for (const vsensor::StreamSourceSpec& source_spec :
          spec.input_streams[i].sources) {
       Result<std::unique_ptr<wrappers::Wrapper>> wrapper =
-          MakeWrapperForSource(source_spec, key, &deployment);
+          MakeWrapperForSource(source_spec, key, deployment.get());
       if (!wrapper.ok()) {
         unwind();
         return wrapper.status();
@@ -369,15 +377,15 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
   }
 
   const Timestamp now = options_.clock->NowMicros();
-  deployment.deployed_at = now;
+  deployment->deployed_at = now;
   if (spec.life_cycle.lifetime_micros > 0) {
-    deployment.expires_at = now + spec.life_cycle.lifetime_micros;
+    deployment->expires_at = now + spec.life_cycle.lifetime_micros;
   }
-  deployment.sensor = std::make_unique<VirtualSensor>(
+  deployment->sensor = std::make_unique<VirtualSensor>(
       std::move(spec), std::move(sources), options_.clock, metrics_, tracer_,
       options_.node_id);
 
-  VirtualSensor* sensor = deployment.sensor.get();
+  VirtualSensor* sensor = deployment->sensor.get();
   sensor->AddBatchListener(
       [this](const VirtualSensor& vs, const std::vector<StreamElement>& batch) {
         OnSensorBatch(vs, batch);
@@ -388,11 +396,11 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
                   const std::vector<StreamElement>& elements) {
         OnSensorError(key, vs, stream_name, status, elements);
       });
-  deployment.state_gauge = metrics_->GetGauge(
+  deployment->state_gauge = metrics_->GetGauge(
       "gsn_sensor_state", {{"sensor", sensor->name()}},
       "Supervised sensor state (0 running, 1 restarting, 2 failed)");
-  deployment.state_gauge->Set(0);
-  deployment.restarts = metrics_->GetCounter(
+  deployment->state_gauge->Set(0);
+  deployment->restarts = metrics_->GetCounter(
       "gsn_sensor_restarts_total", {{"sensor", sensor->name()}},
       "Supervised restarts of the virtual sensor");
 
@@ -402,12 +410,11 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
     return started;
   }
 
-  const int system_sources = deployment.system_sources;
-  auto published = std::make_shared<Deployment>(std::move(deployment));
+  const int system_sources = deployment->system_sources;
   bool inserted = false;
   {
     std::lock_guard<telemetry::TimedMutex> lock(shard.mu);
-    inserted = shard.deployments.emplace(key, published).second;
+    inserted = shard.deployments.emplace(key, deployment).second;
     if (inserted) {
       shard.sensors_gauge->Set(
           static_cast<int64_t>(shard.deployments.size()));
@@ -416,10 +423,10 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
   if (!inserted) {
     // Lost a deploy race for the same name after the early check
     // (CreateTable normally arbitrates, but stay defensive).
-    published->sensor->Stop();
+    deployment->sensor->Stop();
     unwind();
     return Status::AlreadyExists("sensor already deployed: " +
-                                 published->sensor->name());
+                                 deployment->sensor->name());
   }
   sensors_deployed_->Set(
       total_deployments_.fetch_add(1, std::memory_order_relaxed) + 1);
@@ -463,8 +470,9 @@ Result<std::unique_ptr<wrappers::Wrapper>> Container::MakeWrapperForSource(
           source_spec.alias + "' (deploy the producer first)");
     }
     const DirectoryEntry& entry = matches.front();
-    auto wrapper = std::make_unique<LocalStreamWrapper>(entry.output_schema,
-                                                        entry.sensor_name);
+    auto wrapper = std::make_unique<LocalStreamWrapper>(
+        entry.output_schema, entry.sensor_name,
+        [this, deployment] { WakeDeployment(deployment); });
     {
       std::lock_guard<telemetry::TimedMutex> lock(chain_mu_);
       local_wrappers_.emplace(StrToLower(entry.sensor_name), wrapper.get());
@@ -503,10 +511,14 @@ Result<std::unique_ptr<wrappers::Wrapper>> Container::MakeWrapperForSource(
     return registry_.Create(source_spec.address.wrapper, config);
   }
 
-  // wrapper="remote": logical addressing through the directory.
-  GSN_ASSIGN_OR_RETURN(std::unique_ptr<network::RemoteStreamWrapper> remote,
-                       federation_.Subscribe(deployment_key, source_spec.alias,
-                                             source_spec.address.predicates));
+  // wrapper="remote": logical addressing through the directory. The
+  // engine builds the wrapper with its arrival callback, before the
+  // transport thread can reach it.
+  GSN_ASSIGN_OR_RETURN(
+      std::unique_ptr<network::RemoteStreamWrapper> remote,
+      federation_.Subscribe(deployment_key, source_spec.alias,
+                            source_spec.address.predicates,
+                            [this, deployment] { WakeDeployment(deployment); }));
   return std::unique_ptr<wrappers::Wrapper>(std::move(remote));
 }
 
@@ -542,17 +554,7 @@ Status Container::Undeploy(const std::string& sensor_name,
   // into the dying sensor, and its own source wrappers stop receiving.
   {
     std::lock_guard<telemetry::TimedMutex> lock(chain_mu_);
-    // This sensor's own local-source wrappers, detached from producers.
-    for (auto wit = local_wrappers_.begin(); wit != local_wrappers_.end();) {
-      bool mine = false;
-      for (LocalStreamWrapper* w : deployment->local_sources) {
-        if (wit->second == w) {
-          mine = true;
-          break;
-        }
-      }
-      wit = mine ? local_wrappers_.erase(wit) : std::next(wit);
-    }
+    DetachLocalSourcesLocked(*deployment);
     // Consumers chained onto this sensor stop receiving.
     auto range = local_wrappers_.equal_range(key);
     for (auto wit = range.first; wit != range.second;) {
@@ -611,6 +613,16 @@ Status Container::Undeploy(const std::string& sensor_name,
   GSN_LOG(kInfo, "container")
       << options_.node_id << ": undeployed '" << sensor_name << "'";
   return Status::OK();
+}
+
+void Container::DetachLocalSourcesLocked(const Deployment& deployment) {
+  for (auto wit = local_wrappers_.begin(); wit != local_wrappers_.end();) {
+    const bool mine =
+        std::find(deployment.local_sources.begin(),
+                  deployment.local_sources.end(),
+                  wit->second) != deployment.local_sources.end();
+    wit = mine ? local_wrappers_.erase(wit) : std::next(wit);
+  }
 }
 
 int Container::ShardIndexFor(const std::string& key) const {
@@ -674,7 +686,9 @@ Result<int> Container::Tick() {
   telemetry::Span dispatch_phase(tick_phase_dispatch_.get());
   int produced = 0;
   if (tick_pool_ == nullptr || shards_.size() == 1) {
-    for (auto& shard : shards_) produced += TickShard(*shard, now);
+    for (auto& shard : shards_) {
+      produced += TickShard(*shard, now, /*arrivals_only=*/false);
+    }
   } else {
     std::mutex done_mu;
     std::condition_variable done_cv;
@@ -689,12 +703,14 @@ Result<int> Container::Tick() {
     for (auto& shard : shards_) {
       Shard* s = shard.get();
       const bool submitted = tick_pool_->Submit([&, s] {
-        total.fetch_add(TickShard(*s, now), std::memory_order_relaxed);
+        total.fetch_add(TickShard(*s, now, /*arrivals_only=*/false),
+                        std::memory_order_relaxed);
         finish_one();
       });
       if (!submitted) {
         // Pool already shut down (drain at exit): run inline.
-        total.fetch_add(TickShard(*s, now), std::memory_order_relaxed);
+        total.fetch_add(TickShard(*s, now, /*arrivals_only=*/false),
+                        std::memory_order_relaxed);
         finish_one();
       }
     }
@@ -708,9 +724,9 @@ Result<int> Container::Tick() {
   // them, the next recovery) to the live state, and move evicted rows
   // into the history tier. It needs storage, not a manifest:
   // storage_dir alone has WALs and segments to compact. try_lock keeps
-  // the trigger single-flight across concurrent Tick drivers; the WAL
-  // swaps inside Checkpoint() are serialized against pipeline appends
-  // by each shard's lock.
+  // the trigger single-flight across concurrent Tick drivers and skips
+  // it while a manual checkpoint runs; the WAL swaps inside are
+  // serialized against pipeline appends by each shard's lock.
   if (!options_.storage_dir.empty() &&
       options_.supervision.checkpoint_interval > 0) {
     std::unique_lock<std::mutex> cp_lock(checkpoint_mu_, std::try_to_lock);
@@ -718,7 +734,7 @@ Result<int> Container::Tick() {
         now - last_checkpoint_ >= options_.supervision.checkpoint_interval) {
       telemetry::Span phase(tick_phase_checkpoint_.get());
       last_checkpoint_ = now;
-      const Status s = Checkpoint();
+      const Status s = CheckpointLocked();
       if (!s.ok()) {
         GSN_LOG(kWarn, "container")
             << options_.node_id << ": checkpoint failed: " << s;
@@ -732,7 +748,45 @@ Result<int> Container::Tick() {
   return produced;
 }
 
-int Container::TickShard(Shard& shard, Timestamp now) {
+int Container::TickArrivals() {
+  telemetry::Span round(tick_phase_arrival_.get());
+  const Timestamp now = options_.clock->NowMicros();
+  int produced = 0;
+  for (auto& shard : shards_) {
+    produced += TickShard(*shard, now, /*arrivals_only=*/true);
+  }
+  return produced;
+}
+
+void Container::WakeDeployment(Deployment* deployment) {
+  // Clear-to-set only: a burst, or a sensor left woken because it
+  // cannot run, costs at most one wake.
+  if (deployment->woken.exchange(true)) return;
+  {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    wake_pending_ = true;
+  }
+  wake_cv_.notify_all();
+}
+
+bool Container::WaitForArrival(std::chrono::steady_clock::time_point deadline,
+                               const std::atomic<bool>& stop) {
+  std::unique_lock<std::mutex> lock(wake_mu_);
+  wake_cv_.wait_until(lock, deadline,
+                      [&] { return wake_pending_ || stop.load(); });
+  const bool woken = wake_pending_;
+  wake_pending_ = false;
+  return woken;
+}
+
+void Container::InterruptArrivalWait() {
+  // Taking the lock orders this after a waiter's predicate check, so
+  // the notify cannot fall between that check and its wait.
+  { std::lock_guard<std::mutex> lock(wake_mu_); }
+  wake_cv_.notify_all();
+}
+
+int Container::TickShard(Shard& shard, Timestamp now, bool arrivals_only) {
   struct Job {
     std::shared_ptr<Deployment> deployment;
     /// True while the supervisor has the sensor paused for restart
@@ -746,8 +800,12 @@ int Container::TickShard(Shard& shard, Timestamp now) {
     std::lock_guard<telemetry::TimedMutex> lock(shard.mu);
     jobs.reserve(shard.deployments.size());
     for (auto& [key, deployment] : shard.deployments) {
+      // An arrival round takes woken sensors only. Whatever it skips
+      // below keeps its woken flag, and a set flag is never signalled
+      // again, so a sensor that cannot run does not spin the pump.
+      if (arrivals_only && !deployment->woken.load()) continue;
       if (deployment->expires_at > 0 && now >= deployment->expires_at) {
-        expired.push_back(deployment->sensor->name());
+        if (!arrivals_only) expired.push_back(deployment->sensor->name());
         continue;
       }
       if (deployment->state == SensorState::kFailed) continue;
@@ -764,10 +822,14 @@ int Container::TickShard(Shard& shard, Timestamp now) {
           paused = true;
         }
       }
+      if (paused && arrivals_only) continue;
       // Per-sensor tick exclusivity: a concurrent Tick driver that is
       // still draining this sensor owns it until the busy flag clears.
       if (deployment->busy) continue;
       deployment->busy = true;
+      // Cleared before the drain polls the wrappers: an arrival the
+      // poll misses sets the flag again and wakes the next round.
+      deployment->woken.store(false);
       jobs.push_back({deployment, paused});
     }
   }
@@ -947,7 +1009,17 @@ Status Container::RequeueQuarantined(uint64_t id) {
 }
 
 Status Container::Checkpoint() {
+  std::lock_guard<std::mutex> lock(checkpoint_mu_);
+  return CheckpointLocked();
+}
+
+Status Container::CheckpointLocked() {
   Status first_error = Status::OK();
+  // The manifest's mark comes before the live set: Deploy publishes to
+  // its shard before it appends its record, and Undeploy erases before
+  // it appends, so a record before the mark is reflected in the live set
+  // collected below, and the compaction keeps every record after it.
+  const uint64_t manifest_mark = manifest_ != nullptr ? manifest_->Mark() : 0;
   std::vector<std::pair<std::string, std::string>> live;
   // One shard at a time: pipelines on the other shards keep appending
   // while this shard's WALs rewrite. Never two shard locks at once.
@@ -999,7 +1071,7 @@ Status Container::Checkpoint() {
     }
   }
   if (manifest_ != nullptr) {
-    const Status compacted = manifest_->Compact(live);
+    const Status compacted = manifest_->Compact(live, manifest_mark);
     if (!compacted.ok() && first_error.ok()) first_error = compacted;
   }
   return first_error;
@@ -1214,6 +1286,7 @@ Container::ContainerStatus Container::GetStatus() const {
       {"tick.resilience", tick_phase_resilience_.get()},
       {"tick.dispatch", tick_phase_dispatch_.get()},
       {"tick.checkpoint", tick_phase_checkpoint_.get()},
+      {"tick.arrival", tick_phase_arrival_.get()},
       {"batch.storage", batch_storage_micros_.get()},
       {"batch.fanout", batch_fanout_micros_.get()},
   };

@@ -2,6 +2,7 @@
 #define GSN_CONTAINER_CONTAINER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -43,7 +44,10 @@ namespace gsn::container {
 /// The container is driven by Tick(): it runs the engine's maintenance
 /// round, polls every sensor's sources, runs pipelines, and enforces
 /// lifetime bounds. With a VirtualClock this is fully deterministic;
-/// live deployments call RunFor()/pump Tick from a thread.
+/// live deployments call RunFor()/pump Tick from a thread. Between
+/// Ticks, TickArrivals() drains only the sensors a push source
+/// (wrapper="remote" or "local") has woken, so a delivery does not wait
+/// for the next Tick (docs/PERFORMANCE.md §7).
 ///
 /// Concurrency model (docs/CONCURRENCY.md). Deployments are
 /// partitioned into N shards by hash of the lowercased sensor name;
@@ -67,6 +71,9 @@ namespace gsn::container {
 ///  - chain_mu_ is held ACROSS LocalStreamWrapper::PushBatch so a
 ///    producer's fan-out can never race Undeploy destroying the
 ///    consumer; wrapper pushes only take source-queue leaf locks.
+///  - The wake (a deployment's atomic woken flag and wake_mu_, a leaf)
+///    is the only container state a push reaches: the arrival callback
+///    runs under the engine lock or chain_mu_ and takes no shard lock.
 ///  - snapshot_mu_ stays a leaf: system wrappers scrape the cached
 ///    snapshot without touching any shard/federation lock.
 class Container {
@@ -186,6 +193,23 @@ class Container {
   /// admission queues) and marks it FAILED once restarts are exhausted.
   Result<int> Tick();
 
+  /// One arrival round at the clock's current time: Tick()'s collect/
+  /// drain/post steps, restricted to the sensors a push source has woken
+  /// since their last drain. A woken sensor that cannot run now (FAILED,
+  /// paused for restart backoff, expired, or busy in another round)
+  /// keeps its wake and is left to Tick(). The federation round, the
+  /// checkpoint, lifetime expiry and the system-snapshot refresh stay on
+  /// Tick(). Returns the output elements produced.
+  int TickArrivals();
+
+  /// Blocks until a push source has woken a deployment since the last
+  /// return, until `deadline`, or until `stop` reads true (set it, then
+  /// call InterruptArrivalWait). Returns whether it consumed a wake.
+  bool WaitForArrival(std::chrono::steady_clock::time_point deadline,
+                      const std::atomic<bool>& stop);
+  /// Wakes every WaitForArrival caller so it re-reads its stop flag.
+  void InterruptArrivalWait();
+
   // -- Durability & supervised lifecycle (docs/DURABILITY.md) --------------
 
   /// The supervisor's view of one sensor.
@@ -196,7 +220,8 @@ class Container {
   /// set and rewrites every permanent sensor's WAL to its table's
   /// retention window, bounding recovery to O(window). Runs
   /// automatically every supervision.checkpoint_interval; callable any
-  /// time (management `checkpoint`).
+  /// time (management `checkpoint`). Checkpoints run one at a time; a
+  /// deploy or undeploy racing one keeps its manifest record.
   Status Checkpoint();
 
   /// Graceful drain: stop admitting new wrapper load, flush what the
@@ -395,6 +420,11 @@ class Container {
     // -- Supervision (docs/DURABILITY.md) --------------------------------
     SensorState state = SensorState::kRunning;
     int restart_attempts = 0;
+    /// Set by the sensor's push sources on an arrival (WakeDeployment),
+    /// cleared when a round collects the sensor for a drain. Atomic: the
+    /// transport thread and producers' fan-out set it without the shard
+    /// lock.
+    std::atomic<bool> woken{false};
     /// Ticks completed without failing since the last restart; at
     /// supervision.healthy_ticks_to_reset the restart budget is
     /// restored, so restart_attempts meters consecutive failures
@@ -445,11 +475,23 @@ class Container {
   /// Shard hosting `key` (hash of the lowercased sensor name).
   Shard& ShardFor(const std::string& key) const;
   /// Drains one shard at `now`: collects runnable deployments under
-  /// the shard lock (setting busy flags), runs their pipelines outside
-  /// it, then clears the flags and does the supervision bookkeeping.
-  /// Returns elements produced. Runs on a tick_pool_ worker (or inline
-  /// with a single shard).
-  int TickShard(Shard& shard, Timestamp now);
+  /// the shard lock (setting busy flags, clearing woken flags), runs
+  /// their pipelines outside it, then clears the busy flags and does the
+  /// supervision bookkeeping. With `arrivals_only`, only woken sensors
+  /// that can run are collected and nothing expires. Returns elements
+  /// produced. Runs on a tick_pool_ worker (or inline with a single
+  /// shard, and for arrival rounds).
+  int TickShard(Shard& shard, Timestamp now, bool arrivals_only);
+
+  /// Arrival callback of `deployment`'s push sources: sets its woken
+  /// flag and, only when that flag goes from clear to set, wakes
+  /// WaitForArrival. Takes only wake_mu_.
+  void WakeDeployment(Deployment* deployment);
+  /// Removes `deployment`'s own wrapper="local" sources from the
+  /// chaining map. Requires chain_mu_.
+  void DetachLocalSourcesLocked(const Deployment& deployment);
+  /// Checkpoint() with checkpoint_mu_ held.
+  Status CheckpointLocked();
 
   /// Consumes one pipeline trigger's output batch: single-lock table
   /// insert and persistence, local chaining, notification fan-out, one
@@ -549,6 +591,12 @@ class Container {
   /// Local chaining: producer sensor (lowercased) -> consumer wrappers.
   std::multimap<std::string, LocalStreamWrapper*> local_wrappers_;
 
+  /// The wake: a leaf lock under which WakeDeployment records that some
+  /// deployment went from clear to woken, and WaitForArrival consumes it.
+  std::mutex wake_mu_;
+  std::condition_variable wake_cv_;
+  bool wake_pending_ = false;  // guarded by wake_mu_
+
   // -- Durability & supervision (docs/DURABILITY.md) ------------------------
   std::unique_ptr<ContainerManifest> manifest_;  // null without data_dir
   /// Tiered columnar history (docs/STORAGE.md); null when no
@@ -566,9 +614,11 @@ class Container {
   /// restart).
   std::atomic<bool> shutting_down_{false};
   std::atomic<bool> draining_{false};
-  /// Guards only the checkpoint trigger clock: concurrent Tick()
-  /// drivers race to it with try_lock, so at most one runs the
-  /// periodic checkpoint and the rest skip instead of queueing.
+  /// Held across every checkpoint, so they run one at a time (a manifest
+  /// mark stays valid until its own compaction), and guards the trigger
+  /// clock: concurrent Tick() drivers race to it with try_lock, so at
+  /// most one runs the periodic checkpoint and the rest skip instead of
+  /// queueing.
   std::mutex checkpoint_mu_;
   Timestamp last_checkpoint_ = 0;  // guarded by checkpoint_mu_
   size_t recovered_records_ = 0;
@@ -583,6 +633,8 @@ class Container {
   std::shared_ptr<telemetry::Histogram> tick_phase_resilience_;
   std::shared_ptr<telemetry::Histogram> tick_phase_dispatch_;
   std::shared_ptr<telemetry::Histogram> tick_phase_checkpoint_;
+  /// One sample per TickArrivals() round: count = rounds, sum = busy time.
+  std::shared_ptr<telemetry::Histogram> tick_phase_arrival_;
   std::shared_ptr<telemetry::Histogram> batch_storage_micros_;
   std::shared_ptr<telemetry::Histogram> batch_fanout_micros_;
   std::shared_ptr<telemetry::Gauge> build_info_;

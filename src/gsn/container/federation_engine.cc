@@ -147,7 +147,8 @@ std::string FederationEngine::NextSubscriptionIdLocked() {
 
 Result<std::unique_ptr<RemoteStreamWrapper>> FederationEngine::Subscribe(
     const std::string& deployment_key, const std::string& alias,
-    const std::map<std::string, std::string>& predicates) {
+    const std::map<std::string, std::string>& predicates,
+    std::function<void()> on_arrival) {
   if (network_ == nullptr) {
     return Status::InvalidArgument(
         "wrapper=\"remote\" requires the container to be attached to a "
@@ -188,7 +189,8 @@ Result<std::unique_ptr<RemoteStreamWrapper>> FederationEngine::Subscribe(
                                      std::move(request.payload)));
 
   auto wrapper = std::make_unique<RemoteStreamWrapper>(
-      entry->output_schema, entry->node_id, entry->sensor_name);
+      entry->output_schema, entry->node_id, entry->sensor_name,
+      std::move(on_arrival));
   std::lock_guard<telemetry::TimedMutex> lock(mu_);
   RemoteSubscription& sub = subscriptions_[id];
   sub.wrapper = wrapper.get();

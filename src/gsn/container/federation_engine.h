@@ -2,6 +2,7 @@
 #define GSN_CONTAINER_FEDERATION_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -81,9 +82,13 @@ class FederationEngine : public network::NetworkNode {
   /// the wrapper deliveries are pushed into. The caller owns it and
   /// must Forget `deployment_key` (the owning sensor's lowercased name)
   /// before destroying it. `alias` names the source in errors.
+  /// `on_arrival` becomes the wrapper's arrival callback; it runs under
+  /// this engine's lock (on the transport thread, or in RunRound), so it
+  /// may take leaf locks only.
   Result<std::unique_ptr<network::RemoteStreamWrapper>> Subscribe(
       const std::string& deployment_key, const std::string& alias,
-      const std::map<std::string, std::string>& predicates);
+      const std::map<std::string, std::string>& predicates,
+      std::function<void()> on_arrival = {});
   /// Sequences, signs and replay-buffers one output batch of
   /// `sensor_name` for each remote subscriber, then sends it.
   void Deliver(const std::string& sensor_name,

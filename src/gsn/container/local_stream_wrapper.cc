@@ -3,8 +3,11 @@
 namespace gsn::container {
 
 LocalStreamWrapper::LocalStreamWrapper(Schema schema,
-                                       std::string producer_name)
-    : schema_(std::move(schema)), producer_name_(std::move(producer_name)) {}
+                                       std::string producer_name,
+                                       std::function<void()> on_arrival)
+    : schema_(std::move(schema)),
+      producer_name_(std::move(producer_name)),
+      on_arrival_(std::move(on_arrival)) {}
 
 Result<std::vector<StreamElement>> LocalStreamWrapper::Poll(Timestamp now) {
   (void)now;  // elements arrive whenever the producer fires
@@ -15,17 +18,24 @@ Result<std::vector<StreamElement>> LocalStreamWrapper::Poll(Timestamp now) {
 }
 
 void LocalStreamWrapper::Push(StreamElement element) {
-  std::lock_guard<std::mutex> lock(mu_);
-  queue_.push_back(std::move(element));
-  ++received_;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(element));
+    ++received_;
+  }
+  if (on_arrival_) on_arrival_();
 }
 
 void LocalStreamWrapper::PushBatch(const std::vector<StreamElement>& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const StreamElement& element : batch) {
-    queue_.push_back(element);
+  if (batch.empty()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const StreamElement& element : batch) {
+      queue_.push_back(element);
+    }
+    received_ += static_cast<int64_t>(batch.size());
   }
-  received_ += static_cast<int64_t>(batch.size());
+  if (on_arrival_) on_arrival_();
 }
 
 void LocalStreamWrapper::MarkProducerGone() {

@@ -2,6 +2,7 @@
 #define GSN_CONTAINER_LOCAL_STREAM_WRAPPER_H_
 
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 
@@ -19,9 +20,14 @@ namespace gsn::container {
 ///
 /// Unlike `remote`, no network hop or signature is involved — delivery
 /// is the producer's in-process listener fan-out.
+///
+/// Every Push and non-empty PushBatch is an arrival: `on_arrival` (set
+/// once, at construction) runs after the queue lock is released, so the
+/// container can wake the consumer at once (docs/PERFORMANCE.md §7).
 class LocalStreamWrapper : public wrappers::Wrapper {
  public:
-  LocalStreamWrapper(Schema schema, std::string producer_name);
+  LocalStreamWrapper(Schema schema, std::string producer_name,
+                     std::function<void()> on_arrival = {});
 
   const Schema& output_schema() const override { return schema_; }
   std::string type_name() const override { return "local"; }
@@ -43,6 +49,7 @@ class LocalStreamWrapper : public wrappers::Wrapper {
  private:
   const Schema schema_;
   const std::string producer_name_;
+  const std::function<void()> on_arrival_;
 
   mutable std::mutex mu_;
   std::deque<StreamElement> queue_;

@@ -92,13 +92,14 @@ std::vector<std::pair<std::string, std::string>> ContainerManifest::LiveSet(
 }
 
 Status ContainerManifest::Compact(
-    const std::vector<std::pair<std::string, std::string>>& live) {
+    const std::vector<std::pair<std::string, std::string>>& live,
+    std::optional<uint64_t> mark) {
   std::vector<std::string> payloads;
   payloads.reserve(live.size());
   for (const auto& [name, xml] : live) {
     payloads.push_back(EncodeEvent(Event::Kind::kDeploy, name, xml));
   }
-  return log_->Replace(payloads);
+  return log_->Replace(payloads, mark);
 }
 
 }  // namespace gsn::container

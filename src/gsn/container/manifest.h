@@ -2,6 +2,7 @@
 #define GSN_CONTAINER_MANIFEST_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,10 +59,17 @@ class ContainerManifest {
   static std::vector<std::pair<std::string, std::string>> LiveSet(
       const std::vector<Event>& events);
 
+  /// The manifest's end (RecordLog::Mark). Take it before collecting
+  /// the live set that Compact will write.
+  uint64_t Mark() const { return log_->Mark(); }
+
   /// Checkpoint: atomically rewrites the manifest to one deploy event
-  /// per entry of `live`. On failure the uncompacted manifest stays
-  /// appendable.
-  Status Compact(const std::vector<std::pair<std::string, std::string>>& live);
+  /// per entry of `live`, followed by every event appended after `mark`
+  /// (a deploy or undeploy that raced the collection of `live`; replay
+  /// applies it after the compacted set). On failure the uncompacted
+  /// manifest stays appendable.
+  Status Compact(const std::vector<std::pair<std::string, std::string>>& live,
+                 std::optional<uint64_t> mark = std::nullopt);
 
   const std::string& path() const { return log_->path(); }
   /// Events appended through this handle (compaction resets it).

@@ -18,29 +18,31 @@ RealtimePump::~RealtimePump() { Stop(); }
 void RealtimePump::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_.load()) return;
-  stop_requested_ = false;
+  stop_requested_.store(false);
   running_.store(true);
   thread_ = std::thread([this] { Loop(); });
 }
 
 void RealtimePump::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_.load()) return;
-    stop_requested_ = true;
-  }
-  wake_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!running_.load()) return;
+  stop_requested_.store(true);
+  container_->InterruptArrivalWait();
   if (thread_.joinable()) thread_.join();
   running_.store(false);
 }
 
 void RealtimePump::Loop() {
+  using Steady = std::chrono::steady_clock;
+  const auto interval = std::chrono::microseconds(interval_micros_);
+  Steady::time_point next_round = Steady::now() + interval;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      wake_.wait_for(lock, std::chrono::microseconds(interval_micros_),
-                     [this] { return stop_requested_; });
-      if (stop_requested_) return;
+    const bool woken = container_->WaitForArrival(next_round, stop_requested_);
+    if (stop_requested_.load()) return;
+    if (Steady::now() < next_round) {
+      // Between interval rounds: drain only what push sources woke.
+      if (woken) container_->TickArrivals();
+      continue;
     }
     if (network_ != nullptr) {
       network_->Pump(container_->clock()->NowMicros());
@@ -51,6 +53,7 @@ void RealtimePump::Loop() {
                              << ": tick failed: " << produced.status();
     }
     rounds_.fetch_add(1);
+    next_round = Steady::now() + interval;
   }
 }
 

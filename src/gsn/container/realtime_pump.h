@@ -2,7 +2,6 @@
 #define GSN_CONTAINER_REALTIME_PUMP_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 
@@ -16,6 +15,11 @@ namespace gsn::container {
 /// Container::Tick() every `interval` and, when a transport needs
 /// driving (the simulator's deferred queue), also pumps delivery — a
 /// no-op on real transports, which deliver from their own event loop.
+/// Between those interval rounds it sleeps on the container's wake: a
+/// delivery into a wrapper="remote" or "local" source ends the sleep,
+/// and the pump runs Container::TickArrivals() at once, so a pushed
+/// element does not wait for the next interval (docs/PERFORMANCE.md
+/// §7). Wakes that arrive during a round fold into the next one.
 ///
 /// Start/Stop are idempotent; the destructor stops the pump.
 class RealtimePump {
@@ -33,7 +37,8 @@ class RealtimePump {
   void Stop();
   bool running() const { return running_.load(); }
 
-  /// Completed tick rounds since Start.
+  /// Completed interval (Tick) rounds since Start; arrival rounds are
+  /// counted by gsn_tick_phase_micros{phase="arrival"}.
   int64_t rounds() const { return rounds_.load(); }
 
  private:
@@ -43,12 +48,12 @@ class RealtimePump {
   const Timestamp interval_micros_;
   network::Transport* network_;
 
-  std::mutex mu_;
-  std::condition_variable wake_;
+  std::mutex mu_;  // serializes Start and Stop
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<int64_t> rounds_{0};
-  bool stop_requested_ = false;
+  /// Read by the loop inside Container::WaitForArrival's predicate.
+  std::atomic<bool> stop_requested_{false};
 };
 
 }  // namespace gsn::container

@@ -5,8 +5,10 @@
 namespace gsn::network {
 
 RemoteStreamWrapper::RemoteStreamWrapper(Schema schema, std::string peer_node,
-                                         std::string remote_sensor)
+                                         std::string remote_sensor,
+                                         std::function<void()> on_arrival)
     : schema_(std::move(schema)),
+      on_arrival_(std::move(on_arrival)),
       peer_node_(std::move(peer_node)),
       remote_sensor_(std::move(remote_sensor)) {}
 
@@ -20,35 +22,44 @@ Result<std::vector<StreamElement>> RemoteStreamWrapper::Poll(Timestamp now) {
 
 RemoteStreamWrapper::PushOutcome RemoteStreamWrapper::Push(
     StreamElement element, uint64_t sequence) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++received_;
   PushOutcome outcome;
-  max_seen_ = std::max(max_seen_, sequence);
-  if (sequence < expected_seq_ || pending_.count(sequence)) {
-    ++duplicates_;
-    outcome.duplicate = true;
-    return outcome;
-  }
-  if (sequence == expected_seq_) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++received_;
+    max_seen_ = std::max(max_seen_, sequence);
+    if (sequence < expected_seq_ || pending_.count(sequence)) {
+      ++duplicates_;
+      outcome.duplicate = true;
+      return outcome;
+    }
+    if (sequence != expected_seq_) {
+      // Out of order: park until the gap below fills (or is abandoned).
+      pending_.emplace(sequence, std::move(element));
+      outcome.gap_opened = true;
+      return outcome;
+    }
     queue_.push_back(std::move(element));
     ++expected_seq_;
     ++admitted_;
     ++outcome.admitted;
     // The arrival may close a gap: drain parked successors.
-    for (auto it = pending_.begin();
-         it != pending_.end() && it->first == expected_seq_;
-         it = pending_.erase(it)) {
-      queue_.push_back(std::move(it->second));
-      ++expected_seq_;
-      ++admitted_;
-      ++outcome.admitted;
-    }
-    return outcome;
+    outcome.admitted += ReleaseParkedLocked();
   }
-  // Out of order: park until the gap below fills (or is abandoned).
-  pending_.emplace(sequence, std::move(element));
-  outcome.gap_opened = true;
+  if (on_arrival_) on_arrival_();
   return outcome;
+}
+
+int RemoteStreamWrapper::ReleaseParkedLocked() {
+  int released = 0;
+  for (auto it = pending_.begin();
+       it != pending_.end() && it->first == expected_seq_;
+       it = pending_.erase(it)) {
+    queue_.push_back(std::move(it->second));
+    ++expected_seq_;
+    ++admitted_;
+    ++released;
+  }
+  return released;
 }
 
 void RemoteStreamWrapper::ObserveTip(uint64_t last_sequence) {
@@ -78,28 +89,27 @@ std::vector<SeqRange> RemoteStreamWrapper::MissingRanges(
 }
 
 int RemoteStreamWrapper::AbandonMissingThrough(uint64_t through) {
-  std::lock_guard<std::mutex> lock(mu_);
   int abandoned = 0;
-  while (expected_seq_ <= through) {
-    auto it = pending_.find(expected_seq_);
-    if (it != pending_.end()) {
-      queue_.push_back(std::move(it->second));
-      pending_.erase(it);
-      ++admitted_;
-    } else {
-      ++abandoned;
+  int released = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    while (expected_seq_ <= through) {
+      auto it = pending_.find(expected_seq_);
+      if (it != pending_.end()) {
+        queue_.push_back(std::move(it->second));
+        pending_.erase(it);
+        ++admitted_;
+        ++released;
+      } else {
+        ++abandoned;
+      }
+      ++expected_seq_;
     }
-    ++expected_seq_;
+    // The abandonment may unblock parked successors beyond `through`.
+    released += ReleaseParkedLocked();
+    abandoned_ += abandoned;
   }
-  // The abandonment may unblock parked successors beyond `through`.
-  for (auto it = pending_.begin();
-       it != pending_.end() && it->first == expected_seq_;
-       it = pending_.erase(it)) {
-    queue_.push_back(std::move(it->second));
-    ++expected_seq_;
-    ++admitted_;
-  }
-  abandoned_ += abandoned;
+  if (released > 0 && on_arrival_) on_arrival_();
   return abandoned;
 }
 

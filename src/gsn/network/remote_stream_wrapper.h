@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,6 +29,12 @@ namespace gsn::network {
 /// parked until the gap fills, and MissingRanges() tells the container
 /// what to NACK for replay. ObserveTip() raises the known high-water
 /// mark so a lost *tail* delivery still registers as a gap.
+///
+/// An arrival is a Push or an AbandonMissingThrough that releases at
+/// least one element in order; duplicates and parked arrivals are not.
+/// On each arrival `on_arrival` (fixed at construction, so it is in
+/// place before the transport thread can reach the wrapper) runs after
+/// the wrapper's lock is released (docs/PERFORMANCE.md §7).
 class RemoteStreamWrapper : public wrappers::Wrapper {
  public:
   /// Outcome of one Push, for the container's gap/dup telemetry.
@@ -40,7 +47,8 @@ class RemoteStreamWrapper : public wrappers::Wrapper {
   /// `schema` comes from the matched DirectoryEntry; `peer` / `sensor`
   /// identify the remote producer (for diagnostics and failover).
   RemoteStreamWrapper(Schema schema, std::string peer_node,
-                      std::string remote_sensor);
+                      std::string remote_sensor,
+                      std::function<void()> on_arrival = {});
 
   const Schema& output_schema() const override { return schema_; }
   std::string type_name() const override { return "remote"; }
@@ -87,7 +95,12 @@ class RemoteStreamWrapper : public wrappers::Wrapper {
   uint64_t max_seen_sequence() const;
 
  private:
+  /// Moves the parked run starting at the expected sequence to the
+  /// queue; returns how many it released. Requires mu_.
+  int ReleaseParkedLocked();
+
   const Schema schema_;
+  const std::function<void()> on_arrival_;
 
   mutable std::mutex mu_;
   std::string peer_node_;

@@ -164,7 +164,7 @@ Result<std::unique_ptr<RecordLog>> RecordLog::Open(const std::string& path) {
     return Status::IoError("cannot open record log " + path + ": " +
                            std::strerror(errno));
   }
-  return std::unique_ptr<RecordLog>(new RecordLog(path, f));
+  return std::unique_ptr<RecordLog>(new RecordLog(path, f, valid_prefix));
 }
 
 Result<RecordLog::ReplayStats> RecordLog::Replay(const std::string& path,
@@ -203,8 +203,14 @@ Status RecordLog::Append(std::string_view payload) {
   if (std::fflush(file_) != 0) {
     return Status::IoError("flush failed for " + path_);
   }
+  end_ += record.size();
   ++appended_;
   return Status::OK();
+}
+
+uint64_t RecordLog::Mark() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return end_;
 }
 
 Status RecordLog::Sync() {
@@ -212,13 +218,36 @@ Status RecordLog::Sync() {
   return FlushAndFsync(file_, path_);
 }
 
-Status RecordLog::Replace(const std::vector<std::string>& payloads) {
+Status RecordLog::Replace(const std::vector<std::string>& payloads,
+                          std::optional<uint64_t> mark) {
   std::string contents;
   for (const std::string& payload : payloads) {
     contents += FrameLogRecord(payload);
   }
   const std::string tmp = path_ + ".tmp";
   std::lock_guard<std::mutex> lock(mu_);
+  if (mark.has_value() && *mark > end_) {
+    return Status::InvalidArgument("mark " + std::to_string(*mark) +
+                                   " is past the end of " + path_);
+  }
+  if (mark.has_value() && *mark < end_) {
+    // The frames appended since the mark, byte for byte: every Append
+    // flushed its frame to the file before releasing this lock.
+    std::FILE* in = std::fopen(path_.c_str(), "rb");
+    if (in == nullptr) {
+      return Status::IoError("cannot read " + path_ + ": " +
+                             std::strerror(errno));
+    }
+    const size_t tail_size = static_cast<size_t>(end_ - *mark);
+    const size_t tail_start = contents.size();
+    contents.resize(tail_start + tail_size);
+    const bool read =
+        std::fseek(in, static_cast<long>(*mark), SEEK_SET) == 0 &&
+        std::fread(contents.data() + tail_start, 1, tail_size, in) ==
+            tail_size;
+    std::fclose(in);
+    if (!read) return Status::IoError("short read of " + path_);
+  }
   GSN_RETURN_IF_ERROR(WriteFileSynced(tmp, contents));
   // The new handle opens on the temp file before the rename: every
   // failure up to and including the rename leaves the old file and
@@ -241,6 +270,7 @@ Status RecordLog::Replace(const std::vector<std::string>& payloads) {
   }
   std::fclose(file_);
   file_ = next;
+  end_ = contents.size();
   appended_ = 0;
   return Status::OK();
 }

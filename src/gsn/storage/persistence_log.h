@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,11 +66,19 @@ class RecordLog {
   /// Flushes and fsyncs the log to durable storage.
   Status Sync();
 
-  /// Compaction: atomically replaces the log with exactly `payloads`
-  /// (temp file, fsync, rename) and keeps appending to the new file. On
-  /// failure the old file and this handle stay exactly as they were,
-  /// still appendable, so there is never a moment without a handle.
-  Status Replace(const std::vector<std::string>& payloads);
+  /// The log's end offset, read under its lock. A later
+  /// Replace(payloads, mark) keeps every record appended after it. A mark
+  /// is valid until the next Replace of this handle.
+  uint64_t Mark() const;
+
+  /// Compaction: atomically replaces the log with `payloads` (temp file,
+  /// fsync, rename) and keeps appending to the new file. With a `mark`,
+  /// the frames appended after it follow `payloads` unchanged, copied
+  /// under the log's lock, so an append racing the caller's snapshot is
+  /// kept. On failure the old file and this handle stay exactly as they
+  /// were, still appendable, so there is never a moment without a handle.
+  Status Replace(const std::vector<std::string>& payloads,
+                 std::optional<uint64_t> mark = std::nullopt);
 
   const std::string& path() const { return path_; }
   /// Records appended through this handle since Open or the last
@@ -77,12 +86,13 @@ class RecordLog {
   size_t appended_count() const;
 
  private:
-  RecordLog(std::string path, std::FILE* file)
-      : path_(std::move(path)), file_(file) {}
+  RecordLog(std::string path, std::FILE* file, uint64_t end)
+      : path_(std::move(path)), file_(file), end_(end) {}
 
   const std::string path_;
   mutable std::mutex mu_;
   std::FILE* file_;      // guarded by mu_
+  uint64_t end_;         // bytes in the file; guarded by mu_
   size_t appended_ = 0;  // guarded by mu_
 };
 

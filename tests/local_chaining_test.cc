@@ -141,6 +141,36 @@ TEST_F(LocalChainingTest, ConsumerUndeployDetachesCleanly) {
   EXPECT_GT(raw->rows()[0][0].int_value(), 20);
 }
 
+// A deploy that fails after its local source was wired (here a second
+// source names an unknown wrapper) unwires it again: the producer's
+// later outputs and its undeploy must not reach the freed wrapper.
+TEST_F(LocalChainingTest, FailedDeployUnwiresItsLocalSource) {
+  ASSERT_TRUE(container_->Deploy(kProducerXml).ok());
+  constexpr char kHalfWiredXml[] =
+      "<virtual-sensor name=\"half-wired\">"
+      "<output-structure>"
+      "  <field name=\"temperature\" type=\"integer\"/>"
+      "</output-structure>"
+      "<input-stream name=\"in\">"
+      "  <stream-source alias=\"raw\" storage-size=\"1\">"
+      "    <address wrapper=\"local\">"
+      "      <predicate key=\"type\" val=\"temperature\"/>"
+      "    </address>"
+      "    <query>select temperature from wrapper</query>"
+      "  </stream-source>"
+      "  <stream-source alias=\"bad\" storage-size=\"1\">"
+      "    <address wrapper=\"no-such-wrapper\"/>"
+      "    <query>select * from wrapper</query>"
+      "  </stream-source>"
+      "  <query>select * from raw</query>"
+      "</input-stream>"
+      "</virtual-sensor>";
+  EXPECT_FALSE(container_->Deploy(kHalfWiredXml).ok());
+  Run(kMicrosPerSecond);
+  ASSERT_TRUE(container_->Undeploy("raw-temp").ok());
+  EXPECT_EQ(container_->ListSensors().size(), 0u);
+}
+
 TEST_F(LocalChainingTest, ThreeStageChain) {
   // raw -> smooth -> alarm: a second derivation on top of the first.
   ASSERT_TRUE(container_->Deploy(kProducerXml).ok());

@@ -525,6 +525,45 @@ TEST(ContainerRecoveryTest, CheckpointRacingAppendsLosesNoRows) {
   EXPECT_EQ(dup->rows()[0][0], dup->rows()[0][1]);
 }
 
+// Deploy publishes to its shard before it appends its manifest record,
+// so a checkpoint can collect the live set without a sensor whose record
+// then lands before the compaction. Permanent sensors make each
+// checkpoint slow (one WAL rewrite per sensor between collection and
+// compaction), so most deploys race one. The compaction keeps every
+// record appended after its mark: all 300 acknowledged deploys come back.
+TEST(ContainerRecoveryTest, ManifestCompactionKeepsConcurrentDeploys) {
+  constexpr int kSensors = 300;
+  for (int repetition = 0; repetition < 3; ++repetition) {
+    SCOPED_TRACE("repetition " + std::to_string(repetition));
+    TempDir dir("manifest_race");
+    auto clock = std::make_shared<VirtualClock>();
+    int deployed = 0;
+    {
+      Container container(DataDirOptions(dir.path(), clock));
+      std::atomic<bool> stop{false};
+      std::atomic<int> checkpoints{0};
+      std::thread checkpointer([&] {
+        while (!stop.load()) {
+          EXPECT_TRUE(container.Checkpoint().ok());
+          checkpoints.fetch_add(1);
+        }
+      });
+      for (int i = 0; i < kSensors; ++i) {
+        if (container.Deploy(GenDescriptor("s" + std::to_string(i))).ok()) {
+          ++deployed;
+        }
+      }
+      stop.store(true);
+      checkpointer.join();
+      EXPECT_GT(checkpoints.load(), 0);
+    }
+    ASSERT_EQ(deployed, kSensors);
+    Container restarted(DataDirOptions(dir.path(), clock));
+    EXPECT_EQ(restarted.ListSensors().size(), static_cast<size_t>(kSensors));
+    EXPECT_EQ(restarted.recovery_failures(), 0u);
+  }
+}
+
 // POST /api/v1/drain runs Shutdown() — including its flush Tick rounds
 // — on an HTTP thread while the RealtimePump keeps calling Tick();
 // tick_mu_ serializes the two drivers (pools, checkpoint trigger).

@@ -692,6 +692,42 @@ TEST_F(RecordLogTest, FailedReplaceLeavesTheOldLogAppendable) {
   EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
 }
 
+// A mark is the log's end. Replace(payloads, mark) keeps, byte for byte,
+// every record appended after it, and appends go on behind them; a mark
+// past the end is refused and leaves the log as it was.
+TEST_F(RecordLogTest, ReplaceKeepsRecordsAppendedAfterTheMark) {
+  auto log = RecordLog::Open(path_);
+  ASSERT_TRUE(log.ok());
+  EXPECT_EQ((*log)->Mark(), 0u);
+  ASSERT_TRUE((*log)->Append("a").ok());
+  ASSERT_TRUE((*log)->Append("b").ok());
+  const uint64_t mark = (*log)->Mark();
+  EXPECT_EQ(mark, 2 * FrameLogRecord("a").size());
+  ASSERT_TRUE((*log)->Append("c").ok());
+  ASSERT_TRUE((*log)->Append("dd").ok());
+  ASSERT_TRUE((*log)->Replace({"x"}, mark).ok());
+  EXPECT_EQ((*log)->appended_count(), 0u);
+  ASSERT_TRUE((*log)->Append("e").ok());
+  RecordLog::ReplayStats stats;
+  EXPECT_EQ(ReplayAll(&stats),
+            (std::vector<std::string>{"x", "c", "dd", "e"}));
+  EXPECT_FALSE(stats.torn_tail);
+  EXPECT_EQ((*log)->Mark(), std::filesystem::file_size(path_));
+
+  // A mark at the end keeps nothing after the payloads.
+  ASSERT_TRUE((*log)->Replace({"y"}, (*log)->Mark()).ok());
+  EXPECT_EQ(ReplayAll(&stats), (std::vector<std::string>{"y"}));
+  EXPECT_FALSE((*log)->Replace({"z"}, (*log)->Mark() + 1).ok());
+  ASSERT_TRUE((*log)->Append("f").ok());
+  EXPECT_EQ(ReplayAll(&stats), (std::vector<std::string>{"y", "f"}));
+
+  // A reopened handle marks the end of what it found.
+  log->reset();
+  auto reopened = RecordLog::Open(path_);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->Mark(), std::filesystem::file_size(path_));
+}
+
 // Appends from several threads race Replace and Sync on one handle: no
 // append tears the log, and every append that began after the last
 // Replace returned is in it.
