@@ -5,6 +5,7 @@
 #include <functional>
 #include <thread>
 
+#include "gsn/container/local_stream_wrapper.h"
 #include "gsn/sql/parser.h"
 #include "gsn/types/codec.h"
 #include "gsn/util/logging.h"
@@ -275,8 +276,8 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
       storage::Table * table,
       tables_.CreateTable(spec.name, spec.output_structure,
                           spec.storage.history));
-  // Built in place, not moved: its push sources' arrival callbacks
-  // hold its address (for its woken flag) from the moment they exist.
+  // Built in place, not moved: its sources' arrival hooks hold its
+  // address (for its woken flag) from the moment they exist.
   auto deployment = std::make_shared<Deployment>();
   deployment->key = key;
   deployment->table = table;
@@ -351,27 +352,43 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
     deployment->log = *std::move(log);
   }
 
-  // Wrappers and stream sources.
+  // Wrappers and stream sources. A push source is wired once its
+  // source exists: the bound and the arrival hook meet its first element.
+  const auto wake = [this, d = deployment.get()] { WakeDeployment(d); };
   std::vector<std::vector<std::unique_ptr<StreamSource>>> sources(
       spec.input_streams.size());
   for (size_t i = 0; i < spec.input_streams.size(); ++i) {
     for (const vsensor::StreamSourceSpec& source_spec :
          spec.input_streams[i].sources) {
+      std::string producer;  // set for wrapper="local"
       Result<std::unique_ptr<wrappers::Wrapper>> wrapper =
-          MakeWrapperForSource(source_spec, key, deployment.get());
+          MakeWrapperForSource(source_spec, key, deployment.get(), &producer);
       if (!wrapper.ok()) {
         unwind();
         return wrapper.status();
       }
+      auto* remote =
+          dynamic_cast<network::RemoteStreamWrapper*>(wrapper->get());
       const uint64_t seed =
           options_.seed * 1000003 +
           (wrapper_seed_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
       auto source = std::make_unique<StreamSource>(
           source_spec, *std::move(wrapper), seed, metrics_, tracer_,
           options_.node_id);
-      source->ConfigureAdmission(spec.name,
-                                 options_.supervision.queue_capacity,
-                                 options_.supervision.shed_policy, metrics_);
+      source->ConfigureAdmission(
+          spec.name, options_.supervision.queue_capacity,
+          options_.supervision.shed_policy, metrics_, wake);
+      StreamSource* raw = source.get();
+      if (remote != nullptr) {
+        remote->AttachSink([raw](std::vector<StreamElement> run) {
+          return raw->Offer(std::move(run), StreamSource::WhenBlocked::kRefuse);
+        });
+      }
+      if (!producer.empty()) {
+        std::lock_guard<telemetry::TimedMutex> lock(chain_mu_);
+        chained_sources_.emplace(producer, raw);
+        deployment->local_sources.push_back(raw);
+      }
       sources[i].push_back(std::move(source));
     }
   }
@@ -454,7 +471,8 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
 
 Result<std::unique_ptr<wrappers::Wrapper>> Container::MakeWrapperForSource(
     const vsensor::StreamSourceSpec& source_spec,
-    const std::string& deployment_key, Deployment* deployment) {
+    const std::string& deployment_key, Deployment* deployment,
+    std::string* producer) {
   // wrapper="local": derive from another virtual sensor on this
   // container (paper §2: "a data stream derived from other virtual
   // sensors"). Predicates address the producer like a directory query,
@@ -469,16 +487,9 @@ Result<std::unique_ptr<wrappers::Wrapper>> Container::MakeWrapperForSource(
           "source '" +
           source_spec.alias + "' (deploy the producer first)");
     }
-    const DirectoryEntry& entry = matches.front();
-    auto wrapper = std::make_unique<LocalStreamWrapper>(
-        entry.output_schema, entry.sensor_name,
-        [this, deployment] { WakeDeployment(deployment); });
-    {
-      std::lock_guard<telemetry::TimedMutex> lock(chain_mu_);
-      local_wrappers_.emplace(StrToLower(entry.sensor_name), wrapper.get());
-    }
-    deployment->local_sources.push_back(wrapper.get());
-    return std::unique_ptr<wrappers::Wrapper>(std::move(wrapper));
+    *producer = StrToLower(matches.front().sensor_name);
+    return std::unique_ptr<wrappers::Wrapper>(
+        std::make_unique<LocalStreamWrapper>(matches.front().output_schema));
   }
 
   // wrapper="system": the container itself wrapped as a data source
@@ -511,14 +522,11 @@ Result<std::unique_ptr<wrappers::Wrapper>> Container::MakeWrapperForSource(
     return registry_.Create(source_spec.address.wrapper, config);
   }
 
-  // wrapper="remote": logical addressing through the directory. The
-  // engine builds the wrapper with its arrival callback, before the
-  // transport thread can reach it.
+  // wrapper="remote": logical addressing through the directory.
   GSN_ASSIGN_OR_RETURN(
       std::unique_ptr<network::RemoteStreamWrapper> remote,
       federation_.Subscribe(deployment_key, source_spec.alias,
-                            source_spec.address.predicates,
-                            [this, deployment] { WakeDeployment(deployment); }));
+                            source_spec.address.predicates));
   return std::unique_ptr<wrappers::Wrapper>(std::move(remote));
 }
 
@@ -550,17 +558,12 @@ Status Container::Undeploy(const std::string& sensor_name,
       total_deployments_.fetch_sub(1, std::memory_order_relaxed) - 1);
 
   // Detach the chaining edges BEFORE stopping the sensor: after this
-  // block no producer fan-out (which runs under chain_mu_) can push
-  // into the dying sensor, and its own source wrappers stop receiving.
+  // block no producer fan-out (which runs under chain_mu_) can offer
+  // into the dying sensor, and its own consumers receive nothing new.
   {
     std::lock_guard<telemetry::TimedMutex> lock(chain_mu_);
     DetachLocalSourcesLocked(*deployment);
-    // Consumers chained onto this sensor stop receiving.
-    auto range = local_wrappers_.equal_range(key);
-    for (auto wit = range.first; wit != range.second;) {
-      wit->second->MarkProducerGone();
-      wit = local_wrappers_.erase(wit);
-    }
+    chained_sources_.erase(key);
   }
 
   // Federation bookkeeping: our subscriptions on remote producers are
@@ -616,13 +619,10 @@ Status Container::Undeploy(const std::string& sensor_name,
 }
 
 void Container::DetachLocalSourcesLocked(const Deployment& deployment) {
-  for (auto wit = local_wrappers_.begin(); wit != local_wrappers_.end();) {
-    const bool mine =
-        std::find(deployment.local_sources.begin(),
-                  deployment.local_sources.end(),
-                  wit->second) != deployment.local_sources.end();
-    wit = mine ? local_wrappers_.erase(wit) : std::next(wit);
-  }
+  std::erase_if(chained_sources_, [&deployment](const auto& edge) {
+    return std::ranges::find(deployment.local_sources, edge.second) !=
+           deployment.local_sources.end();
+  });
 }
 
 int Container::ShardIndexFor(const std::string& key) const {
@@ -1349,19 +1349,18 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
   }
   storage_span.Stop();
 
-  // Local chaining: feed consumers deployed on this container.
-  // chain_mu_ is held ACROSS PushBatch — Undeploy detaches a dying
-  // consumer's wrappers under the same lock, so fan-out can never push
-  // into a wrapper whose sensor is being destroyed. PushBatch only
-  // takes the wrapper's own queue lock (a leaf), so this cannot
-  // deadlock, and producers on other shards fan out concurrently only
-  // contending here.
+  // Local chaining: offer the batch into each consumer's admission
+  // queue. chain_mu_ is held ACROSS the offers — Undeploy detaches a
+  // dying consumer's sources under the same lock, so fan-out can never
+  // offer into a source whose sensor is being destroyed. Offer takes
+  // only leaf locks, so this cannot deadlock, and producers on other
+  // shards fan out concurrently only contending here.
   telemetry::Span fanout_span(batch_fanout_micros_.get());
   {
     std::lock_guard<telemetry::TimedMutex> lock(chain_mu_);
-    auto range = local_wrappers_.equal_range(StrToLower(name));
+    auto range = chained_sources_.equal_range(StrToLower(name));
     for (auto it = range.first; it != range.second; ++it) {
-      it->second->PushBatch(batch);
+      it->second->Offer(batch, StreamSource::WhenBlocked::kShed);
     }
   }
 

@@ -12,7 +12,6 @@
 
 #include "gsn/container/access_control.h"
 #include "gsn/container/federation_engine.h"
-#include "gsn/container/local_stream_wrapper.h"
 #include "gsn/container/manifest.h"
 #include "gsn/container/notification.h"
 #include "gsn/container/quarantine.h"
@@ -43,11 +42,12 @@ namespace gsn::container {
 ///
 /// The container is driven by Tick(): it runs the engine's maintenance
 /// round, polls every sensor's sources, runs pipelines, and enforces
-/// lifetime bounds. With a VirtualClock this is fully deterministic;
-/// live deployments call RunFor()/pump Tick from a thread. Between
-/// Ticks, TickArrivals() drains only the sensors a push source
-/// (wrapper="remote" or "local") has woken, so a delivery does not wait
-/// for the next Tick (docs/PERFORMANCE.md §7).
+/// lifetime bounds. With a VirtualClock and one tick worker (or one
+/// shard) this is fully deterministic, as the shards drain in index
+/// order; live deployments call RunFor()/pump Tick from a thread.
+/// Between Ticks, TickArrivals() drains only the sensors a push source
+/// (wrapper="remote" or "local") has offered into, so a delivery does
+/// not wait for the next Tick (docs/PERFORMANCE.md §7).
 ///
 /// Concurrency model (docs/CONCURRENCY.md). Deployments are
 /// partitioned into N shards by hash of the lowercased sensor name;
@@ -68,12 +68,14 @@ namespace gsn::container {
 ///    held together with one another or with a shard lock. The engine
 ///    guarantees its side (it cannot reach a shard); the container
 ///    never calls the engine with a shard lock or chain_mu_ held.
-///  - chain_mu_ is held ACROSS LocalStreamWrapper::PushBatch so a
-///    producer's fan-out can never race Undeploy destroying the
-///    consumer; wrapper pushes only take source-queue leaf locks.
+///  - chain_mu_ is held ACROSS the fan-out's StreamSource::Offer so a
+///    producer can never race Undeploy destroying the consumer. A push
+///    takes a consumer's admission lock (a leaf) by two chains only:
+///    chain_mu_ -> admission, and engine -> remote wrapper -> admission.
 ///  - The wake (a deployment's atomic woken flag and wake_mu_, a leaf)
-///    is the only container state a push reaches: the arrival callback
-///    runs under the engine lock or chain_mu_ and takes no shard lock.
+///    is the only other container state a push reaches: Offer calls the
+///    arrival hook after releasing the admission lock; it takes no
+///    shard lock.
 ///  - snapshot_mu_ stays a leaf: system wrappers scrape the cached
 ///    snapshot without touching any shard/federation lock.
 class Container {
@@ -420,10 +422,9 @@ class Container {
     // -- Supervision (docs/DURABILITY.md) --------------------------------
     SensorState state = SensorState::kRunning;
     int restart_attempts = 0;
-    /// Set by the sensor's push sources on an arrival (WakeDeployment),
-    /// cleared when a round collects the sensor for a drain. Atomic: the
-    /// transport thread and producers' fan-out set it without the shard
-    /// lock.
+    /// Set when an Offer enqueues into one of the sensor's sources
+    /// (WakeDeployment), cleared when a round collects the sensor for a
+    /// drain. Atomic: pushers set it without the shard lock.
     std::atomic<bool> woken{false};
     /// Ticks completed without failing since the last restart; at
     /// supervision.healthy_ticks_to_reset the restart budget is
@@ -434,9 +435,9 @@ class Container {
     Timestamp resume_at = 0;
     std::shared_ptr<telemetry::Gauge> state_gauge;
     std::shared_ptr<telemetry::Counter> restarts;
-    /// wrapper="local" sources of this sensor (listeners detached at
+    /// wrapper="local" sources of this sensor (edges detached at
     /// undeploy).
-    std::vector<LocalStreamWrapper*> local_sources;
+    std::vector<vsensor::StreamSource*> local_sources;
     /// wrapper="system" sources of this sensor; while any deployment
     /// has one, Tick() refreshes the snapshot cache they scrape.
     int system_sources = 0;
@@ -467,10 +468,12 @@ class Container {
 
   /// Builds the wrapper for one source; wrapper="remote" sources are
   /// subscribed through the federation engine under `deployment_key`
-  /// (the lowercased owning sensor name).
+  /// (the lowercased owning sensor name), and a wrapper="local" one
+  /// sets `*producer` to the key of the sensor it chains from.
   Result<std::unique_ptr<wrappers::Wrapper>> MakeWrapperForSource(
       const vsensor::StreamSourceSpec& source_spec,
-      const std::string& deployment_key, Deployment* deployment);
+      const std::string& deployment_key, Deployment* deployment,
+      std::string* producer);
 
   /// Shard hosting `key` (hash of the lowercased sensor name).
   Shard& ShardFor(const std::string& key) const;
@@ -483,9 +486,9 @@ class Container {
   /// shard, and for arrival rounds).
   int TickShard(Shard& shard, Timestamp now, bool arrivals_only);
 
-  /// Arrival callback of `deployment`'s push sources: sets its woken
-  /// flag and, only when that flag goes from clear to set, wakes
-  /// WaitForArrival. Takes only wake_mu_.
+  /// Arrival hook of `deployment`'s sources: sets its woken flag and,
+  /// only when that flag goes from clear to set, wakes WaitForArrival.
+  /// Takes only wake_mu_.
   void WakeDeployment(Deployment* deployment);
   /// Removes `deployment`'s own wrapper="local" sources from the
   /// chaining map. Requires chain_mu_.
@@ -582,14 +585,14 @@ class Container {
   std::atomic<int64_t> total_deployments_{0};
   std::atomic<uint64_t> wrapper_seed_counter_{0};
 
-  /// The chaining lock (lock="chaining"): guards local_wrappers_ and
-  /// is held across PushBatch fan-out, so a push can never race the
-  /// consumer's Undeploy (which detaches its wrappers under this lock
-  /// before stopping the sensor). PushBatch only takes source-queue
-  /// leaf locks, so holding chain_mu_ across it is cycle-free.
+  /// The chaining lock (lock="chaining"): guards chained_sources_ and
+  /// is held across the fan-out's Offer calls, so an offer can never
+  /// race the consumer's Undeploy (which detaches its sources under this
+  /// lock before stopping the sensor). Offer only takes leaf locks, so
+  /// holding chain_mu_ across it is cycle-free.
   mutable telemetry::TimedMutex chain_mu_;
-  /// Local chaining: producer sensor (lowercased) -> consumer wrappers.
-  std::multimap<std::string, LocalStreamWrapper*> local_wrappers_;
+  /// Local chaining: producer sensor (lowercased) -> consumer sources.
+  std::multimap<std::string, vsensor::StreamSource*> chained_sources_;
 
   /// The wake: a leaf lock under which WakeDeployment records that some
   /// deployment went from clear to woken, and WaitForArrival consumes it.

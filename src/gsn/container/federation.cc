@@ -25,6 +25,9 @@ Result<Container*> Federation::AddNode(const std::string& node_id,
   options.storage_dir = storage_dir;
   options.network = node.chaos.get();
   options.tracer = &tracer_;
+  // One worker drains the shards in index order (the pool is FIFO), so
+  // a local chain across shards sees its pushes in a fixed order.
+  options.sharding.tick_workers = 1;
   node.container = std::make_unique<Container>(std::move(options));
   Container* ptr = node.container.get();
   nodes_[node_id] = std::move(node);

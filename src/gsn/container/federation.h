@@ -21,7 +21,8 @@ namespace gsn::container {
 /// registers through its own ChaosTransport over the shared lossless
 /// simulator, as `gsnd --chaos-seed` does for a daemon: faults are that
 /// node's rules, reached via `node(id)->network()->AsChaos()` or its
-/// `chaos` command (docs/CHAOS.md).
+/// `chaos` command (docs/CHAOS.md). Every node drains its shards on one
+/// tick worker, so a seeded schedule stores the same rows on every run.
 class Federation {
  public:
   explicit Federation(uint64_t seed = 1);

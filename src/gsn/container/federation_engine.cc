@@ -147,8 +147,7 @@ std::string FederationEngine::NextSubscriptionIdLocked() {
 
 Result<std::unique_ptr<RemoteStreamWrapper>> FederationEngine::Subscribe(
     const std::string& deployment_key, const std::string& alias,
-    const std::map<std::string, std::string>& predicates,
-    std::function<void()> on_arrival) {
+    const std::map<std::string, std::string>& predicates) {
   if (network_ == nullptr) {
     return Status::InvalidArgument(
         "wrapper=\"remote\" requires the container to be attached to a "
@@ -189,8 +188,7 @@ Result<std::unique_ptr<RemoteStreamWrapper>> FederationEngine::Subscribe(
                                      std::move(request.payload)));
 
   auto wrapper = std::make_unique<RemoteStreamWrapper>(
-      entry->output_schema, entry->node_id, entry->sensor_name,
-      std::move(on_arrival));
+      entry->output_schema, entry->node_id, entry->sensor_name);
   std::lock_guard<telemetry::TimedMutex> lock(mu_);
   RemoteSubscription& sub = subscriptions_[id];
   sub.wrapper = wrapper.get();
@@ -314,11 +312,18 @@ void FederationEngine::OnMessage(const Message& message) {
   if (message.topic == network::kTopicHeartbeat) {
     return;  // nothing beyond the liveness note above
   }
-  // A node speaks only for its own directory entries: ours are written
+  // A node speaks only for itself. Directory entries: ours are written
   // by Publish and Forget alone, and a peer's only by that peer, so a
-  // forged entry is never stored (nor re-announced by AnnounceAll).
+  // forged entry is never stored (nor re-announced by AnnounceAll). A
+  // subscription's messages come from its subscriber or its producer.
   const auto speaks_for = [&](const std::string& node) {
     return node != node_id_ && node == message.from;
+  };
+  const auto from_producer = [&](const RemoteSubscription& sub) {
+    return message.from == sub.wrapper->peer_node();
+  };
+  const auto from_subscriber = [&](const RemoteSubscriber& subscriber) {
+    return message.from == subscriber.subscriber_node;
   };
   if (message.topic == network::kTopicDirPublish) {
     Result<DirectoryEntry> entry = DirectoryEntry::Decode(message.payload);
@@ -338,7 +343,7 @@ void FederationEngine::OnMessage(const Message& message) {
   if (message.topic == network::kTopicSubscribe) {
     Result<network::SubscribeRequest> request =
         network::SubscribeRequest::Decode(message.payload);
-    if (!request.ok()) return;
+    if (!request.ok() || request->subscriber_node != message.from) return;
     {
       std::lock_guard<telemetry::TimedMutex> lock(mu_);
       // Only sensors this node publishes: an acked subscription to
@@ -368,7 +373,7 @@ void FederationEngine::OnMessage(const Message& message) {
     if (!ack.ok()) return;
     std::lock_guard<telemetry::TimedMutex> lock(mu_);
     auto it = subscriptions_.find(ack->subscription_id);
-    if (it != subscriptions_.end()) {
+    if (it != subscriptions_.end() && from_producer(it->second)) {
       it->second.acked = true;
       it->second.last_activity = clock_->NowMicros();
     }
@@ -380,7 +385,7 @@ void FederationEngine::OnMessage(const Message& message) {
     if (!tip.ok()) return;
     std::lock_guard<telemetry::TimedMutex> lock(mu_);
     auto it = subscriptions_.find(tip->subscription_id);
-    if (it != subscriptions_.end()) {
+    if (it != subscriptions_.end() && from_producer(it->second)) {
       it->second.acked = true;  // a tip implies the producer knows us
       // A tip only proves the subscription is alive when it reaches
       // our cursor: a restarted producer tips its fresh (low) sequence
@@ -396,22 +401,20 @@ void FederationEngine::OnMessage(const Message& message) {
     Result<network::NackRequest> nack =
         network::NackRequest::Decode(message.payload);
     if (!nack.ok()) return;
-    // Serve the replay out of the subscriber's buffer; sequences
-    // already evicted stay missing (the subscriber abandons them).
+    // Serve the replay from the entries buffered inside each range;
+    // sequences already evicted stay missing (the subscriber abandons).
     std::vector<Outbound> sends;
     {
       std::lock_guard<telemetry::TimedMutex> lock(mu_);
       auto it = subscribers_.find(nack->subscription_id);
-      if (it == subscribers_.end()) return;
+      if (it == subscribers_.end() || !from_subscriber(it->second)) return;
       constexpr size_t kMaxReplaysPerNack = 1024;
+      const network::ReplayBuffer& replay = it->second.replay;
       for (const network::SeqRange& range : nack->ranges) {
-        for (uint64_t seq = range.from;
-             seq <= range.to && sends.size() < kMaxReplaysPerNack; ++seq) {
-          const std::string* payload = it->second.replay.Get(seq);
-          if (payload != nullptr) {
-            sends.push_back(
-                {it->second.subscriber_node, network::kTopicStream, *payload});
-          }
+        const size_t room = kMaxReplaysPerNack - sends.size();
+        for (const std::string* p : replay.Range(range.from, range.to, room)) {
+          sends.push_back(
+              {it->second.subscriber_node, network::kTopicStream, *p});
         }
       }
     }
@@ -424,7 +427,10 @@ void FederationEngine::OnMessage(const Message& message) {
         network::UnsubscribeRequest::Decode(message.payload);
     if (!request.ok()) return;
     std::lock_guard<telemetry::TimedMutex> lock(mu_);
-    subscribers_.erase(request->subscription_id);
+    auto it = subscribers_.find(request->subscription_id);
+    if (it != subscribers_.end() && from_subscriber(it->second)) {
+      subscribers_.erase(it);
+    }
     return;
   }
   if (message.topic == network::kTopicStream) {
@@ -445,7 +451,7 @@ void FederationEngine::OnMessage(const Message& message) {
     // is destroyed, so the wrapper outlives every Push that found it.
     std::lock_guard<telemetry::TimedMutex> lock(mu_);
     auto it = subscriptions_.find(delivery->subscription_id);
-    if (it == subscriptions_.end()) return;
+    if (it == subscriptions_.end() || !from_producer(it->second)) return;
     // A flowing delivery implies the producer registered us even if the
     // explicit ack was lost.
     it->second.acked = true;
@@ -456,12 +462,10 @@ void FederationEngine::OnMessage(const Message& message) {
         std::move(delivery->element), delivery->sequence);
     if (outcome.duplicate) dups_->Increment();
     if (outcome.gap_opened) gaps_->Increment();
-    // Admissions and parked futures prove the subscription is live;
-    // pure duplicates below our cursor do not (a restarted producer
-    // streams a fresh sequence space that dedups to nothing).
-    if (outcome.admitted > 0 || outcome.gap_opened) {
-      it->second.last_activity = clock_->NowMicros();
-    }
+    // All but pure duplicates below our cursor prove the subscription
+    // is live (a restarted producer streams a fresh sequence space that
+    // dedups to nothing).
+    if (!outcome.duplicate) it->second.last_activity = clock_->NowMicros();
     return;
   }
   GSN_LOG(kWarn, "container")
@@ -665,7 +669,8 @@ void FederationEngine::RunRound(Timestamp now) {
       if (sub.retry.Exhausted(sub.nack_attempts)) {
         // The producer can no longer replay these (evicted or gone):
         // give the head range up so the stream keeps flowing.
-        const int lost = sub.wrapper->AbandonMissingThrough(missing.front().to);
+        const int64_t lost =
+            sub.wrapper->AbandonMissingThrough(missing.front().to);
         if (lost > 0) {
           abandoned_->Increment(lost);
           GSN_LOG(kWarn, "container")

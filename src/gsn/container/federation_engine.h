@@ -2,7 +2,6 @@
 #define GSN_CONTAINER_FEDERATION_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -81,14 +80,12 @@ class FederationEngine : public network::NetworkNode {
   /// whose circuit allows traffic, else the first match, and returns
   /// the wrapper deliveries are pushed into. The caller owns it and
   /// must Forget `deployment_key` (the owning sensor's lowercased name)
-  /// before destroying it. `alias` names the source in errors.
-  /// `on_arrival` becomes the wrapper's arrival callback; it runs under
-  /// this engine's lock (on the transport thread, or in RunRound), so it
-  /// may take leaf locks only.
+  /// before destroying it. `alias` names the source in errors. Pushes
+  /// reach the wrapper's sink under this engine's lock (on the transport
+  /// thread, or in RunRound), so the sink may take leaf locks only.
   Result<std::unique_ptr<network::RemoteStreamWrapper>> Subscribe(
       const std::string& deployment_key, const std::string& alias,
-      const std::map<std::string, std::string>& predicates,
-      std::function<void()> on_arrival = {});
+      const std::map<std::string, std::string>& predicates);
   /// Sequences, signs and replay-buffers one output batch of
   /// `sensor_name` for each remote subscriber, then sends it.
   void Deliver(const std::string& sensor_name,
@@ -151,7 +148,8 @@ class FederationEngine : public network::NetworkNode {
     int nack_attempts = 0;
     Timestamp next_nack_at = 0;
     /// Last proof the producer still carries this subscription: an
-    /// ack, an admissible delivery, or a tip at/ahead of our cursor.
+    /// ack, a delivery that is no duplicate, or a tip at/ahead of our
+    /// cursor.
     Timestamp last_activity = 0;
   };
 

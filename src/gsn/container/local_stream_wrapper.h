@@ -1,10 +1,8 @@
 #ifndef GSN_CONTAINER_LOCAL_STREAM_WRAPPER_H_
 #define GSN_CONTAINER_LOCAL_STREAM_WRAPPER_H_
 
-#include <deque>
-#include <functional>
-#include <mutex>
 #include <string>
+#include <vector>
 
 #include "gsn/wrappers/wrapper.h"
 
@@ -15,46 +13,24 @@ namespace gsn::container {
 /// corresponds either to a data stream received directly from sensors
 /// or to a data stream derived from other virtual sensors"). The
 /// container resolves the address predicates against its own
-/// deployments and registers a listener on the producer; elements are
-/// queued here and drained by the consumer's stream source on Poll.
+/// deployments and chains the producer's output batches straight into
+/// the consumer's StreamSource (Offer), so this wrapper only names the
+/// schema and type: nothing is queued here.
 ///
 /// Unlike `remote`, no network hop or signature is involved — delivery
-/// is the producer's in-process listener fan-out.
-///
-/// Every Push and non-empty PushBatch is an arrival: `on_arrival` (set
-/// once, at construction) runs after the queue lock is released, so the
-/// container can wake the consumer at once (docs/PERFORMANCE.md §7).
+/// is the producer's in-process fan-out.
 class LocalStreamWrapper : public wrappers::Wrapper {
  public:
-  LocalStreamWrapper(Schema schema, std::string producer_name,
-                     std::function<void()> on_arrival = {});
+  explicit LocalStreamWrapper(Schema schema) : schema_(std::move(schema)) {}
 
   const Schema& output_schema() const override { return schema_; }
   std::string type_name() const override { return "local"; }
-
-  Result<std::vector<StreamElement>> Poll(Timestamp now) override;
-
-  /// Called from the producer's output listener.
-  void Push(StreamElement element);
-  /// Enqueues a whole output batch under one lock acquisition.
-  void PushBatch(const std::vector<StreamElement>& batch);
-  /// After the producer is undeployed the wrapper keeps draining its
-  /// queue but receives nothing new.
-  void MarkProducerGone();
-
-  const std::string& producer_name() const { return producer_name_; }
-  bool producer_gone() const;
-  int64_t received_count() const;
+  Result<std::vector<StreamElement>> Poll(Timestamp) override {
+    return std::vector<StreamElement>{};
+  }
 
  private:
   const Schema schema_;
-  const std::string producer_name_;
-  const std::function<void()> on_arrival_;
-
-  mutable std::mutex mu_;
-  std::deque<StreamElement> queue_;
-  int64_t received_ = 0;
-  bool producer_gone_ = false;
 };
 
 }  // namespace gsn::container

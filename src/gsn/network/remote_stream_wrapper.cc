@@ -1,70 +1,84 @@
 #include "gsn/network/remote_stream_wrapper.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace gsn::network {
 
+namespace {
+
+// Sequences count up from 1 and the gap arithmetic runs in int64: a
+// sequence past that can only be forged.
+constexpr uint64_t kMaxSequence = std::numeric_limits<int64_t>::max();
+
+}  // namespace
+
 RemoteStreamWrapper::RemoteStreamWrapper(Schema schema, std::string peer_node,
-                                         std::string remote_sensor,
-                                         std::function<void()> on_arrival)
+                                         std::string remote_sensor)
     : schema_(std::move(schema)),
-      on_arrival_(std::move(on_arrival)),
       peer_node_(std::move(peer_node)),
       remote_sensor_(std::move(remote_sensor)) {}
 
-Result<std::vector<StreamElement>> RemoteStreamWrapper::Poll(Timestamp now) {
-  (void)now;  // delivery timing is governed by the network simulator
+void RemoteStreamWrapper::AttachSink(Sink sink) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<StreamElement> out(queue_.begin(), queue_.end());
-  queue_.clear();
-  return out;
+  sink_ = std::move(sink);
 }
 
 RemoteStreamWrapper::PushOutcome RemoteStreamWrapper::Push(
     StreamElement element, uint64_t sequence) {
   PushOutcome outcome;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++received_;
-    max_seen_ = std::max(max_seen_, sequence);
-    if (sequence < expected_seq_ || pending_.count(sequence)) {
-      ++duplicates_;
-      outcome.duplicate = true;
-      return outcome;
-    }
-    if (sequence != expected_seq_) {
-      // Out of order: park until the gap below fills (or is abandoned).
-      pending_.emplace(sequence, std::move(element));
-      outcome.gap_opened = true;
-      return outcome;
-    }
-    queue_.push_back(std::move(element));
-    ++expected_seq_;
-    ++admitted_;
-    ++outcome.admitted;
-    // The arrival may close a gap: drain parked successors.
-    outcome.admitted += ReleaseParkedLocked();
+  std::lock_guard<std::mutex> lock(mu_);
+  ++received_;
+  if (sequence < expected_seq_ || sequence > kMaxSequence ||
+      pending_.count(sequence)) {
+    ++duplicates_;
+    outcome.duplicate = true;
+    return outcome;
   }
-  if (on_arrival_) on_arrival_();
+  max_seen_ = std::max(max_seen_, sequence);
+  const bool in_order = sequence == expected_seq_;
+  // Out of order: park until the gap below fills (or is abandoned).
+  // Behind a refusal the gap is repaired by in-order replay instead, so
+  // parking would only hoard what the queue has no room for.
+  if (!in_order && refusing_) return outcome;
+  pending_.emplace(sequence, std::move(element));
+  outcome.gap_opened = !in_order;
+  if (in_order) {
+    outcome.admitted = static_cast<int>(ReleaseLocked(sequence - 1));
+  }
   return outcome;
 }
 
-int RemoteStreamWrapper::ReleaseParkedLocked() {
-  int released = 0;
+size_t RemoteStreamWrapper::ReleaseLocked(uint64_t through) {
+  // With the gaps up to `through` given up, the parked entries at or
+  // below it and the parked run continuing in order past it are one run.
+  std::vector<StreamElement> run;
+  uint64_t next = through + 1;
   for (auto it = pending_.begin();
-       it != pending_.end() && it->first == expected_seq_;
+       it != pending_.end() && (it->first <= through || it->first == next);
        it = pending_.erase(it)) {
-    queue_.push_back(std::move(it->second));
-    ++expected_seq_;
-    ++admitted_;
-    ++released;
+    if (it->first == next) ++next;
+    run.push_back(std::move(it->second));
   }
-  return released;
+  const size_t offered = run.size();
+  const uint64_t below = offered - (next - through - 1);
+  const size_t taken = offered > 0 && sink_ ? sink_(std::move(run)) : 0;
+  // The refused rest is neither admitted nor parked: past `through` its
+  // sequences stay missing until a NACK has them re-sent, and at or
+  // below it they are given up with the gaps around them.
+  if (offered > 0) refusing_ = taken < offered;
+  const uint64_t taken_below = std::min<uint64_t>(taken, below);
+  abandoned_ += static_cast<int64_t>(through + 1 - expected_seq_ - taken_below);
+  expected_seq_ = through + 1 + (taken > below ? taken - below : 0);
+  admitted_ += static_cast<int64_t>(taken);
+  return taken;
 }
 
 void RemoteStreamWrapper::ObserveTip(uint64_t last_sequence) {
   std::lock_guard<std::mutex> lock(mu_);
-  max_seen_ = std::max(max_seen_, last_sequence);
+  if (last_sequence <= kMaxSequence) {
+    max_seen_ = std::max(max_seen_, last_sequence);
+  }
 }
 
 std::vector<SeqRange> RemoteStreamWrapper::MissingRanges(
@@ -88,29 +102,12 @@ std::vector<SeqRange> RemoteStreamWrapper::MissingRanges(
   return out;
 }
 
-int RemoteStreamWrapper::AbandonMissingThrough(uint64_t through) {
-  int abandoned = 0;
-  int released = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    while (expected_seq_ <= through) {
-      auto it = pending_.find(expected_seq_);
-      if (it != pending_.end()) {
-        queue_.push_back(std::move(it->second));
-        pending_.erase(it);
-        ++admitted_;
-        ++released;
-      } else {
-        ++abandoned;
-      }
-      ++expected_seq_;
-    }
-    // The abandonment may unblock parked successors beyond `through`.
-    released += ReleaseParkedLocked();
-    abandoned_ += abandoned;
-  }
-  if (released > 0 && on_arrival_) on_arrival_();
-  return abandoned;
+int64_t RemoteStreamWrapper::AbandonMissingThrough(uint64_t through) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (through < expected_seq_) return 0;
+  const int64_t before = abandoned_;
+  ReleaseLocked(through);
+  return abandoned_ - before;
 }
 
 void RemoteStreamWrapper::Rebind(std::string peer_node,
@@ -121,6 +118,7 @@ void RemoteStreamWrapper::Rebind(std::string peer_node,
   pending_.clear();
   expected_seq_ = 1;
   max_seen_ = 0;
+  refusing_ = false;
 }
 
 std::string RemoteStreamWrapper::peer_node() const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace gsn::network {
 
@@ -42,6 +43,18 @@ class ReplayBuffer {
   const std::string* Get(uint64_t seq) const {
     auto it = entries_.find(seq);
     return it == entries_.end() ? nullptr : &it->second;
+  }
+
+  /// Up to `limit` buffered payloads in [from, to], oldest first, at the
+  /// cost of what it returns, not of the range's width.
+  std::vector<const std::string*> Range(uint64_t from, uint64_t to,
+                                        size_t limit) const {
+    std::vector<const std::string*> out;
+    for (auto it = entries_.lower_bound(from);
+         it != entries_.end() && it->first <= to && out.size() < limit; ++it) {
+      out.push_back(&it->second);
+    }
+    return out;
   }
 
   size_t size() const { return entries_.size(); }

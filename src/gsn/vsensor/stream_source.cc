@@ -30,12 +30,14 @@ StreamSource::StreamSource(StreamSourceSpec spec,
 void StreamSource::ConfigureAdmission(const std::string& sensor,
                                       int64_t default_capacity,
                                       ShedPolicy default_policy,
-                                      telemetry::MetricRegistry* metrics) {
-  // Wiring time: the sensor has not started, so instrumenting the
-  // mutex before locking it is race-free.
+                                      telemetry::MetricRegistry* metrics,
+                                      std::function<void()> arrival_hook) {
+  // Wiring time: no tick or push reaches the source yet, so
+  // instrumenting the mutex before locking it is race-free.
   mu_.Instrument(metrics, "admission",
                  {{"sensor", sensor}, {"source", spec_.alias}});
   std::lock_guard<telemetry::TimedMutex> lock(mu_);
+  arrival_hook_ = std::move(arrival_hook);
   queue_capacity_ =
       spec_.queue_capacity > 0 ? spec_.queue_capacity : default_capacity;
   if (queue_capacity_ < 1) queue_capacity_ = 1;
@@ -48,7 +50,8 @@ void StreamSource::ConfigureAdmission(const std::string& sensor,
     shed_total_ = metrics->GetCounter(
         "gsn_admission_shed_total", {{"policy", ShedPolicyName(shed_policy_)}},
         "Overload events at the admission queue: elements dropped "
-        "(drop-oldest/drop-newest) or wrapper polls deferred (block)");
+        "(drop-oldest/drop-newest, or pushed under block) or wrapper polls "
+        "deferred (block)");
     depth_gauge_ = metrics->GetGauge(
         "gsn_admission_queue_depth",
         {{"sensor", sensor}, {"source", spec_.alias}},
@@ -60,17 +63,45 @@ void StreamSource::ConfigureAdmission(const std::string& sensor,
   }
 }
 
-Result<int> StreamSource::PumpLocked(
+size_t StreamSource::EnqueueLocked(std::vector<StreamElement>& elements,
+                                   WhenBlocked when_blocked, size_t* enqueued) {
+  int64_t stamp = 0;  // one clock read stamps the batch's queue-wait start
+  if (queue_wait_micros_ != nullptr && !elements.empty()) {
+    stamp = telemetry::SteadyClock::Instance()->NowMicros();
+  }
+  size_t taken = 0;
+  for (StreamElement& e : elements) {
+    const bool full =
+        queue_capacity_ > 0 &&
+        admission_queue_.size() >= static_cast<size_t>(queue_capacity_);
+    // Room would mean waiting, which no caller can do (a poll gets here
+    // only when one batch over-fills a block queue).
+    const bool blocked =
+        !admitting_ || (full && shed_policy_ == ShedPolicy::kBlock);
+    if (blocked && when_blocked == WhenBlocked::kRefuse) break;
+    ++taken;
+    if (full || blocked) {
+      ++shed_;
+      if (shed_total_ != nullptr) shed_total_->Increment();
+      if (blocked || shed_policy_ == ShedPolicy::kDropNewest) continue;
+      admission_queue_.pop_front();  // drop-oldest
+    }
+    admission_queue_.push_back({std::move(e), stamp});
+    ++*enqueued;
+  }
+  return taken;
+}
+
+Status StreamSource::PumpLocked(
     Timestamp now, std::unique_lock<telemetry::TimedMutex>* lock) {
-  if (!admitting_) return 0;
-  const bool bounded = queue_capacity_ > 0;
-  if (bounded && shed_policy_ == ShedPolicy::kBlock &&
+  if (!admitting_) return Status::OK();
+  if (queue_capacity_ > 0 && shed_policy_ == ShedPolicy::kBlock &&
       admission_queue_.size() >= static_cast<size_t>(queue_capacity_)) {
     // Backpressure: in this pull-based design, not polling the wrapper
     // is what "blocking the producer" means.
     ++shed_;
     if (shed_total_ != nullptr) shed_total_->Increment();
-    return 0;
+    return Status::OK();
   }
   lock->unlock();
   telemetry::Span poll_span(poll_micros_.get());
@@ -79,46 +110,40 @@ Result<int> StreamSource::PumpLocked(
   lock->lock();
   if (!produced.ok()) return produced.status();
   produced_total_->Increment(static_cast<int64_t>(produced->size()));
-  // One clock read per poll batch stamps the whole batch's enqueue
-  // time for the queue-wait histogram.
-  const int64_t enqueued_micros =
-      queue_wait_micros_ != nullptr && !produced->empty()
-          ? telemetry::SteadyClock::Instance()->NowMicros()
-          : 0;
-  int enqueued = 0;
-  for (StreamElement& e : *produced) {
-    if (bounded &&
-        admission_queue_.size() >= static_cast<size_t>(queue_capacity_)) {
-      if (shed_policy_ == ShedPolicy::kDropNewest ||
-          shed_policy_ == ShedPolicy::kBlock) {
-        // kBlock can still land here when one wrapper poll over-fills
-        // the queue mid-batch; shedding the overflow keeps the bound.
-        ++shed_;
-        if (shed_total_ != nullptr) shed_total_->Increment();
-        continue;
-      }
-      admission_queue_.pop_front();  // drop-oldest
-      ++shed_;
-      if (shed_total_ != nullptr) shed_total_->Increment();
+  size_t enqueued = 0;
+  EnqueueLocked(*produced, WhenBlocked::kShed, &enqueued);
+  return Status::OK();
+}
+
+size_t StreamSource::Offer(std::vector<StreamElement> elements,
+                           WhenBlocked when_blocked) {
+  size_t taken = 0;
+  size_t enqueued = 0;
+  {
+    std::lock_guard<telemetry::TimedMutex> lock(mu_);
+    taken = EnqueueLocked(elements, when_blocked, &enqueued);
+    produced_total_->Increment(static_cast<int64_t>(taken));
+    if (depth_gauge_ != nullptr) {
+      depth_gauge_->Set(static_cast<int64_t>(admission_queue_.size()));
     }
-    admission_queue_.push_back({std::move(e), enqueued_micros});
-    ++enqueued;
   }
-  return enqueued;
+  // An arrival is exactly this: an element entered the admission queue.
+  if (enqueued > 0 && arrival_hook_) arrival_hook_();
+  return taken;
 }
 
 Status StreamSource::Pump(Timestamp now) {
   std::unique_lock<telemetry::TimedMutex> lock(mu_);
-  const Result<int> pumped = PumpLocked(now, &lock);
+  const Status pumped = PumpLocked(now, &lock);
   if (depth_gauge_ != nullptr) {
     depth_gauge_->Set(static_cast<int64_t>(admission_queue_.size()));
   }
-  return pumped.status();
+  return pumped;
 }
 
 Result<std::vector<StreamElement>> StreamSource::Poll(Timestamp now) {
   std::unique_lock<telemetry::TimedMutex> lock(mu_);
-  GSN_RETURN_IF_ERROR(PumpLocked(now, &lock).status());
+  GSN_RETURN_IF_ERROR(PumpLocked(now, &lock));
   std::vector<StreamElement> admitted;
 
   // Replay buffered elements first if we just reconnected.

@@ -2,6 +2,7 @@
 #define GSN_VSENSOR_STREAM_SOURCE_H_
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -21,12 +22,12 @@ namespace gsn::vsensor {
 /// (disconnections, unexpected delays, missing values)").
 ///
 /// Per element, in order:
-///   0. admission queue — wrapper output lands in a bounded FIFO
-///      between the wrapper and the pipeline (overload protection,
-///      paper §3: "avoid overloads"); a full queue sheds per the
-///      configured ShedPolicy (drop-oldest / drop-newest / block —
-///      block stops polling the wrapper, i.e. upstream backpressure in
-///      this pull-based design);
+///   0. admission queue — the source's one queue, a bounded FIFO before
+///      the pipeline (overload protection, paper §3: "avoid overloads"),
+///      filled by polling a pull wrapper or by a push source's Offer; a
+///      full queue sheds per the configured ShedPolicy (drop-oldest /
+///      drop-newest / block — block stops polling the wrapper, i.e.
+///      upstream backpressure; a pusher cannot wait, see Offer);
 ///   1. sampling  — admit with probability `sampling-rate` (paper §3:
 ///      "sampling of data streams in order to reduce the data rate");
 ///   2. disconnect handling — while disconnected, admitted elements go
@@ -55,10 +56,24 @@ class StreamSource {
   /// Resolves the admission queue bound and shed policy: the spec's
   /// own values when set, otherwise the container defaults given here.
   /// `sensor` labels the queue-depth series so the container can drop
-  /// it at undeploy. Call once at deploy, before the first Poll.
+  /// it at undeploy. `arrival_hook` runs after each Offer that enqueued,
+  /// outside the admission lock. Call once at deploy, before any Poll
+  /// or Offer.
   void ConfigureAdmission(const std::string& sensor, int64_t default_capacity,
                           ShedPolicy default_policy,
-                          telemetry::MetricRegistry* metrics = nullptr);
+                          telemetry::MetricRegistry* metrics = nullptr,
+                          std::function<void()> arrival_hook = {});
+
+  /// What Offer does with an element it could only take by waiting
+  /// (policy block on a full queue, or a source not admitting).
+  enum class WhenBlocked {
+    kShed,    // shed and count it: a local chain cannot re-send it
+    kRefuse,  // leave it: a remote producer re-sends it on a NACK
+  };
+  /// The push entry: enqueues `elements` in order under the same bound
+  /// and shed policy as a poll, without ever waiting. Returns how many
+  /// it took (enqueued or shed), a prefix of `elements`.
+  size_t Offer(std::vector<StreamElement> elements, WhenBlocked when_blocked);
 
   /// Pumps the wrapper into the admission queue and drains the queue
   /// through the admission pipeline. Returns the elements newly
@@ -123,10 +138,13 @@ class StreamSource {
     int64_t enqueued_micros = 0;
   };
 
-  /// Wrapper → admission queue under the shed policy. Returns the
-  /// number of elements enqueued (0 when blocked or not admitting).
-  Result<int> PumpLocked(Timestamp now,
-                         std::unique_lock<telemetry::TimedMutex>* lock);
+  /// Wrapper → admission queue under the shed policy.
+  Status PumpLocked(Timestamp now,
+                    std::unique_lock<telemetry::TimedMutex>* lock);
+  /// The enqueue-and-shed loop of polls and offers. Returns how many it
+  /// took; `*enqueued` counts those that entered the queue.
+  size_t EnqueueLocked(std::vector<StreamElement>& elements,
+                       WhenBlocked when_blocked, size_t* enqueued);
   /// Stamps/continues trace contexts on the elements admitted this
   /// poll (no-op without a tracer).
   void StampTraces(std::vector<StreamElement>* admitted);
@@ -170,6 +188,7 @@ class StreamSource {
   /// Time elements spend queued between wrapper and pipeline
   /// (labels sensor=,source=); null until ConfigureAdmission.
   std::shared_ptr<telemetry::Histogram> queue_wait_micros_;
+  std::function<void()> arrival_hook_;  // set once, at ConfigureAdmission
 };
 
 }  // namespace gsn::vsensor

@@ -48,10 +48,12 @@ struct WrapperConfig {
 /// wrapper conforming to the GSN API"). A wrapper owns its output
 /// schema and produces timestamped stream elements.
 ///
-/// Wrappers are pull-based in this implementation: the input stream
-/// manager calls Poll(now) and the wrapper emits every element due at
-/// or before `now`. This keeps the whole pipeline deterministic under a
-/// VirtualClock; live deployments drive Poll from a pump thread.
+/// Device wrappers are pull-based in this implementation: the input
+/// stream manager calls Poll(now) and the wrapper emits every element
+/// due at or before `now`. This keeps the whole pipeline deterministic
+/// under a VirtualClock; live deployments drive Poll from a pump thread.
+/// The push sources ("local", "remote") offer their elements straight
+/// into the admission queue (StreamSource::Offer); their Poll is empty.
 class Wrapper {
  public:
   virtual ~Wrapper() = default;

@@ -1,6 +1,7 @@
-// Arrival rounds (docs/PERFORMANCE.md §7): a delivery into a
-// wrapper="remote" or wrapper="local" source wakes its consumer, and
-// Container::TickArrivals() drains it between interval Ticks. These
+// Arrival rounds (docs/PERFORMANCE.md §7): an element that a
+// wrapper="remote" or wrapper="local" source offers into its admission
+// queue wakes its consumer, and Container::TickArrivals() drains it
+// between interval Ticks. These
 // tests pin what counts as an arrival, that arrival rounds store exactly
 // the rows interval Ticks store, that a delivery no longer waits for the
 // consumer's next interval round, and that a sensor which cannot run
@@ -30,6 +31,7 @@
 #include "gsn/network/epoll_transport.h"
 #include "gsn/network/remote_stream_wrapper.h"
 #include "gsn/network/simulator.h"
+#include "remote_sink.h"
 
 namespace gsn::container {
 namespace {
@@ -133,40 +135,50 @@ int DrainArrivals(Container* node) {
 
 // ------------------------------------------------ What counts as an arrival
 
+// A remote source wakes when its wrapper offers a released run into the
+// admission queue, so each offer is one wake.
 TEST(ArrivalWrapperTest, RemoteWakesOnlyWhenElementsAreReleasedInOrder) {
-  int wakes = 0;
-  RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor", [&] { ++wakes; });
+  RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor");
+  gsn::testing::RemoteSink sink(&wrapper);
   wrapper.Push(Seq(1), 1);
-  EXPECT_EQ(wakes, 1);
+  EXPECT_EQ(sink.offers(), 1);
   wrapper.Push(Seq(1), 1);  // duplicate
-  EXPECT_EQ(wakes, 1);
+  EXPECT_EQ(sink.offers(), 1);
   wrapper.Push(Seq(3), 3);  // parked behind the gap at 2
-  EXPECT_EQ(wakes, 1);
+  EXPECT_EQ(sink.offers(), 1);
   wrapper.Push(Seq(2), 2);  // releases 2 and 3: one arrival
-  EXPECT_EQ(wakes, 2);
+  EXPECT_EQ(sink.offers(), 2);
   wrapper.Push(Seq(6), 6);  // parked behind 4 and 5
-  EXPECT_EQ(wakes, 2);
+  EXPECT_EQ(sink.offers(), 2);
   EXPECT_EQ(wrapper.AbandonMissingThrough(4), 1);  // 5 still missing
-  EXPECT_EQ(wakes, 2);
+  EXPECT_EQ(sink.offers(), 2);
   EXPECT_EQ(wrapper.AbandonMissingThrough(5), 1);  // releases 6
-  EXPECT_EQ(wakes, 3);
+  EXPECT_EQ(sink.offers(), 3);
   EXPECT_EQ(wrapper.AbandonMissingThrough(6), 0);  // nothing to release
-  EXPECT_EQ(wakes, 3);
-  auto polled = wrapper.Poll(0);
+  EXPECT_EQ(sink.offers(), 3);
+  auto polled = sink.Take();
   ASSERT_TRUE(polled.ok());
   EXPECT_EQ(polled->size(), 4u);
 }
 
+// A chain offers each producer batch into the consumer's source.
 TEST(ArrivalWrapperTest, LocalWakesOnEveryPushAndNonEmptyBatch) {
   int wakes = 0;
-  LocalStreamWrapper wrapper(SeqSchema(), "producer", [&] { ++wakes; });
-  wrapper.Push(Seq(1));
+  vsensor::StreamSourceSpec spec;
+  spec.alias = "src";
+  vsensor::StreamSource source(
+      spec, std::make_unique<LocalStreamWrapper>(SeqSchema()), 1);
+  constexpr auto kDropOldest = vsensor::ShedPolicy::kDropOldest;
+  constexpr auto kShed = vsensor::StreamSource::WhenBlocked::kShed;
+  const auto wake = [&] { ++wakes; };
+  source.ConfigureAdmission("consumer", 16, kDropOldest, nullptr, wake);
+  source.Offer({Seq(1)}, kShed);
   EXPECT_EQ(wakes, 1);
-  wrapper.PushBatch({});
+  source.Offer({}, kShed);
   EXPECT_EQ(wakes, 1);
-  wrapper.PushBatch({Seq(2), Seq(3)});
+  source.Offer({Seq(2), Seq(3)}, kShed);
   EXPECT_EQ(wakes, 2);
-  EXPECT_EQ(wrapper.received_count(), 3);
+  EXPECT_EQ(source.queue_depth(), 3u);
 }
 
 // ------------------------------------------------- Arrival rounds, exactly

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gsn/container/container.h"
+#include "gsn/container/local_stream_wrapper.h"
 #include "gsn/container/notification.h"
 #include "gsn/container/query_manager.h"
 #include "gsn/storage/table.h"
@@ -150,18 +151,25 @@ TEST(BatchingDifferential, ContinuousBatchMatchesFinalPerElementRun) {
 
 // ------------------------------------------------------- Local chaining
 
+// A chain offers each producer batch into the consumer's source; one
+// offer of a batch admits what an offer per element admits.
 TEST(BatchingDifferential, PushBatchMatchesPushLoop) {
-  LocalStreamWrapper loop(ElementSchema(), "producer");
-  LocalStreamWrapper batched(ElementSchema(), "producer");
+  vsensor::StreamSourceSpec spec;
+  spec.alias = "src";
+  vsensor::StreamSource loop(
+      spec, std::make_unique<LocalStreamWrapper>(ElementSchema()), 1);
+  vsensor::StreamSource batched(
+      spec, std::make_unique<LocalStreamWrapper>(ElementSchema()), 1);
+  constexpr auto kShed = vsensor::StreamSource::WhenBlocked::kShed;
 
   std::vector<StreamElement> batch;
   for (int i = 0; i < 5; ++i) {
     batch.push_back(Elem(3000 + i, i, i * 1.5));
   }
-  for (const StreamElement& e : batch) loop.Push(e);
-  batched.PushBatch(batch);
+  for (const StreamElement& e : batch) loop.Offer({e}, kShed);
+  batched.Offer(batch, kShed);
 
-  EXPECT_EQ(loop.received_count(), batched.received_count());
+  EXPECT_EQ(loop.queue_depth(), batched.queue_depth());
   auto a = loop.Poll(4000);
   auto b = batched.Poll(4000);
   ASSERT_TRUE(a.ok());

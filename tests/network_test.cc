@@ -5,6 +5,7 @@
 #include "gsn/network/protocol.h"
 #include "gsn/network/remote_stream_wrapper.h"
 #include "gsn/network/simulator.h"
+#include "remote_sink.h"
 
 namespace gsn::network {
 namespace {
@@ -259,16 +260,17 @@ TEST(RemoteStreamWrapperTest, PushThenPollDrains) {
   Schema schema;
   schema.AddField("v", DataType::kInt);
   RemoteStreamWrapper wrapper(schema, "peer", "sensor");
+  gsn::testing::RemoteSink sink(&wrapper);
   StreamElement e;
   e.timed = 1;
   e.values = {Value::Int(9)};
   wrapper.Push(e, 1);
   wrapper.Push(e, 2);
-  auto polled = wrapper.Poll(100);
+  auto polled = sink.Take();
   ASSERT_TRUE(polled.ok());
   EXPECT_EQ(polled->size(), 2u);
   EXPECT_EQ(wrapper.received_count(), 2);
-  auto again = wrapper.Poll(200);
+  auto again = sink.Take();
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->empty());
 }

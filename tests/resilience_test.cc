@@ -14,6 +14,7 @@
 #include "gsn/network/simulator.h"
 #include "gsn/util/rng.h"
 #include "gsn/wrappers/wrapper.h"
+#include "remote_sink.h"
 
 namespace gsn::network {
 namespace {
@@ -240,9 +241,10 @@ Schema SeqSchema() {
 
 TEST(RemoteStreamWrapperTest, AdmitsInOrder) {
   RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor");
+  gsn::testing::RemoteSink sink(&wrapper);
   EXPECT_EQ(wrapper.Push(Element(1), 1).admitted, 1);
   EXPECT_EQ(wrapper.Push(Element(2), 2).admitted, 1);
-  auto polled = wrapper.Poll(kMicrosPerSecond);
+  auto polled = sink.Take();
   ASSERT_TRUE(polled.ok());
   EXPECT_EQ(polled->size(), 2u);
   EXPECT_EQ(wrapper.admitted_count(), 2);
@@ -251,6 +253,7 @@ TEST(RemoteStreamWrapperTest, AdmitsInOrder) {
 
 TEST(RemoteStreamWrapperTest, ParksOutOfOrderAndDrainsWhenGapFills) {
   RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor");
+  gsn::testing::RemoteSink sink(&wrapper);
   const auto parked = wrapper.Push(Element(3), 3);
   EXPECT_EQ(parked.admitted, 0);
   EXPECT_TRUE(parked.gap_opened);
@@ -263,6 +266,7 @@ TEST(RemoteStreamWrapperTest, ParksOutOfOrderAndDrainsWhenGapFills) {
 
 TEST(RemoteStreamWrapperTest, DropsDuplicates) {
   RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor");
+  gsn::testing::RemoteSink sink(&wrapper);
   wrapper.Push(Element(1), 1);
   EXPECT_TRUE(wrapper.Push(Element(1), 1).duplicate);
   wrapper.Push(Element(3), 3);  // parked
@@ -273,6 +277,7 @@ TEST(RemoteStreamWrapperTest, DropsDuplicates) {
 
 TEST(RemoteStreamWrapperTest, MissingRangesFromGapsAndTip) {
   RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor");
+  gsn::testing::RemoteSink sink(&wrapper);
   wrapper.Push(Element(1), 1);
   wrapper.Push(Element(4), 4);
   wrapper.Push(Element(7), 7);
@@ -296,6 +301,7 @@ TEST(RemoteStreamWrapperTest, MissingRangesFromGapsAndTip) {
 
 TEST(RemoteStreamWrapperTest, MissingRangesRespectsCap) {
   RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor");
+  gsn::testing::RemoteSink sink(&wrapper);
   for (uint64_t seq = 2; seq <= 20; seq += 2) {
     wrapper.Push(Element(static_cast<int64_t>(seq)), seq);
   }
@@ -304,6 +310,7 @@ TEST(RemoteStreamWrapperTest, MissingRangesRespectsCap) {
 
 TEST(RemoteStreamWrapperTest, AbandonAdmitsParkedAndCountsAbsent) {
   RemoteStreamWrapper wrapper(SeqSchema(), "peer", "sensor");
+  gsn::testing::RemoteSink sink(&wrapper);
   wrapper.Push(Element(1), 1);
   wrapper.Push(Element(3), 3);  // 2 missing
   wrapper.Push(Element(6), 6);  // 4, 5 missing
@@ -312,13 +319,14 @@ TEST(RemoteStreamWrapperTest, AbandonAdmitsParkedAndCountsAbsent) {
   EXPECT_EQ(wrapper.AbandonMissingThrough(5), 3);
   EXPECT_EQ(wrapper.abandoned_count(), 3);
   EXPECT_EQ(wrapper.expected_sequence(), 7u);
-  auto polled = wrapper.Poll(kMicrosPerSecond);
+  auto polled = sink.Take();
   ASSERT_TRUE(polled.ok());
   EXPECT_EQ(polled->size(), 3u);  // 1, 3, 6
 }
 
 TEST(RemoteStreamWrapperTest, RebindResetsSequencingKeepsQueue) {
   RemoteStreamWrapper wrapper(SeqSchema(), "peer-a", "sensor");
+  gsn::testing::RemoteSink sink(&wrapper);
   wrapper.Push(Element(1), 1);
   wrapper.Push(Element(2), 2);
   wrapper.Push(Element(5), 5);  // parked; lost on rebind
@@ -329,7 +337,7 @@ TEST(RemoteStreamWrapperTest, RebindResetsSequencingKeepsQueue) {
   EXPECT_EQ(wrapper.max_seen_sequence(), 0u);
   // The new producer's sequence space starts from 1 again.
   EXPECT_EQ(wrapper.Push(Element(100), 1).admitted, 1);
-  auto polled = wrapper.Poll(kMicrosPerSecond);
+  auto polled = sink.Take();
   ASSERT_TRUE(polled.ok());
   EXPECT_EQ(polled->size(), 3u);  // 1, 2 from before plus the new 1
 }
