@@ -1,6 +1,7 @@
 #include "gsn/container/container.h"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <thread>
@@ -89,12 +90,13 @@ Container::Container(Options options)
   }
   if (num_shards > 1) tick_pool_ = std::make_unique<ThreadPool>(tick_workers);
   chain_mu_.Instrument(metrics_, "chaining", node_label);
-  tick_micros_ = metrics_->GetHistogram("gsn_tick_micros", node_label,
-                                        "Container Tick() wall time");
+  tick_micros_ = metrics_->GetHistogram(
+      "gsn_tick_micros", node_label,
+      "Container round (Tick) wall time, interval and wake rounds alike");
   const char* phase_help =
-      "Per-tick latency breakdown by scheduling phase (resilience / "
-      "dispatch / checkpoint), whole arrival rounds, plus the "
-      "pool-thread storage and fan-out spans";
+      "Per-round latency breakdown by scheduling phase (resilience / "
+      "dispatch / checkpoint), plus the pool-thread storage and fan-out "
+      "spans";
   tick_phase_resilience_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "resilience"}}, phase_help);
@@ -104,9 +106,6 @@ Container::Container(Options options)
   tick_phase_checkpoint_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "checkpoint"}}, phase_help);
-  tick_phase_arrival_ = metrics_->GetHistogram(
-      "gsn_tick_phase_micros",
-      {{"node", options_.node_id}, {"phase", "arrival"}}, phase_help);
   batch_storage_micros_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "storage"}}, phase_help);
@@ -124,6 +123,7 @@ Container::Container(Options options)
       "gsn_uptime_seconds", node_label,
       "Seconds since this container was constructed (steady clock)");
   started_steady_micros_ = telemetry::SteadyClock::Instance()->NowMicros();
+  interval_round_end_.store(started_steady_micros_);
   wrappers::WrapperRegistry::RegisterBuiltins(&registry_);
   quarantine_ = std::make_unique<QuarantineStore>(
       options_.supervision.quarantine_capacity, metrics_);
@@ -369,6 +369,7 @@ Result<VirtualSensor*> Container::DeploySpec(VirtualSensorSpec spec,
       }
       auto* remote =
           dynamic_cast<network::RemoteStreamWrapper*>(wrapper->get());
+      if (remote == nullptr && producer.empty()) deployment->polls = true;
       const uint64_t seed =
           options_.seed * 1000003 +
           (wrapper_seed_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
@@ -519,6 +520,8 @@ Result<std::unique_ptr<wrappers::Wrapper>> Container::MakeWrapperForSource(
     config.seed =
         options_.seed * 7919 +
         (wrapper_seed_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
+    // The same wake as a push source's arrival hook.
+    config.ready = [this, deployment] { WakeDeployment(deployment); };
     return registry_.Create(source_spec.address.wrapper, config);
   }
 
@@ -663,31 +666,33 @@ VirtualSensor* Container::FindSensor(const std::string& sensor_name) const {
 
 // ---------------------------------------------------------------- Runtime
 
-Result<int> Container::Tick() {
+Result<int> Container::Tick(Timestamp interval) {
   telemetry::Span tick_span(tick_micros_.get());
   const Timestamp now = options_.clock->NowMicros();
-  uptime_gauge_->Set(
-      (telemetry::SteadyClock::Instance()->NowMicros() - started_steady_micros_) /
-      kMicrosPerSecond);
+  const int64_t steady_now = telemetry::SteadyClock::Instance()->NowMicros();
+  const bool interval_due =
+      interval <= 0 || steady_now >= interval_round_end_.load() + interval;
 
-  {
+  if (interval_due) {
+    uptime_gauge_->Set((steady_now - started_steady_micros_) /
+                       kMicrosPerSecond);
     // Directory anti-entropy, heartbeats, circuit breakers,
     // subscribe/NACK/publish retries, tips, failover.
     telemetry::Span phase(tick_phase_resilience_.get());
     federation_.RunRound(now);
   }
 
-  // Drain the shards: inline when single-sharded, otherwise one task
-  // per shard on the tick worker pool. Concurrent Tick() drivers
-  // (gsnd's RealtimePump plus an HTTP/management drain) are safe
+  // Drain the shards: one task per shard on the tick worker pool when an
+  // interval round has several, otherwise inline. Concurrent Tick()
+  // drivers (gsnd's RealtimePump plus an HTTP/management drain) are safe
   // without a global tick mutex: per-sensor exclusivity comes from the
   // busy flag, so a sensor another round is still draining is simply
   // skipped by this one.
   telemetry::Span dispatch_phase(tick_phase_dispatch_.get());
   int produced = 0;
-  if (tick_pool_ == nullptr || shards_.size() == 1) {
+  if (!interval_due || tick_pool_ == nullptr || shards_.size() == 1) {
     for (auto& shard : shards_) {
-      produced += TickShard(*shard, now, /*arrivals_only=*/false);
+      produced += TickShard(*shard, now, interval_due);
     }
   } else {
     std::mutex done_mu;
@@ -703,14 +708,12 @@ Result<int> Container::Tick() {
     for (auto& shard : shards_) {
       Shard* s = shard.get();
       const bool submitted = tick_pool_->Submit([&, s] {
-        total.fetch_add(TickShard(*s, now, /*arrivals_only=*/false),
-                        std::memory_order_relaxed);
+        total.fetch_add(TickShard(*s, now, true), std::memory_order_relaxed);
         finish_one();
       });
       if (!submitted) {
         // Pool already shut down (drain at exit): run inline.
-        total.fetch_add(TickShard(*s, now, /*arrivals_only=*/false),
-                        std::memory_order_relaxed);
+        total.fetch_add(TickShard(*s, now, true), std::memory_order_relaxed);
         finish_one();
       }
     }
@@ -719,6 +722,7 @@ Result<int> Container::Tick() {
     produced = total.load(std::memory_order_relaxed);
   }
   dispatch_phase.Stop();
+  if (!interval_due) return produced;
 
   // Periodic checkpoint: bound the manifest and every WAL (and with
   // them, the next recovery) to the live state, and move evicted rows
@@ -743,18 +747,9 @@ Result<int> Container::Tick() {
   }
 
   // Refresh the cache system wrappers scrape (no-op while none are
-  // deployed). Last, so monitors read this tick's state next poll.
+  // deployed). Last, so monitors read this round's state next poll.
   RefreshSystemSnapshot();
-  return produced;
-}
-
-int Container::TickArrivals() {
-  telemetry::Span round(tick_phase_arrival_.get());
-  const Timestamp now = options_.clock->NowMicros();
-  int produced = 0;
-  for (auto& shard : shards_) {
-    produced += TickShard(*shard, now, /*arrivals_only=*/true);
-  }
+  interval_round_end_.store(telemetry::SteadyClock::Instance()->NowMicros());
   return produced;
 }
 
@@ -769,14 +764,15 @@ void Container::WakeDeployment(Deployment* deployment) {
   wake_cv_.notify_all();
 }
 
-bool Container::WaitForArrival(std::chrono::steady_clock::time_point deadline,
+bool Container::WaitForArrival(Timestamp interval,
                                const std::atomic<bool>& stop) {
+  // SteadyClock reads std::chrono::steady_clock, so its micros convert.
+  const std::chrono::steady_clock::time_point deadline(
+      std::chrono::microseconds(interval_round_end_.load() + interval));
   std::unique_lock<std::mutex> lock(wake_mu_);
   wake_cv_.wait_until(lock, deadline,
                       [&] { return wake_pending_ || stop.load(); });
-  const bool woken = wake_pending_;
-  wake_pending_ = false;
-  return woken;
+  return std::exchange(wake_pending_, false);
 }
 
 void Container::InterruptArrivalWait() {
@@ -786,13 +782,16 @@ void Container::InterruptArrivalWait() {
   wake_cv_.notify_all();
 }
 
-int Container::TickShard(Shard& shard, Timestamp now, bool arrivals_only) {
+int Container::TickShard(Shard& shard, Timestamp now, bool interval_due) {
   struct Job {
     std::shared_ptr<Deployment> deployment;
     /// True while the supervisor has the sensor paused for restart
-    /// backoff: its sources pump (queues fill, shed policies engage)
-    /// but no pipeline runs.
+    /// backoff: its pull sources pump (queues fill, shed policies
+    /// engage) but no pipeline runs, and its wake waits for the resume.
     bool paused = false;
+    /// Set by the drain when nothing woke a sensor whose sources all
+    /// push: it has nothing to run.
+    bool idle = false;
   };
   std::vector<Job> jobs;
   std::vector<std::string> expired;
@@ -800,36 +799,34 @@ int Container::TickShard(Shard& shard, Timestamp now, bool arrivals_only) {
     std::lock_guard<telemetry::TimedMutex> lock(shard.mu);
     jobs.reserve(shard.deployments.size());
     for (auto& [key, deployment] : shard.deployments) {
-      // An arrival round takes woken sensors only. Whatever it skips
-      // below keeps its woken flag, and a set flag is never signalled
-      // again, so a sensor that cannot run does not spin the pump.
-      if (arrivals_only && !deployment->woken.load()) continue;
+      // Whatever this loop skips keeps its woken flag, and a set flag is
+      // never signalled again, so a sensor that cannot run does not spin
+      // the pump: it runs in its first round once it can.
       if (deployment->expires_at > 0 && now >= deployment->expires_at) {
-        if (!arrivals_only) expired.push_back(deployment->sensor->name());
+        if (interval_due) expired.push_back(deployment->sensor->name());
         continue;
       }
       if (deployment->state == SensorState::kFailed) continue;
-      bool paused = false;
-      if (deployment->state == SensorState::kRestarting) {
-        if (now >= deployment->resume_at) {
-          deployment->state = SensorState::kRunning;
-          deployment->state_gauge->Set(0);
-          GSN_LOG(kInfo, "container")
-              << options_.node_id << ": restarted '"
-              << deployment->sensor->name() << "' (attempt "
-              << deployment->restart_attempts << ")";
-        } else {
-          paused = true;
-        }
+      if (deployment->state == SensorState::kRestarting &&
+          now >= deployment->resume_at) {
+        deployment->state = SensorState::kRunning;
+        deployment->state_gauge->Set(0);
+        GSN_LOG(kInfo, "container")
+            << options_.node_id << ": restarted '"
+            << deployment->sensor->name() << "' (attempt "
+            << deployment->restart_attempts << ")";
       }
-      if (paused && arrivals_only) continue;
+      // Pull sources pump every interval, paused or not. A wake round
+      // takes the woken sensors only; an interval round takes every one
+      // that can run, so a chain sorted after its producer still drains
+      // the producer's output in the same round.
+      const bool paused = deployment->state == SensorState::kRestarting;
+      if (paused && !(interval_due && deployment->polls)) continue;
+      if (!interval_due && !deployment->woken.load()) continue;
       // Per-sensor tick exclusivity: a concurrent Tick driver that is
       // still draining this sensor owns it until the busy flag clears.
       if (deployment->busy) continue;
       deployment->busy = true;
-      // Cleared before the drain polls the wrappers: an arrival the
-      // poll misses sets the flag again and wakes the next round.
-      deployment->woken.store(false);
       jobs.push_back({deployment, paused});
     }
   }
@@ -851,13 +848,20 @@ int Container::TickShard(Shard& shard, Timestamp now, bool arrivals_only) {
   // one bad sensor must never stall its neighbors.
   int produced = 0;
   std::vector<std::pair<std::string, Status>> failures;
-  for (const Job& job : jobs) {
+  for (Job& job : jobs) {
     if (job.paused) {
       const Status pumped = job.deployment->sensor->PumpSources(now);
       if (!pumped.ok()) {
         GSN_LOG(kWarn, "container")
             << job.deployment->key << ": pump while paused failed: " << pumped;
       }
+      continue;
+    }
+    // Cleared before the drain polls the wrappers: an arrival the poll
+    // misses sets the flag again and wakes the next round.
+    const bool woken = job.deployment->woken.exchange(false);
+    if (!woken && !(interval_due && job.deployment->polls)) {
+      job.idle = true;
       continue;
     }
     Result<int> n = job.deployment->sensor->Tick(now);
@@ -870,8 +874,11 @@ int Container::TickShard(Shard& shard, Timestamp now, bool arrivals_only) {
 
   {
     std::lock_guard<telemetry::TimedMutex> lock(shard.mu);
+    int64_t ran = 0;
     for (const Job& job : jobs) {
       job.deployment->busy = false;
+      if (job.idle) continue;
+      ++ran;
       if (job.paused) continue;
       // A sensor that keeps completing ticks after a restart earns its
       // retry budget back: max_attempts caps consecutive failures, not
@@ -902,7 +909,7 @@ int Container::TickShard(Shard& shard, Timestamp now, bool arrivals_only) {
         deployment.healthy_ticks = 0;
       }
     }
-    shard.ticks_total->Increment(static_cast<int64_t>(jobs.size()));
+    shard.ticks_total->Increment(ran);
     shard.lock_wait_gauge->Set(
         static_cast<int64_t>(shard.mu.wait_micros_total()));
   }
@@ -1286,7 +1293,6 @@ Container::ContainerStatus Container::GetStatus() const {
       {"tick.resilience", tick_phase_resilience_.get()},
       {"tick.dispatch", tick_phase_dispatch_.get()},
       {"tick.checkpoint", tick_phase_checkpoint_.get()},
-      {"tick.arrival", tick_phase_arrival_.get()},
       {"batch.storage", batch_storage_micros_.get()},
       {"batch.fanout", batch_fanout_micros_.get()},
   };

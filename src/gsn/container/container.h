@@ -2,7 +2,6 @@
 #define GSN_CONTAINER_CONTAINER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -40,14 +39,13 @@ namespace gsn::container {
 /// subscribes, delivers and forgets deployments through it, and the
 /// engine never calls back.
 ///
-/// The container is driven by Tick(): it runs the engine's maintenance
-/// round, polls every sensor's sources, runs pipelines, and enforces
-/// lifetime bounds. With a VirtualClock and one tick worker (or one
-/// shard) this is fully deterministic, as the shards drain in index
-/// order; live deployments call RunFor()/pump Tick from a thread.
-/// Between Ticks, TickArrivals() drains only the sensors a push source
-/// (wrapper="remote" or "local") has offered into, so a delivery does
-/// not wait for the next Tick (docs/PERFORMANCE.md §7).
+/// The container is driven by rounds, Tick(): each drains the sensors
+/// woken since their last drain, and once the driver's interval has
+/// passed it also polls every pull wrapper, runs the engine's
+/// maintenance round, and enforces lifetime bounds (docs/PERFORMANCE.md
+/// §7). With a VirtualClock and one tick worker (or one shard) this is
+/// fully deterministic, as the shards drain in index order; live
+/// deployments run rounds from a RealtimePump thread.
 ///
 /// Concurrency model (docs/CONCURRENCY.md). Deployments are
 /// partitioned into N shards by hash of the lowercased sensor name;
@@ -73,9 +71,9 @@ namespace gsn::container {
 ///    takes a consumer's admission lock (a leaf) by two chains only:
 ///    chain_mu_ -> admission, and engine -> remote wrapper -> admission.
 ///  - The wake (a deployment's atomic woken flag and wake_mu_, a leaf)
-///    is the only other container state a push reaches: Offer calls the
-///    arrival hook after releasing the admission lock; it takes no
-///    shard lock.
+///    is the only other container state a push reaches: Offer and
+///    Inject call the arrival hook after releasing the admission lock,
+///    a pull wrapper calls its ready hook; neither takes a shard lock.
 ///  - snapshot_mu_ stays a leaf: system wrappers scrape the cached
 ///    snapshot without touching any shard/federation lock.
 class Container {
@@ -188,27 +186,24 @@ class Container {
 
   // -- Runtime --------------------------------------------------------------
 
-  /// One scheduling round at the clock's current time. Returns the
-  /// number of output elements produced across all sensors. Sensor
-  /// failures do not propagate: the supervisor pauses the offending
-  /// sensor for a backoff (its sources keep pumping into their
-  /// admission queues) and marks it FAILED once restarts are exhausted.
-  Result<int> Tick();
+  /// One scheduling round at the clock's current time: it drains every
+  /// woken sensor that can run. Once `interval` micros of steady time
+  /// have passed since the last interval round ended (always, for 0),
+  /// it is an interval round: it also drains the sensors with a pull
+  /// source, and runs the federation round, the checkpoint trigger,
+  /// lifetime expiry and the snapshot refresh. A sensor that cannot run
+  /// (FAILED, paused for restart backoff, expired, busy in another
+  /// round) keeps its wake for its first round once it can. Sensor
+  /// failures do not propagate: the supervisor pauses the sensor for a
+  /// backoff and marks it FAILED once restarts are exhausted. Returns
+  /// the output elements produced.
+  Result<int> Tick(Timestamp interval = 0);
 
-  /// One arrival round at the clock's current time: Tick()'s collect/
-  /// drain/post steps, restricted to the sensors a push source has woken
-  /// since their last drain. A woken sensor that cannot run now (FAILED,
-  /// paused for restart backoff, expired, or busy in another round)
-  /// keeps its wake and is left to Tick(). The federation round, the
-  /// checkpoint, lifetime expiry and the system-snapshot refresh stay on
-  /// Tick(). Returns the output elements produced.
-  int TickArrivals();
-
-  /// Blocks until a push source has woken a deployment since the last
-  /// return, until `deadline`, or until `stop` reads true (set it, then
-  /// call InterruptArrivalWait). Returns whether it consumed a wake.
-  bool WaitForArrival(std::chrono::steady_clock::time_point deadline,
-                      const std::atomic<bool>& stop);
+  /// Blocks until a deployment has been woken since the last return,
+  /// until `interval` has passed since the end of the last interval
+  /// round, or until `stop` reads true (set it, then call
+  /// InterruptArrivalWait). Returns whether it consumed a wake.
+  bool WaitForArrival(Timestamp interval, const std::atomic<bool>& stop);
   /// Wakes every WaitForArrival caller so it re-reads its stop flag.
   void InterruptArrivalWait();
 
@@ -249,7 +244,7 @@ class Container {
   QuarantineStore& quarantine() { return *quarantine_; }
   const QuarantineStore& quarantine() const { return *quarantine_; }
   /// Takes quarantined tuple `id` and re-injects it into its
-  /// originating stream source for the next poll (at-least-once).
+  /// originating stream source, which wakes its sensor (at-least-once).
   Status RequeueQuarantined(uint64_t id);
 
   /// The crash-recovery manifest (null when data_dir is empty).
@@ -422,10 +417,14 @@ class Container {
     // -- Supervision (docs/DURABILITY.md) --------------------------------
     SensorState state = SensorState::kRunning;
     int restart_attempts = 0;
-    /// Set when an Offer enqueues into one of the sensor's sources
-    /// (WakeDeployment), cleared when a round collects the sensor for a
-    /// drain. Atomic: pushers set it without the shard lock.
+    /// Set when an element reaches one of the sensor's sources between
+    /// rounds (WakeDeployment), cleared when a round drains the sensor.
+    /// Atomic: pushers set it without the shard lock.
     std::atomic<bool> woken{false};
+    /// Whether a source polls a pull wrapper (anything but
+    /// wrapper="local" or "remote"): interval rounds drain such a
+    /// sensor; one without runs only when woken.
+    bool polls = false;
     /// Ticks completed without failing since the last restart; at
     /// supervision.healthy_ticks_to_reset the restart budget is
     /// restored, so restart_attempts meters consecutive failures
@@ -439,7 +438,7 @@ class Container {
     /// undeploy).
     std::vector<vsensor::StreamSource*> local_sources;
     /// wrapper="system" sources of this sensor; while any deployment
-    /// has one, Tick() refreshes the snapshot cache they scrape.
+    /// has one, interval rounds refresh the snapshot cache they scrape.
     int system_sources = 0;
   };
 
@@ -477,18 +476,16 @@ class Container {
 
   /// Shard hosting `key` (hash of the lowercased sensor name).
   Shard& ShardFor(const std::string& key) const;
-  /// Drains one shard at `now`: collects runnable deployments under
-  /// the shard lock (setting busy flags, clearing woken flags), runs
-  /// their pipelines outside it, then clears the busy flags and does the
-  /// supervision bookkeeping. With `arrivals_only`, only woken sensors
-  /// that can run are collected and nothing expires. Returns elements
-  /// produced. Runs on a tick_pool_ worker (or inline with a single
-  /// shard, and for arrival rounds).
-  int TickShard(Shard& shard, Timestamp now, bool arrivals_only);
+  /// Drains one shard at `now` by Tick's rule (`interval_due`: the
+  /// interval has passed): collects deployments under the shard lock,
+  /// setting busy flags, runs their pipelines outside it, then clears
+  /// the busy flags and does the supervision bookkeeping. Returns
+  /// elements produced. Runs on a tick_pool_ worker, or inline.
+  int TickShard(Shard& shard, Timestamp now, bool interval_due);
 
-  /// Arrival hook of `deployment`'s sources: sets its woken flag and,
-  /// only when that flag goes from clear to set, wakes WaitForArrival.
-  /// Takes only wake_mu_.
+  /// Arrival hook of `deployment`'s sources and ready hook of its pull
+  /// wrappers: sets its woken flag and, only when that flag goes from
+  /// clear to set, wakes WaitForArrival. Takes only wake_mu_.
   void WakeDeployment(Deployment* deployment);
   /// Removes `deployment`'s own wrapper="local" sources from the
   /// chaining map. Requires chain_mu_.
@@ -599,6 +596,9 @@ class Container {
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   bool wake_pending_ = false;  // guarded by wake_mu_
+  /// Steady micros at which the last interval round ended; the next one
+  /// is due an interval later.
+  std::atomic<int64_t> interval_round_end_{0};
 
   // -- Durability & supervision (docs/DURABILITY.md) ------------------------
   std::unique_ptr<ContainerManifest> manifest_;  // null without data_dir
@@ -636,8 +636,6 @@ class Container {
   std::shared_ptr<telemetry::Histogram> tick_phase_resilience_;
   std::shared_ptr<telemetry::Histogram> tick_phase_dispatch_;
   std::shared_ptr<telemetry::Histogram> tick_phase_checkpoint_;
-  /// One sample per TickArrivals() round: count = rounds, sum = busy time.
-  std::shared_ptr<telemetry::Histogram> tick_phase_arrival_;
   std::shared_ptr<telemetry::Histogram> batch_storage_micros_;
   std::shared_ptr<telemetry::Histogram> batch_fanout_micros_;
   std::shared_ptr<telemetry::Gauge> build_info_;

@@ -2,7 +2,6 @@
 #define GSN_CONTAINER_LOCAL_STREAM_WRAPPER_H_
 
 #include <string>
-#include <vector>
 
 #include "gsn/wrappers/wrapper.h"
 
@@ -25,9 +24,6 @@ class LocalStreamWrapper : public wrappers::Wrapper {
 
   const Schema& output_schema() const override { return schema_; }
   std::string type_name() const override { return "local"; }
-  Result<std::vector<StreamElement>> Poll(Timestamp) override {
-    return std::vector<StreamElement>{};
-  }
 
  private:
   const Schema schema_;

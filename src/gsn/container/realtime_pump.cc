@@ -1,17 +1,13 @@
 #include "gsn/container/realtime_pump.h"
 
-#include <chrono>
-
 #include "gsn/util/logging.h"
 
 namespace gsn::container {
 
-RealtimePump::RealtimePump(Container* container, Timestamp interval_micros,
-                           network::Transport* network)
+RealtimePump::RealtimePump(Container* container, Timestamp interval_micros)
     : container_(container),
       interval_micros_(interval_micros > 0 ? interval_micros
-                                           : 100 * kMicrosPerMilli),
-      network_(network) {}
+                                           : 100 * kMicrosPerMilli) {}
 
 RealtimePump::~RealtimePump() { Stop(); }
 
@@ -33,27 +29,15 @@ void RealtimePump::Stop() {
 }
 
 void RealtimePump::Loop() {
-  using Steady = std::chrono::steady_clock;
-  const auto interval = std::chrono::microseconds(interval_micros_);
-  Steady::time_point next_round = Steady::now() + interval;
   for (;;) {
-    const bool woken = container_->WaitForArrival(next_round, stop_requested_);
+    container_->WaitForArrival(interval_micros_, stop_requested_);
     if (stop_requested_.load()) return;
-    if (Steady::now() < next_round) {
-      // Between interval rounds: drain only what push sources woke.
-      if (woken) container_->TickArrivals();
-      continue;
-    }
-    if (network_ != nullptr) {
-      network_->Pump(container_->clock()->NowMicros());
-    }
-    const Result<int> produced = container_->Tick();
+    const Result<int> produced = container_->Tick(interval_micros_);
     if (!produced.ok()) {
       GSN_LOG(kWarn, "pump") << container_->node_id()
                              << ": tick failed: " << produced.status();
     }
     rounds_.fetch_add(1);
-    next_round = Steady::now() + interval;
   }
 }
 

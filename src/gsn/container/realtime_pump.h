@@ -11,23 +11,19 @@ namespace gsn::container {
 
 /// Drives a container from a background thread in wall-clock time —
 /// live deployments, as opposed to the deterministic virtual-clock
-/// stepping used by tests and benchmarks. The pump calls
-/// Container::Tick() every `interval` and, when a transport needs
-/// driving (the simulator's deferred queue), also pumps delivery — a
-/// no-op on real transports, which deliver from their own event loop.
-/// Between those interval rounds it sleeps on the container's wake: a
-/// delivery into a wrapper="remote" or "local" source ends the sleep,
-/// and the pump runs Container::TickArrivals() at once, so a pushed
-/// element does not wait for the next interval (docs/PERFORMANCE.md
-/// §7). Wakes that arrive during a round fold into the next one.
+/// stepping used by tests and benchmarks. The pump sleeps until
+/// `interval` has passed since the end of the last interval round, or
+/// until a sensor is woken (an element offered into a wrapper="remote"
+/// or "local" source, a requeued tuple, a pull wrapper's ready hook),
+/// then runs one Container::Tick(interval) round; the container decides
+/// what that round runs (docs/PERFORMANCE.md §7). Wakes that arrive
+/// during a round fold into the next one.
 ///
 /// Start/Stop are idempotent; the destructor stops the pump.
 class RealtimePump {
  public:
-  /// `network` may be null (single-node deployments). The container
-  /// must outlive the pump.
-  RealtimePump(Container* container, Timestamp interval_micros,
-               network::Transport* network = nullptr);
+  /// The container must outlive the pump.
+  RealtimePump(Container* container, Timestamp interval_micros);
   ~RealtimePump();
 
   RealtimePump(const RealtimePump&) = delete;
@@ -37,8 +33,7 @@ class RealtimePump {
   void Stop();
   bool running() const { return running_.load(); }
 
-  /// Completed interval (Tick) rounds since Start; arrival rounds are
-  /// counted by gsn_tick_phase_micros{phase="arrival"}.
+  /// Completed rounds since Start, interval and wake rounds alike.
   int64_t rounds() const { return rounds_.load(); }
 
  private:
@@ -46,7 +41,6 @@ class RealtimePump {
 
   Container* container_;
   const Timestamp interval_micros_;
-  network::Transport* network_;
 
   std::mutex mu_;  // serializes Start and Stop
   std::thread thread_;

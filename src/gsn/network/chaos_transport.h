@@ -124,7 +124,6 @@ class ChaosTransport : public Transport {
   Status Broadcast(Timestamp now, const std::string& from,
                    const std::string& topic,
                    const std::string& payload) override;
-  int Pump(Timestamp now) override { return inner_->Pump(now); }
   std::vector<ConnectionStats> Connections() const override {
     return inner_->Connections();
   }

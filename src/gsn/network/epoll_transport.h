@@ -133,8 +133,6 @@ class EpollTransport : public Transport {
   Status Broadcast(Timestamp now, const std::string& from,
                    const std::string& topic,
                    const std::string& payload) override;
-  /// Real transports deliver from the event loop; Pump is a no-op.
-  int Pump(Timestamp /*now*/) override { return 0; }
   std::vector<ConnectionStats> Connections() const override;
   std::string transport_name() const override { return "epoll"; }
   void SetErrorCallback(ErrorCallback callback) override;

@@ -55,9 +55,6 @@ class RemoteStreamWrapper : public wrappers::Wrapper {
 
   const Schema& output_schema() const override { return schema_; }
   std::string type_name() const override { return "remote"; }
-  Result<std::vector<StreamElement>> Poll(Timestamp) override {
-    return std::vector<StreamElement>{};
-  }
 
   /// Set once, after the owning source exists; until then every
   /// in-order delivery is refused.

@@ -68,8 +68,8 @@ class ChaosTransport;
 /// decorator wraps whichever implementation a node registers through.
 ///
 /// Delivery is push-based: a registered NetworkNode's OnMessage fires
-/// when a message arrives (on Pump for the simulator, on the event
-/// loop thread for real transports). Send/Broadcast are asynchronous
+/// when a message arrives (when the simulator's owner pumps it, on the
+/// event loop thread for real transports). Send/Broadcast are asynchronous
 /// and may drop — the resilience layer above (sequence numbers,
 /// NACK/replay, heartbeats) owns end-to-end delivery.
 class Transport {
@@ -102,11 +102,6 @@ class Transport {
   virtual Status Broadcast(Timestamp now, const std::string& from,
                            const std::string& topic,
                            const std::string& payload) = 0;
-
-  /// Drives deferred delivery up to `now`; returns messages delivered.
-  /// The simulator delivers its due queue here; real transports deliver
-  /// from their own event loop and return 0.
-  virtual int Pump(Timestamp now) = 0;
 
   /// Live connection snapshot (empty for the simulator: its links are
   /// logical, not connections).

@@ -230,8 +230,11 @@ Result<std::vector<StreamElement>> StreamSource::Poll(Timestamp now) {
 }
 
 void StreamSource::Inject(const StreamElement& element) {
-  std::lock_guard<telemetry::TimedMutex> lock(mu_);
-  injected_.push_back(element);
+  {
+    std::lock_guard<telemetry::TimedMutex> lock(mu_);
+    injected_.push_back(element);
+  }
+  if (arrival_hook_) arrival_hook_();
 }
 
 void StreamSource::SetAdmitting(bool admitting) {
@@ -289,8 +292,13 @@ Relation StreamSource::WindowRelation(Timestamp now) const {
 }
 
 void StreamSource::SetConnected(bool connected) {
-  std::lock_guard<telemetry::TimedMutex> lock(mu_);
-  connected_ = connected;
+  bool replay = false;  // reconnected over a buffered backlog
+  {
+    std::lock_guard<telemetry::TimedMutex> lock(mu_);
+    replay = connected && !connected_ && !disconnect_buffer_.empty();
+    connected_ = connected;
+  }
+  if (replay && arrival_hook_) arrival_hook_();
 }
 
 bool StreamSource::connected() const {

@@ -56,9 +56,10 @@ class StreamSource {
   /// Resolves the admission queue bound and shed policy: the spec's
   /// own values when set, otherwise the container defaults given here.
   /// `sensor` labels the queue-depth series so the container can drop
-  /// it at undeploy. `arrival_hook` runs after each Offer that enqueued,
-  /// outside the admission lock. Call once at deploy, before any Poll
-  /// or Offer.
+  /// it at undeploy. `arrival_hook` runs, outside the admission lock,
+  /// whenever an element reaches the source between polls: an Offer
+  /// that enqueued, an Inject, or a reconnect over a buffered backlog.
+  /// Call once at deploy, before any Poll or Offer.
   void ConfigureAdmission(const std::string& sensor, int64_t default_capacity,
                           ShedPolicy default_policy,
                           telemetry::MetricRegistry* metrics = nullptr,
@@ -88,9 +89,9 @@ class StreamSource {
   Status Pump(Timestamp now);
 
   /// Queues an element for re-admission ahead of new data on the next
-  /// Poll (quarantine requeue). Bypasses sampling and disconnect
-  /// handling — the element already passed both once — so delivery is
-  /// at-least-once.
+  /// Poll (quarantine requeue) and runs the arrival hook. Bypasses
+  /// sampling and disconnect handling — the element already passed both
+  /// once — so delivery is at-least-once.
   void Inject(const StreamElement& element);
 
   /// Drain gate: while false, Poll stops pumping the wrapper (no new
@@ -108,7 +109,8 @@ class StreamSource {
     return window_.Answer(plan, now);
   }
 
-  /// Simulates link loss/recovery for this source.
+  /// Simulates link loss/recovery for this source. A reconnect over a
+  /// buffered backlog runs the arrival hook: the next Poll replays it.
   void SetConnected(bool connected);
   bool connected() const;
 

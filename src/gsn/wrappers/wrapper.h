@@ -30,6 +30,11 @@ struct WrapperConfig {
   ParamMap params;
   std::shared_ptr<Clock> clock;
   uint64_t seed = 1;
+  /// The ready hook: wakes the owning sensor, so its next round polls
+  /// this wrapper without waiting for the interval. A wrapper that
+  /// learns of data between polls (a serial port, a feed thread) calls
+  /// it, only between Start() and Stop(). Empty outside a container.
+  std::function<void()> ready;
 
   /// Returns params[key] or `fallback` (strings never fail to parse).
   std::string Get(const std::string& key, const std::string& fallback) const;
@@ -51,9 +56,12 @@ struct WrapperConfig {
 /// Device wrappers are pull-based in this implementation: the input
 /// stream manager calls Poll(now) and the wrapper emits every element
 /// due at or before `now`. This keeps the whole pipeline deterministic
-/// under a VirtualClock; live deployments drive Poll from a pump thread.
-/// The push sources ("local", "remote") offer their elements straight
-/// into the admission queue (StreamSource::Offer); their Poll is empty.
+/// under a VirtualClock; live deployments poll every interval from a
+/// pump thread, and sooner when the wrapper calls its ready hook
+/// (WrapperConfig::ready). The push sources ("local", "remote") offer
+/// their elements straight into the admission queue
+/// (StreamSource::Offer), which wakes their sensor; they keep Poll's
+/// empty default.
 class Wrapper {
  public:
   virtual ~Wrapper() = default;
@@ -70,7 +78,10 @@ class Wrapper {
   virtual void Stop() {}
 
   /// Emits all elements due at or before `now`, in timestamp order.
-  virtual Result<std::vector<StreamElement>> Poll(Timestamp now) = 0;
+  /// Default: nothing, as for a push source.
+  virtual Result<std::vector<StreamElement>> Poll(Timestamp /*now*/) {
+    return std::vector<StreamElement>{};
+  }
 
   /// Human-readable wrapper type (for the management interface).
   virtual std::string type_name() const = 0;

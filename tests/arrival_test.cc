@@ -1,11 +1,10 @@
-// Arrival rounds (docs/PERFORMANCE.md §7): an element that a
+// Wake rounds (docs/PERFORMANCE.md §7): an element that a
 // wrapper="remote" or wrapper="local" source offers into its admission
-// queue wakes its consumer, and Container::TickArrivals() drains it
-// between interval Ticks. These
-// tests pin what counts as an arrival, that arrival rounds store exactly
-// the rows interval Ticks store, that a delivery no longer waits for the
-// consumer's next interval round, and that a sensor which cannot run
-// does not spin its pump.
+// queue wakes its consumer, and the next round drains it, before the
+// pump's interval has passed. These tests pin what counts as an
+// arrival, that wake rounds store exactly the rows interval rounds
+// store, that a delivery does not wait for the consumer's next interval
+// round, and that a sensor which cannot run does not spin its pump.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -113,24 +112,41 @@ std::vector<std::string> Rows(Container* node, const std::string& table) {
   return out;
 }
 
-int64_t ArrivalRounds(Container* node) {
-  return node->metrics()
-      ->GetHistogram("gsn_tick_phase_micros",
-                     {{"node", node->node_id()}, {"phase", "arrival"}})
-      ->TakeSnapshot()
-      .count;
+/// Rounds that were not interval rounds: every round is timed in
+/// gsn_tick_micros, and only interval rounds run the resilience phase.
+int64_t WakeRounds(Container* node) {
+  const auto count = [node](const std::string& name,
+                            const telemetry::Labels& labels) {
+    return node->metrics()->GetHistogram(name, labels)->TakeSnapshot().count;
+  };
+  return count("gsn_tick_micros", {{"node", node->node_id()}}) -
+         count("gsn_tick_phase_micros",
+               {{"node", node->node_id()}, {"phase", "resilience"}});
 }
 
-/// Runs arrival rounds until one produces nothing (a chained consumer
-/// is woken by the round that drains its producer).
+/// One round of a pump whose interval never passes here: it drains only
+/// the sensors woken since their last drain.
+int WakeRound(Container* node) {
+  const Result<int> produced = node->Tick(3600 * kMicrosPerSecond);
+  EXPECT_TRUE(produced.ok()) << produced.status().ToString();
+  return produced.ok() ? *produced : 0;
+}
+
+/// The pump's rule between interval rounds: a round at every wake,
+/// until none is pending (a chained consumer is woken by the round that
+/// drains its producer).
 int DrainArrivals(Container* node) {
+  const std::atomic<bool> never{false};
   int produced = 0;
-  for (int round = 0; round < 8; ++round) {
-    const int n = node->TickArrivals();
-    produced += n;
-    if (n == 0) break;
+  for (int round = 0; round < 16 && node->WaitForArrival(0, never); ++round) {
+    produced += WakeRound(node);
   }
   return produced;
+}
+
+/// Sensor pipeline drains so far, over every shard.
+int64_t Drains(Container* node) {
+  return node->metrics()->SumCounters("gsn_shard_ticks_total");
 }
 
 // ------------------------------------------------ What counts as an arrival
@@ -181,7 +197,33 @@ TEST(ArrivalWrapperTest, LocalWakesOnEveryPushAndNonEmptyBatch) {
   EXPECT_EQ(source.queue_depth(), 3u);
 }
 
-// ------------------------------------------------- Arrival rounds, exactly
+// Every other way an element reaches a source between polls wakes it
+// too: a quarantine requeue, and a reconnect over a buffered backlog.
+TEST(ArrivalWrapperTest, InjectAndReconnectOverABacklogWake) {
+  int wakes = 0;
+  vsensor::StreamSourceSpec spec;
+  spec.alias = "src";
+  spec.disconnect_buffer = 4;
+  vsensor::StreamSource source(
+      spec, std::make_unique<LocalStreamWrapper>(SeqSchema()), 1);
+  source.ConfigureAdmission("consumer", 16, vsensor::ShedPolicy::kDropOldest,
+                            nullptr, [&] { ++wakes; });
+  source.Inject(Seq(1));
+  EXPECT_EQ(wakes, 1);
+  EXPECT_EQ(source.Poll(0)->size(), 1u);
+  source.SetConnected(false);
+  source.SetConnected(true);  // nothing buffered: nothing to replay
+  EXPECT_EQ(wakes, 1);
+  source.SetConnected(false);
+  source.Offer({Seq(2), Seq(3)}, vsensor::StreamSource::WhenBlocked::kShed);
+  EXPECT_EQ(wakes, 2);
+  EXPECT_TRUE(source.Poll(0)->empty());  // buffered while disconnected
+  source.SetConnected(true);
+  EXPECT_EQ(wakes, 3);
+  EXPECT_EQ(source.Poll(0)->size(), 2u);
+}
+
+// --------------------------------------------------- Wake rounds, exactly
 
 Container::Options OneShard(const std::string& node,
                             std::shared_ptr<Clock> clock) {
@@ -193,7 +235,7 @@ Container::Options OneShard(const std::string& node,
   return options;
 }
 
-// An arrival round drains only what was woken: the consumer that sorts
+// A wake round drains only what was woken: the consumer that sorts
 // before its producer gets the producer's output at once, the producer
 // itself is not polled, and a second round finds nothing.
 TEST(ArrivalRoundTest, DrainsOnlyWokenSensors) {
@@ -210,20 +252,21 @@ TEST(ArrivalRoundTest, DrainsOnlyWokenSensors) {
     ASSERT_TRUE(container.Tick().ok());
   }
   // The producer ran after the consumer in this Tick: one wake waits.
-  EXPECT_TRUE(container.WaitForArrival(Steady::now(), never));
-  EXPECT_FALSE(container.WaitForArrival(Steady::now(), never));
+  EXPECT_TRUE(container.WaitForArrival(0, never));
+  EXPECT_FALSE(container.WaitForArrival(0, never));
   const size_t produced_before = Rows(&container, "zz-gen").size();
   const size_t chained_before = Rows(&container, "aa-chain").size();
   clock->Advance(kStep);  // the generator is due again, but not woken
-  EXPECT_EQ(container.TickArrivals(), 1);
+  EXPECT_EQ(WakeRound(&container), 1);
   EXPECT_EQ(Rows(&container, "aa-chain").size(), chained_before + 1);
   EXPECT_EQ(Rows(&container, "zz-gen").size(), produced_before);
-  EXPECT_EQ(container.TickArrivals(), 0);
-  EXPECT_EQ(ArrivalRounds(&container), 2);
+  EXPECT_EQ(WakeRound(&container), 0);
+  EXPECT_EQ(WakeRounds(&container), 2);
 }
 
 // A FAILED consumer keeps its wake: after the round that finds it
-// FAILED, further pushes signal nothing. A paused one is left to Tick().
+// FAILED, further pushes signal nothing. A paused one keeps it too, and
+// runs in its first round after resume_at.
 TEST(ArrivalRoundTest, SensorThatCannotRunStopsSignalling) {
   auto clock = std::make_shared<VirtualClock>();
   Container::Options options = OneShard("failing", clock);
@@ -244,26 +287,182 @@ TEST(ArrivalRoundTest, SensorThatCannotRunStopsSignalling) {
   const auto state = [&] { return container.GetSensorStatus("aa-div")->state; };
   tick();  // anchors the generator
   tick();  // first output, pushed after the consumer's drain
-  ASSERT_TRUE(container.WaitForArrival(Steady::now(), never));
-  EXPECT_EQ(container.TickArrivals(), 0);  // fails: paused for 10 s
+  ASSERT_TRUE(container.WaitForArrival(0, never));
+  EXPECT_EQ(WakeRound(&container), 0);  // fails: paused for 10 s
   ASSERT_EQ(state(), Container::SensorState::kRestarting);
-  // Paused: Tick collects it (pumping its sources) and so clears its
-  // flag; the push after that wakes once, and the round leaves it be.
+  // Paused: its flag was cleared by the drain that failed; the next
+  // push wakes once, and the round leaves it be.
   tick();
-  EXPECT_TRUE(container.WaitForArrival(Steady::now(), never));
-  EXPECT_EQ(container.TickArrivals(), 0);
+  EXPECT_TRUE(container.WaitForArrival(0, never));
+  EXPECT_EQ(WakeRound(&container), 0);
   EXPECT_EQ(state(), Container::SensorState::kRestarting);
-  EXPECT_FALSE(container.WaitForArrival(Steady::now(), never));
-  // Resumed by Tick (which drains it), it fails again: FAILED.
+  EXPECT_FALSE(container.WaitForArrival(0, never));
+  // Resumed with its wake kept, it is drained and fails again: FAILED.
   clock->Advance(10 * kMicrosPerSecond);
   ASSERT_TRUE(container.Tick().ok());
   ASSERT_EQ(state(), Container::SensorState::kFailed);
-  (void)container.WaitForArrival(Steady::now(), never);
-  container.TickArrivals();
+  (void)container.WaitForArrival(0, never);
+  WakeRound(&container);
   for (int i = 0; i < 5; ++i) {
     tick();
-    EXPECT_FALSE(container.WaitForArrival(Steady::now(), never)) << i;
+    EXPECT_FALSE(container.WaitForArrival(0, never)) << i;
   }
+}
+
+/// A pull wrapper fed by the test: Feed() queues a `seq` and calls the
+/// ready hook, as a serial port or a feed thread learns of data.
+class FedWrapper : public wrappers::Wrapper {
+ public:
+  explicit FedWrapper(std::function<void()> ready)
+      : ready_(std::move(ready)) {}
+  const Schema& output_schema() const override { return schema_; }
+  std::string type_name() const override { return "fed"; }
+  Result<std::vector<StreamElement>> Poll(Timestamp) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(pending_, {});
+  }
+  void Feed(int64_t seq) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      pending_.push_back(Seq(seq));
+    }
+    ready_();
+  }
+
+ private:
+  const Schema schema_ = SeqSchema();
+  const std::function<void()> ready_;
+  std::mutex mu_;
+  std::vector<StreamElement> pending_;
+};
+
+// A pull sensor is polled by interval rounds, and by a wake round only
+// once its wrapper has called the ready hook.
+TEST(ArrivalRoundTest, ReadyHookDrainsAPullSensorBeforeItsInterval) {
+  auto clock = std::make_shared<VirtualClock>();
+  Container container(OneShard("ready", clock));
+  FedWrapper* fed = nullptr;
+  container.wrapper_registry().Register(
+      "fed", [&fed](const wrappers::WrapperConfig& config)
+                 -> Result<std::unique_ptr<wrappers::Wrapper>> {
+        auto wrapper = std::make_unique<FedWrapper>(config.ready);
+        fed = wrapper.get();
+        return std::unique_ptr<wrappers::Wrapper>(std::move(wrapper));
+      });
+  ASSERT_TRUE(
+      container.Deploy(ConsumerXml("fed", "fed", "none", "select * from src"))
+          .ok());
+  ASSERT_NE(fed, nullptr);
+  const std::atomic<bool> never{false};
+  clock->Advance(kStep);
+  ASSERT_TRUE(container.Tick().ok());  // an interval round polls it
+  EXPECT_EQ(Drains(&container), 1);
+  EXPECT_FALSE(container.WaitForArrival(0, never));
+  EXPECT_EQ(WakeRound(&container), 0);  // neither woken nor due
+  EXPECT_EQ(Drains(&container), 1);
+  fed->Feed(7);
+  EXPECT_TRUE(container.WaitForArrival(0, never));
+  EXPECT_EQ(WakeRound(&container), 1);
+  EXPECT_EQ(Drains(&container), 2);
+  EXPECT_EQ(Rows(&container, "fed").size(), 1u);
+}
+
+// A sensor whose sources all push runs only when woken: interval rounds
+// leave it be.
+TEST(ArrivalRoundTest, UnwokenPushOnlySensorIsNotDrainedByIntervalRounds) {
+  auto clock = std::make_shared<VirtualClock>();
+  Container container(OneShard("idle", clock));
+  ASSERT_TRUE(container.Deploy(GeneratorXml("gen", "gen", 100)).ok());
+  ASSERT_TRUE(container
+                  .Deploy(ConsumerXml("chain", "local", "gen",
+                                      "select * from src"))
+                  .ok());
+  ASSERT_TRUE(container.Undeploy("gen").ok());  // nothing feeds the chain
+  const int64_t before = Drains(&container);
+  constexpr int kRounds = 10;
+  for (int i = 0; i < kRounds; ++i) {
+    clock->Advance(kStep);
+    ASSERT_TRUE(container.Tick().ok());
+  }
+  EXPECT_EQ(Drains(&container) - before, 0);
+}
+
+/// A local consumer of "gen" whose pipeline divides by zero at seq 3.
+std::string PoisonAtThree(const std::string& name) {
+  return ConsumerXml(name, "local", "gen",
+                     "select seq, 1 / (seq - 3) as inv from src",
+                     "<field name=\"seq\" type=\"integer\"/>"
+                     "<field name=\"inv\" type=\"integer\"/>");
+}
+
+/// Interval rounds until a sensor has quarantined a tuple (and so is
+/// paused for its restart backoff).
+void TickUntilQuarantined(Container* container, VirtualClock* clock) {
+  for (int i = 0; i < 20 && container->quarantine().size() == 0; ++i) {
+    clock->Advance(kStep);
+    ASSERT_TRUE(container->Tick().ok());
+  }
+  ASSERT_EQ(container->quarantine().size(), 1u);
+}
+
+// A requeued tuple wakes its sensor: a push-only consumer drains it in
+// the next round, with no interval deadline.
+TEST(ArrivalRoundTest, RequeuedTupleWakesItsPushOnlyConsumer) {
+  auto clock = std::make_shared<VirtualClock>();
+  Container::Options options = OneShard("requeue", clock);
+  options.supervision.retry.initial_backoff_micros = kStep;
+  options.supervision.retry.jitter = 0.0;
+  Container container(std::move(options));
+  ASSERT_TRUE(container.Deploy(GeneratorXml("zz-gen", "gen", 100)).ok());
+  ASSERT_TRUE(container.Deploy(PoisonAtThree("aa-poison")).ok());
+  TickUntilQuarantined(&container, clock.get());
+  ASSERT_TRUE(container.Undeploy("zz-gen").ok());  // no more pushes
+  clock->Advance(kMicrosPerSecond);                // past the backoff
+  DrainArrivals(&container);
+  const std::atomic<bool> never{false};
+  ASSERT_FALSE(container.WaitForArrival(0, never));
+  const vsensor::StreamSource* source =
+      container.FindSensor("aa-poison")->FindSource("in", "src");
+  const int64_t admitted = source->admitted_count();
+  ASSERT_TRUE(
+      container.RequeueQuarantined(container.quarantine().List()[0].id).ok());
+  EXPECT_TRUE(container.WaitForArrival(0, never));
+  WakeRound(&container);
+  EXPECT_EQ(source->admitted_count(), admitted + 1);
+}
+
+// A paused push-only consumer woken during its backoff keeps its wake,
+// and drains in its first round after resume_at, though nothing has
+// signalled since. It sorts after its producer, so every interval round
+// offers into it before reaching it: a round that collected it to pump
+// and cleared its flag would lose the wake.
+TEST(ArrivalRoundTest, PausedPushOnlyConsumerDrainsInItsFirstRoundAfterResume) {
+  auto clock = std::make_shared<VirtualClock>();
+  Container::Options options = OneShard("resume", clock);
+  options.supervision.retry.initial_backoff_micros = 10 * kMicrosPerSecond;
+  options.supervision.retry.jitter = 0.0;
+  Container container(std::move(options));
+  ASSERT_TRUE(container.Deploy(GeneratorXml("aa-gen", "gen", 100)).ok());
+  ASSERT_TRUE(container.Deploy(PoisonAtThree("zz-poison")).ok());
+  TickUntilQuarantined(&container, clock.get());
+  const auto state = [&] {
+    return container.GetSensorStatus("zz-poison")->state;
+  };
+  ASSERT_EQ(state(), Container::SensorState::kRestarting);
+  const size_t rows = Rows(&container, "zz-poison").size();
+  for (int i = 0; i < 2; ++i) {  // the producer pushes during the backoff
+    clock->Advance(kStep);
+    ASSERT_TRUE(container.Tick().ok());
+  }
+  DrainArrivals(&container);
+  EXPECT_EQ(Rows(&container, "zz-poison").size(), rows);
+  ASSERT_TRUE(container.Undeploy("aa-gen").ok());
+  clock->Advance(10 * kMicrosPerSecond);
+  const std::atomic<bool> never{false};
+  EXPECT_FALSE(container.WaitForArrival(0, never));
+  WakeRound(&container);
+  EXPECT_EQ(state(), Container::SensorState::kRunning);
+  EXPECT_EQ(Rows(&container, "zz-poison").size(), rows + 1);
 }
 
 // ------------------------------------------------- Differential: exactness
@@ -280,7 +479,7 @@ struct DifferentialRun {
 /// into `mirror` on `consumer`, and chained locally from there into
 /// `a-chain` (which sorts before `mirror`). Both nodes are single-shard,
 /// so each Tick drains in one fixed order. With `arrivals`, every
-/// network pump is followed by arrival rounds, as the RealtimePump runs
+/// network pump is followed by wake rounds, as the RealtimePump runs
 /// them; without, only Tick() drains.
 DifferentialRun RunLossyMirror(bool arrivals, const std::string& csv_path) {
   DifferentialRun run;
@@ -380,7 +579,7 @@ TEST(ArrivalDifferentialTest, LossyRemoteAndLocalChainStoreTheSameRows) {
   EXPECT_GT(interval.abandoned, 0);
   EXPECT_EQ(woken.gaps, interval.gaps);
   EXPECT_EQ(woken.abandoned, interval.abandoned);
-  // Arrival rounds did the draining in one run and changed no row.
+  // Wake rounds did the draining in one run and changed no row.
   EXPECT_EQ(interval.arrival_outputs, 0);
   EXPECT_GT(woken.arrival_outputs, 0);
   ASSERT_FALSE(interval.mirror.empty());
@@ -390,7 +589,7 @@ TEST(ArrivalDifferentialTest, LossyRemoteAndLocalChainStoreTheSameRows) {
 }
 
 // A local chain on one shard whose consumer sorts before its producer:
-// interval Ticks deliver each output one round late, arrival rounds at
+// interval Ticks deliver each output one round late, wake rounds at
 // once, and both store the same rows.
 TEST(ArrivalDifferentialTest, LocalChainStoresTheSameRows) {
   const auto run = [](bool arrivals) {
@@ -423,6 +622,91 @@ TEST(ArrivalDifferentialTest, LocalChainStoresTheSameRows) {
   EXPECT_EQ(woken.first, interval.first);
   EXPECT_EQ(woken.second, interval.second);
   EXPECT_EQ(interval.second, interval.first);
+}
+
+/// A pull sensor publishing `type`: `source_query` over `wrapper`
+/// (given by its address predicates), count window 1.
+std::string PullXml(const std::string& name, const std::string& type,
+                    const std::string& wrapper, const std::string& predicates,
+                    const std::string& source_query) {
+  return "<virtual-sensor name=\"" + name + "\">"
+         "<metadata><predicate key=\"type\" val=\"" + type + "\"/></metadata>"
+         "<output-structure><field name=\"seq\" type=\"integer\"/>"
+         "</output-structure>"
+         "<input-stream name=\"in\">"
+         "  <stream-source alias=\"src\" storage-size=\"1\">"
+         "    <address wrapper=\"" + wrapper + "\">" + predicates +
+         "    </address>"
+         "    <query>" + source_query + "</query>"
+         "  </stream-source>"
+         "  <query>select * from src</query>"
+         "</input-stream>"
+         "</virtual-sensor>";
+}
+
+// Generator, CSV and mote sensors, each chained locally by a consumer
+// that sorts before it, on one shard. Tick() alone drains each chain a
+// round late; the pump's rule (a round at every wake and at every
+// interval deadline) drains it at once, and polls the pull sensors only
+// at the deadlines. Both store the same rows.
+TEST(ArrivalDifferentialTest, PullSensorsAndTheirChainsStoreTheSameRows) {
+  const std::string csv_path =
+      (std::filesystem::temp_directory_path() /
+       ("gsn_pull_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  {
+    std::ofstream out(csv_path);
+    out << "timed,seq\n";
+    for (int i = 0; i < 60; ++i) {
+      out << (kMicrosPerSecond + i * kStep) << "," << (i + 1) << "\n";
+    }
+  }
+  const auto run = [&](bool wakes) {
+    auto clock = std::make_shared<VirtualClock>();
+    Container container(OneShard("pull", clock));
+    const std::pair<const char*, std::string> producers[] = {
+        {"gen", PullXml("zz-gen", "gen", "generator",
+                        "<predicate key=\"interval-ms\" val=\"30\"/>"
+                        "<predicate key=\"payload-bytes\" val=\"0\"/>",
+                        "select seq from wrapper")},
+        {"csv", PullXml("zz-csv", "csv", "csv",
+                        "<predicate key=\"file\" val=\"" + csv_path +
+                            "\"/><predicate key=\"interval\" val=\"70ms\"/>",
+                        "select seq from wrapper")},
+        {"mote", PullXml("zz-mote", "mote", "mote",
+                         "<predicate key=\"interval-ms\" val=\"40\"/>",
+                         "select temperature as seq from wrapper")},
+    };
+    for (const auto& [type, xml] : producers) {
+      EXPECT_TRUE(container.Deploy(xml).ok()) << type;
+      EXPECT_TRUE(container
+                      .Deploy(ConsumerXml(std::string("aa-") + type, "local",
+                                          type, "select * from src"))
+                      .ok())
+          << type;
+    }
+    for (int i = 0; i < 80; ++i) {
+      clock->Advance(kStep);
+      EXPECT_TRUE(container.Tick().ok());
+      if (wakes) DrainArrivals(&container);
+    }
+    std::map<std::string, std::vector<std::string>> rows;
+    for (const auto& [type, xml] : producers) {
+      EXPECT_TRUE(container.Undeploy(std::string("zz-") + type).ok());
+    }
+    EXPECT_TRUE(container.Tick().ok());  // drains the last pushes
+    for (const auto& [type, xml] : producers) {
+      rows[type] = Rows(&container, std::string("aa-") + type);
+    }
+    return rows;
+  };
+  const auto interval = run(false);
+  const auto woken = run(true);
+  std::filesystem::remove(csv_path);
+  for (const auto& [type, chain] : interval) {
+    EXPECT_GT(chain.size(), 10u) << type;
+    EXPECT_EQ(woken.at(type), chain) << type;
+  }
 }
 
 // ------------------------------------------------------ Prompt, real time
@@ -540,7 +824,7 @@ TEST(ArrivalRealtimeTest, RemoteConsumerOverEpollIsWokenAtOnce) {
   consumer_pump.Stop();
   ASSERT_GE(mirrored.size(), 3u);
   EXPECT_LT(mirrored.MedianLagMs(produced), 100.0) << mirrored.size();
-  EXPECT_GT(ArrivalRounds(pair.consumer()), 0);
+  EXPECT_GT(WakeRounds(pair.consumer()), 0);
 }
 
 // One shard, and the consumer sorts before its producer: within a Tick
@@ -567,7 +851,7 @@ TEST(ArrivalRealtimeTest, LocalConsumerSortedBeforeItsProducerIsWokenAtOnce) {
 }
 
 // A FAILED remote consumer keeps receiving about 50 deliveries a second.
-// Its flag stays set, so they wake nothing: arrival rounds stay rare.
+// Its flag stays set, so they wake nothing: wake rounds stay rare.
 TEST(ArrivalRealtimeTest, FailedRemoteConsumerDoesNotSpinThePump) {
   EpollPair pair;
   ASSERT_TRUE(pair.ok());
@@ -594,10 +878,10 @@ TEST(ArrivalRealtimeTest, FailedRemoteConsumerDoesNotSpinThePump) {
   if (failed) {
     const auto& remote = dynamic_cast<const RemoteStreamWrapper&>(
         pair.consumer()->FindSensor("div")->FindSource("in", "src")->wrapper());
-    const int64_t rounds_before = ArrivalRounds(pair.consumer());
+    const int64_t rounds_before = WakeRounds(pair.consumer());
     const int64_t received_before = remote.received_count();
     std::this_thread::sleep_for(std::chrono::seconds(1));
-    rounds = ArrivalRounds(pair.consumer()) - rounds_before;
+    rounds = WakeRounds(pair.consumer()) - rounds_before;
     deliveries = remote.received_count() - received_before;
   }
   producer_pump.Stop();
@@ -646,7 +930,7 @@ TEST(ArrivalRealtimeTest, PausedLocalConsumerCatchesUpAfterResume) {
   ASSERT_TRUE(status.ok());
   EXPECT_GT(status->stats.errors, 0);
   EXPECT_EQ(status->state, Container::SensorState::kRunning);
-  EXPECT_LT(static_cast<double>(ArrivalRounds(&container)), 20 * seconds);
+  EXPECT_LT(static_cast<double>(WakeRounds(&container)), 20 * seconds);
   // No more pushes: the last rounds drain what is queued, and the
   // consumer's newest row is the producer's newest output.
   ASSERT_TRUE(container.Undeploy("zz-gen").ok());

@@ -72,7 +72,6 @@ class FakeTransport : public Transport {
     ++broadcasts_;
     return Status::OK();
   }
-  int Pump(Timestamp) override { return 0; }
   std::string transport_name() const override { return "fake"; }
   Status ResetPeer(const std::string& peer) override {
     std::lock_guard<std::mutex> lock(mu_);
