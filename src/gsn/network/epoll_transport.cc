@@ -71,6 +71,14 @@ bool GetString(const std::string& body, size_t* pos, std::string* out) {
   return true;
 }
 
+/// Peer frames are small and one-way: with Nagle on, each would wait
+/// for the ACK of the last, which the receiver delays as it sends
+/// almost nothing back. The loop's flush still coalesces a burst.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 std::string AddrToString(const sockaddr_in& addr) {
   char ip[INET_ADDRSTRLEN] = {0};
   ::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof(ip));
@@ -469,6 +477,7 @@ EpollTransport::Conn* EpollTransport::DialLocked(const std::string& node_id,
                                  ")"));
     return nullptr;
   }
+  SetNoDelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(addr_it->second.second);
@@ -677,6 +686,7 @@ void EpollTransport::AcceptReady(int listen_fd, ConnKind kind) {
     }
     accepted_total_.fetch_add(1);
     if (accepted_counter_) accepted_counter_->Increment();
+    if (kind == ConnKind::kPeerIn) SetNoDelay(fd);
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conn->kind = kind;

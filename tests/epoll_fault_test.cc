@@ -6,6 +6,8 @@
 // counted, and redialed with backoff.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 
 #include <chrono>
 #include <condition_variable>
@@ -353,6 +355,74 @@ TEST(EpollFaultTest, ForcedResetCountsAReconnect) {
   // Resetting an unknown peer is a no-op, not a crash: like sending an
   // RST with no connection, there is simply nothing to tear down.
   EXPECT_TRUE(b.ResetPeer("ghost").ok());
+  a.Stop();
+  b.Stop();
+}
+
+/// Passes every call through to the real syscalls, recording the fds
+/// Connect dials and Accept4 returns.
+class FdRecordingSocketOps : public SocketOps {
+ public:
+  int Connect(int fd, const sockaddr* addr, socklen_t len) override {
+    Record(&dialed_, fd);
+    return SocketOps::Connect(fd, addr, len);
+  }
+  int Accept4(int fd, sockaddr* addr, socklen_t* len, int flags) override {
+    const int accepted = SocketOps::Accept4(fd, addr, len, flags);
+    if (accepted >= 0) Record(&accepted_, accepted);
+    return accepted;
+  }
+  std::vector<int> dialed() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return dialed_;
+  }
+  std::vector<int> accepted() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return accepted_;
+  }
+
+ private:
+  void Record(std::vector<int>* fds, int fd) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fds->push_back(fd);
+  }
+
+  mutable std::mutex mu_;
+  std::vector<int> dialed_;
+  std::vector<int> accepted_;
+};
+
+bool NoDelay(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) == 0 &&
+         value != 0;
+}
+
+// Peer frames are small and one-way, so Nagle would hold each behind the
+// ACK of the last: both ends of a peer link turn it off.
+TEST(EpollSocketOptionTest, PeerLinkDisablesNagleOnBothEnds) {
+  FdRecordingSocketOps ops;
+  EpollTransport::Options options_a;
+  options_a.socket_ops = &ops;
+  EpollTransport a(std::move(options_a));
+  EpollTransport::Options options_b;
+  options_b.socket_ops = &ops;
+  EpollTransport b(std::move(options_b));
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  ASSERT_TRUE(a.ListenPeer(0).ok());
+  RecordingNode node_a;
+  ASSERT_TRUE(a.RegisterNode("node-a", &node_a).ok());
+  b.AddPeer("node-a", "127.0.0.1", a.peer_port());
+
+  ASSERT_TRUE(b.Send(0, "node-b", "node-a", "t", "hello").ok());
+  ASSERT_TRUE(node_a.WaitForCount(1));
+  // Both fds belong to the open link until the transports stop.
+  ASSERT_EQ(ops.dialed().size(), 1u);
+  ASSERT_EQ(ops.accepted().size(), 1u);
+  EXPECT_TRUE(NoDelay(ops.dialed()[0]));
+  EXPECT_TRUE(NoDelay(ops.accepted()[0]));
   a.Stop();
   b.Stop();
 }
