@@ -204,7 +204,7 @@ Status DecodeChunkData(ChunkEncoding encoding, DataType kind,
                        std::vector<Value>* out) {
   size_t pos = 0;
   out->clear();
-  out->reserve(non_null);
+  out->reserve(non_null);  // the caller bounded it by the timed chunk
   switch (encoding) {
     case ChunkEncoding::kDeltaVarint: {
       int64_t acc = 0;
@@ -242,6 +242,10 @@ Status DecodeChunkData(ChunkEncoding encoding, DataType kind,
     }
     case ChunkEncoding::kDictionary: {
       GSN_ASSIGN_OR_RETURN(uint32_t dict_size, Codec::DecodeU32(data, &pos));
+      if (dict_size > (data.size() - pos) / 4) {  // a u32 length per entry
+        return Status::IntegrityError(
+            "dictionary declares more entries than its chunk holds");
+      }
       std::vector<std::string> dict;
       dict.reserve(dict_size);
       for (uint32_t i = 0; i < dict_size; ++i) {
@@ -521,6 +525,9 @@ Status ScanSegmentContents(std::string_view contents, const Schema& row_schema,
     bool prune = false;
     for (size_t f = 0; f < fields; ++f) {
       GSN_RETURN_IF_ERROR(ParseChunk(payload, &pos, &chunks[f]));
+      if (chunks[f].null_count > n) {
+        return Status::IntegrityError("chunk has more nulls than rows");
+      }
       if (prune || !chunks[f].has_zone) continue;
       auto it = bounds_by_field.find(f);
       if (it == bounds_by_field.end()) continue;
@@ -533,6 +540,11 @@ Status ScanSegmentContents(std::string_view contents, const Schema& row_schema,
           break;
         }
       }
+    }
+    // The timed chunk spends a null-bitmap bit or a data byte on every
+    // row, so its bytes bound the row count the decode below trusts.
+    if (n / 8 > chunks[0].data.size()) {
+      return Status::IntegrityError("group has more rows than its timed chunk");
     }
     if (stats != nullptr) {
       ++stats->groups_total;

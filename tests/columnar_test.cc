@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <thread>
 
@@ -17,6 +18,7 @@
 #include "gsn/storage/columnar/catalog.h"
 #include "gsn/storage/columnar/segment.h"
 #include "gsn/storage/persistence_log.h"
+#include "gsn/types/codec.h"
 #include "gsn/util/export.h"
 
 namespace gsn {
@@ -199,6 +201,73 @@ TEST(SegmentTest, RowsCrcIdentifiesFlushedPrefix) {
   EXPECT_NE(storage::columnar::RowsCrc(rows, 11), first_ten);
   Relation::RowList other = WideRows(10, /*start=*/9999);
   EXPECT_NE(storage::columnar::RowsCrc(other, 10), first_ten);
+}
+
+// ------------------------------------------------- Hostile segment counts
+
+/// A valid one-group segment of WideRows(20) whose group record `edit`
+/// rewrites before it is framed again, under a valid CRC.
+std::string ReframedSegment(const std::function<void(std::string*)>& edit) {
+  auto encoded =
+      storage::columnar::EncodeSegment("t", WideRowSchema(), WideRows(20), 64);
+  EXPECT_TRUE(encoded.ok());
+  std::vector<std::string_view> payloads;
+  bool torn = false;
+  storage::ScanLogRecords(encoded->contents, &payloads, &torn);
+  EXPECT_EQ(payloads.size(), 3u);  // header, group, footer
+  std::string group(payloads[1]);
+  edit(&group);
+  return storage::FrameLogRecord(payloads[0]) +
+         storage::FrameLogRecord(group) + storage::FrameLogRecord(payloads[2]);
+}
+
+/// Offset of field `field`'s chunk data inside a group record.
+size_t ChunkDataOffset(std::string_view group, size_t field) {
+  size_t pos = 9;  // tag, row count, field count
+  for (size_t f = 0;; ++f) {
+    pos += 6;                 // encoding, kind, null count
+    if (group[pos++] != 0) {  // zone map
+      EXPECT_TRUE(Codec::DecodeValue(group, &pos).ok());
+      EXPECT_TRUE(Codec::DecodeValue(group, &pos).ok());
+    }
+    const uint32_t data_len = *Codec::DecodeU32(group, &pos);
+    if (f == field) return pos;
+    pos += data_len;
+  }
+}
+
+void PutU32At(std::string* bytes, size_t pos, uint32_t value) {
+  std::string encoded;
+  Codec::EncodeU32(value, &encoded);
+  bytes->replace(pos, encoded.size(), encoded);
+}
+
+Status ScanHostile(const std::string& contents) {
+  Relation::RowList rows;
+  return storage::columnar::ScanSegmentContents(
+      contents, WideRowSchema(), sql::ScanPredicate{}, &rows, nullptr);
+}
+
+TEST(SegmentDecodeTest, GroupRowCountBeyondItsBytesIsAnIntegrityError) {
+  const std::string contents = ReframedSegment(
+      [](std::string* group) { PutU32At(group, 1, 0xFFFFFFF0u); });
+  EXPECT_EQ(ScanHostile(contents).code(), StatusCode::kIntegrityError);
+}
+
+TEST(SegmentDecodeTest, NullCountAboveTheRowCountIsAnIntegrityError) {
+  // The timed chunk's null count, right after its encoding and kind.
+  const std::string contents =
+      ReframedSegment([](std::string* group) { PutU32At(group, 11, 21); });
+  EXPECT_EQ(ScanHostile(contents).code(), StatusCode::kIntegrityError);
+}
+
+TEST(SegmentDecodeTest, DictionarySizeBeyondItsBytesIsAnIntegrityError) {
+  // The site column: a 3-byte null bitmap for 20 rows, then the
+  // dictionary's entry count.
+  const std::string contents = ReframedSegment([](std::string* group) {
+    PutU32At(group, ChunkDataOffset(*group, 3) + 3, 0xFFFFFFF0u);
+  });
+  EXPECT_EQ(ScanHostile(contents).code(), StatusCode::kIntegrityError);
 }
 
 // ------------------------------------------------------------ Catalog
