@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <thread>
 
 #include "gsn/container/local_stream_wrapper.h"
@@ -687,8 +688,11 @@ Result<int> Container::Tick(Timestamp interval) {
   // drivers (gsnd's RealtimePump plus an HTTP/management drain) are safe
   // without a global tick mutex: per-sensor exclusivity comes from the
   // busy flag, so a sensor another round is still draining is simply
-  // skipped by this one.
+  // skipped by this one. The round's deliveries to each peer leave
+  // together when the burst closes (docs/TRANSPORT.md, "Bursts").
   telemetry::Span dispatch_phase(tick_phase_dispatch_.get());
+  std::optional<network::Transport::Burst> burst(std::in_place,
+                                                 options_.network);
   int produced = 0;
   if (!interval_due || tick_pool_ == nullptr || shards_.size() == 1) {
     for (auto& shard : shards_) {
@@ -721,6 +725,7 @@ Result<int> Container::Tick(Timestamp interval) {
     done_cv.wait(lock, [&] { return pending == 0; });
     produced = total.load(std::memory_order_relaxed);
   }
+  burst.reset();
   dispatch_phase.Stop();
   if (!interval_due) return produced;
 

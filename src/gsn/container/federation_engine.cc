@@ -288,6 +288,10 @@ void FederationEngine::Forget(const std::string& sensor_name) {
 }
 
 void FederationEngine::Send(Timestamp now, std::vector<Outbound> sends) {
+  if (sends.empty()) return;
+  // One burst: a NACK's replays (up to kMaxReplaysPerNack) or a
+  // round's traffic leave in one write per peer.
+  network::Transport::Burst burst(network_);
   for (Outbound& send : sends) {
     if (send.to.empty()) {
       (void)network_->Broadcast(now, node_id_, send.topic, send.payload);

@@ -175,6 +175,7 @@ class FederationEngine : public network::NetworkNode {
     std::string payload;
   };
 
+  /// Sends `sends` in order inside one transport burst.
   void Send(Timestamp now, std::vector<Outbound> sends);
   Outbound SubscribeTo(const std::string& peer, const std::string& id,
                        const std::string& sensor) const;

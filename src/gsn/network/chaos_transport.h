@@ -46,7 +46,8 @@ namespace gsn::network {
 /// and partitioned frames report OK — like real packet loss, the
 /// sender cannot know, and the resilience layer above must recover.
 /// Broadcasts pass through unmodified (per-peer rules have no single
-/// peer to key on); the receivers' inbound rules still see them.
+/// peer to key on); the receivers' inbound rules still see them, and
+/// bursts (Transport::Burst) are forwarded to the inner transport.
 /// Thread-safe; held frames (delay, dup, reorder, throttle) are
 /// replayed by one wall-clock scheduler thread, started on the first
 /// hold, so drop/partition-only decorators cost no thread.
@@ -137,6 +138,8 @@ class ChaosTransport : public Transport {
   Status ResetPeer(const std::string& peer) override {
     return inner_->ResetPeer(peer);
   }
+  void OpenBurst() override { inner_->OpenBurst(); }
+  void CloseBurst() override { inner_->CloseBurst(); }
 
   // -- Chaos control (chaos command, POST /api/v1/chaos) --------------------
 

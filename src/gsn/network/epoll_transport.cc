@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "gsn/util/logging.h"
@@ -48,25 +49,24 @@ void PutString(std::string* out, const std::string& s) {
 std::string EncodeFrame(const std::string& from, const std::string& to,
                         const std::string& topic,
                         const std::string& payload) {
-  std::string body;
-  body.reserve(16 + from.size() + to.size() + topic.size() + payload.size());
-  PutString(&body, from);
-  PutString(&body, to);
-  PutString(&body, topic);
-  PutString(&body, payload);
+  const size_t body_bytes =
+      16 + from.size() + to.size() + topic.size() + payload.size();
   std::string frame;
-  frame.reserve(4 + body.size());
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  frame.append(body);
+  frame.reserve(4 + body_bytes);
+  PutU32(&frame, static_cast<uint32_t>(body_bytes));
+  PutString(&frame, from);
+  PutString(&frame, to);
+  PutString(&frame, topic);
+  PutString(&frame, payload);
   return frame;
 }
 
-bool GetString(const std::string& body, size_t* pos, std::string* out) {
+bool GetString(std::string_view body, size_t* pos, std::string* out) {
   if (body.size() - *pos < 4) return false;
   const uint32_t len = GetU32(body.data() + *pos);
   *pos += 4;
   if (body.size() - *pos < len) return false;
-  out->assign(body, *pos, len);
+  out->assign(body.data() + *pos, len);
   *pos += len;
   return true;
 }
@@ -169,6 +169,7 @@ void EpollTransport::Stop() {
   conns_.clear();
   peer_conns_.clear();
   flush_pending_.clear();
+  burst_held_.clear();
   reset_pending_.clear();
   dial_states_.clear();
   paused_listeners_.clear();
@@ -315,6 +316,7 @@ Status EpollTransport::Send(Timestamp now, const std::string& from,
   if (!running_.load()) return Status::Unavailable("transport not started");
   NetworkNode* local = nullptr;
   Status status = Status::OK();
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = local_nodes_.find(to);
@@ -323,6 +325,9 @@ Status EpollTransport::Send(Timestamp now, const std::string& from,
     } else {
       status =
           EnqueueFrameLocked(to, EncodeFrame(from, to, topic, payload));
+      // A burst's frames wait for its close; a failure (an overflow
+      // queues a close) wakes the loop now.
+      wake = open_bursts_ == 0 || !status.ok();
     }
   }
   if (local != nullptr) {
@@ -336,7 +341,7 @@ Status EpollTransport::Send(Timestamp now, const std::string& from,
     local->OnMessage(message);
     return Status::OK();
   }
-  WakeLoop();
+  if (wake) WakeLoop();
   return status;
 }
 
@@ -345,6 +350,7 @@ Status EpollTransport::Broadcast(Timestamp now, const std::string& from,
                                  const std::string& payload) {
   if (!running_.load()) return Status::Unavailable("transport not started");
   std::vector<std::pair<std::string, NetworkNode*>> locals;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::set<std::string> remote_targets;
@@ -361,9 +367,10 @@ Status EpollTransport::Broadcast(Timestamp now, const std::string& from,
       remote_targets.erase(node_id);
     }
     const std::string frame = EncodeFrame(from, "", topic, payload);
+    wake = open_bursts_ == 0;
     for (const std::string& target : remote_targets) {
       // Best effort: a down peer fails its own enqueue, not the round.
-      (void)EnqueueFrameLocked(target, frame);
+      if (!EnqueueFrameLocked(target, frame).ok()) wake = true;
     }
   }
   for (auto& [node_id, node] : locals) {
@@ -376,8 +383,27 @@ Status EpollTransport::Broadcast(Timestamp now, const std::string& from,
     message.deliver_at = now;
     node->OnMessage(message);
   }
-  WakeLoop();
+  if (wake) WakeLoop();
   return Status::OK();
+}
+
+void EpollTransport::OpenBurst() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++open_bursts_;
+}
+
+void EpollTransport::CloseBurst() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --open_bursts_;
+    // Every close releases all held links, not only the last: a frame
+    // waits at most until the next close, however bursts on other
+    // threads overlap.
+    if (burst_held_.empty()) return;
+    flush_pending_.insert(burst_held_.begin(), burst_held_.end());
+    burst_held_.clear();
+  }
+  WakeLoop();
 }
 
 std::vector<ConnectionStats> EpollTransport::Connections() const {
@@ -392,7 +418,7 @@ std::vector<ConnectionStats> EpollTransport::Connections() const {
     stats.state = conn->connecting ? "connecting"
                   : conn->want_close ? "draining"
                                      : "open";
-    stats.queued_bytes = conn->out_bytes;
+    stats.queued_bytes = conn->queued();
     stats.requests_served = conn->requests_served;
     stats.frames_in = conn->frames_in;
     stats.frames_out = conn->frames_out;
@@ -428,15 +454,14 @@ Status EpollTransport::EnqueueFrameLocked(const std::string& to,
   // Occupancy check: a queue already at its bound means the peer is
   // not draining; one frame may exceed the bound so oversized frames
   // still pass when the link is healthy.
-  if (conn->out_bytes >= options_.max_write_queue_bytes) {
+  if (conn->queued() >= options_.max_write_queue_bytes) {
     // Backpressure: drop the queue and disconnect the slow peer; the
     // resilience layer above re-delivers via NACK/replay.
     overflows_total_.fetch_add(1);
     if (overflows_counter_) overflows_counter_->Increment();
-    total_out_bytes_ -= conn->out_bytes;
-    conn->outq.clear();
+    total_out_bytes_ -= conn->queued();
+    conn->outbuf.clear();
     conn->out_off = 0;
-    conn->out_bytes = 0;
     conn->want_close = true;
     flush_pending_.insert(conn->fd);
     pending_errors_.emplace_back(
@@ -444,11 +469,21 @@ Status EpollTransport::EnqueueFrameLocked(const std::string& to,
     UpdateGaugesLocked();
     return Status::ResourceExhausted("write queue overflow to " + to);
   }
-  conn->out_bytes += bytes.size();
+  conn->outbuf.append(bytes);
   total_out_bytes_ += bytes.size();
-  conn->outq.push_back(bytes);
   ++conn->frames_out;
-  flush_pending_.insert(conn->fd);
+  if (open_bursts_ == 0) {
+    flush_pending_.insert(conn->fd);
+  } else {
+    burst_held_.insert(conn->fd);
+    // Healthy-link rule: a burst must not hold a queue at its bound,
+    // where the next frame would overflow it. This thread writes it
+    // now; an error is left for the loop's flush to meet and close on.
+    if (!conn->connecting &&
+        conn->queued() >= options_.max_write_queue_bytes) {
+      (void)WriteLocked(conn);
+    }
+  }
   UpdateGaugesLocked();
   return Status::OK();
 }
@@ -745,8 +780,9 @@ void EpollTransport::ConnReady(int fd, uint32_t events) {
     if (!ReadReady(conn)) return;  // `lock` still held; conn is gone
   }
   // Re-find: ReadReady may release mu_ around handlers, but only the
-  // loop destroys conns, so `conn` is still ours if it survived.
-  if (!conn->connecting) FlushLocked(conn);
+  // loop destroys conns, so `conn` is still ours if it survived. A link
+  // a burst holds is flushed when the burst closes.
+  if (!conn->connecting && burst_held_.count(fd) == 0) FlushLocked(conn);
 }
 
 bool EpollTransport::ReadReady(Conn* conn) {
@@ -780,7 +816,7 @@ bool EpollTransport::ReadReady(Conn* conn) {
   }
   auto it = conns_.find(fd);
   if (it == conns_.end() || it->second.get() != conn) return false;
-  if (conn->read_closed && conn->outq.empty()) {
+  if (conn->read_closed && conn->queued() == 0) {
     CloseConnLocked(conn, Status::OK());
     return false;
   }
@@ -789,17 +825,21 @@ bool EpollTransport::ReadReady(Conn* conn) {
 
 void EpollTransport::ProcessPeerInput(Conn* conn) {
   // Caller holds mu_. Frames decode under the lock; deliveries queue on
-  // pending_deliveries_ and fire from FirePending outside it.
+  // pending_deliveries_ and fire from FirePending outside it. The
+  // frames are read in place and the buffer is compacted once, so a
+  // read holding many frames costs time linear in its bytes.
+  const std::string_view in = conn->inbuf;
+  size_t off = 0;
   for (;;) {
-    if (conn->inbuf.size() < 4) break;
-    const uint32_t body_len = GetU32(conn->inbuf.data());
+    if (in.size() - off < 4) break;
+    const uint32_t body_len = GetU32(in.data() + off);
     if (body_len > options_.max_frame_bytes) {
       CloseConnLocked(conn, Status::ParseError("oversized frame"));
       return;
     }
-    if (conn->inbuf.size() < 4 + static_cast<size_t>(body_len)) break;
-    const std::string body = conn->inbuf.substr(4, body_len);
-    conn->inbuf.erase(0, 4 + static_cast<size_t>(body_len));
+    if (in.size() - off - 4 < body_len) break;
+    const std::string_view body = in.substr(off + 4, body_len);
+    off += 4 + static_cast<size_t>(body_len);
     ++conn->frames_in;
     size_t pos = 0;
     Message message;
@@ -840,21 +880,27 @@ void EpollTransport::ProcessPeerInput(Conn* conn) {
     }
     frames_delivered_total_.fetch_add(1);
   }
+  conn->inbuf.erase(0, off);
 }
 
 void EpollTransport::ProcessHttpInput(Conn* conn) {
   // Caller holds mu_; released around the handler (it may serialize
   // large container snapshots) and re-taken to enqueue the response.
+  // Only this (the loop) thread touches inbuf, so `raw` stays valid
+  // while the lock is released; the buffer is compacted once at the end.
   std::unique_lock<std::mutex> lock(mu_, std::adopt_lock);
+  const std::string_view in = conn->inbuf;
+  size_t off = 0;
   for (;;) {
-    const Result<size_t> length = HttpRequestLength(conn->inbuf);
+    const Result<size_t> length = HttpRequestLength(in.substr(off));
     if (!length.ok()) {
       CloseConnLocked(conn, length.status());
-      break;
+      lock.release();
+      return;
     }
     if (*length == 0) break;
-    const std::string raw = conn->inbuf.substr(0, *length);
-    conn->inbuf.erase(0, *length);
+    const std::string_view raw = in.substr(off, *length);
+    off += *length;
     ++conn->requests_served;
     http_requests_total_.fetch_add(1);
     if (http_requests_counter_) http_requests_counter_->Increment();
@@ -871,56 +917,81 @@ void EpollTransport::ProcessHttpInput(Conn* conn) {
       keep_alive = request->WantsKeepAlive();
       response = handler(*request);
     }
-    const std::string bytes = SerializeHttpResponse(response, keep_alive);
+    std::string bytes = SerializeHttpResponse(response, keep_alive);
     lock.lock();
     // Same occupancy rule as the peer plane: a slow reader whose queue
     // sits at the bound is disconnected; one response may exceed it.
-    if (conn->out_bytes >= options_.max_write_queue_bytes) {
+    if (conn->queued() >= options_.max_write_queue_bytes) {
       overflows_total_.fetch_add(1);
       if (overflows_counter_) overflows_counter_->Increment();
       CloseConnLocked(conn,
                       Status::ResourceExhausted("write queue overflow"));
-      break;
+      lock.release();
+      return;
     }
-    conn->out_bytes += bytes.size();
     total_out_bytes_ += bytes.size();
-    conn->outq.push_back(bytes);
+    if (conn->outbuf.empty()) {
+      conn->outbuf = std::move(bytes);
+    } else {
+      conn->outbuf.append(bytes);
+    }
     UpdateGaugesLocked();
     if (!keep_alive) {
       conn->want_close = true;
       break;
     }
   }
+  conn->inbuf.erase(0, off);
   lock.release();  // caller keeps holding mu_
 }
 
 void EpollTransport::FlushLocked(Conn* conn) {
-  while (!conn->outq.empty()) {
-    const std::string& front = conn->outq.front();
+  const Status written = WriteLocked(conn);
+  if (!written.ok()) {
+    CloseConnLocked(conn, written);
+    return;
+  }
+  if (conn->queued() == 0 && (conn->want_close || conn->read_closed)) {
+    CloseConnLocked(conn, Status::OK());
+  }
+}
+
+Status EpollTransport::WriteLocked(Conn* conn) {
+  Status status = Status::OK();
+  // One send carries the whole queue; only a short write loops.
+  while (conn->queued() > 0) {
     const ssize_t n =
-        ops_->Send(conn->fd, front.data() + conn->out_off,
-                   front.size() - conn->out_off, MSG_NOSIGNAL);
+        ops_->Send(conn->fd, conn->outbuf.data() + conn->out_off,
+                   conn->queued(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      CloseConnLocked(conn, Status::IoError(std::string("write failed: ") +
-                                            std::strerror(errno) + " (peer " +
-                                            conn->peer + ")"));
-      return;
+      status = Status::IoError(std::string("write failed: ") +
+                               std::strerror(errno) + " (peer " + conn->peer +
+                               ")");
+      break;
     }
     conn->out_off += static_cast<size_t>(n);
-    conn->out_bytes -= static_cast<size_t>(n);
     total_out_bytes_ -= static_cast<size_t>(n);
     conn->last_activity_steady = SteadyMicros();
-    if (conn->out_off == front.size()) {
-      conn->outq.pop_front();
-      conn->out_off = 0;
+  }
+  if (conn->queued() == 0) {
+    // A peer link keeps its buffer for the next round; an HTTP
+    // connection gives a large response's buffer back while it idles.
+    if (conn->kind == ConnKind::kHttp) {
+      std::string().swap(conn->outbuf);
+    } else {
+      conn->outbuf.clear();
     }
+    conn->out_off = 0;
+  } else if (conn->out_off > conn->outbuf.size() / 2) {
+    // Compact once the written part outweighs the rest: each byte moves
+    // at most once, so a slow reader costs linear time.
+    conn->outbuf.erase(0, conn->out_off);
+    conn->out_off = 0;
   }
   UpdateGaugesLocked();
-  if (conn->outq.empty() && (conn->want_close || conn->read_closed)) {
-    CloseConnLocked(conn, Status::OK());
-  }
+  return status;
 }
 
 void EpollTransport::CloseConnLocked(Conn* conn, const Status& reason,
@@ -928,7 +999,7 @@ void EpollTransport::CloseConnLocked(Conn* conn, const Status& reason,
   const int fd = conn->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  total_out_bytes_ -= conn->out_bytes;
+  total_out_bytes_ -= conn->queued();
   for (auto it = peer_conns_.begin(); it != peer_conns_.end();) {
     if (it->second == fd) {
       it = peer_conns_.erase(it);
@@ -937,6 +1008,7 @@ void EpollTransport::CloseConnLocked(Conn* conn, const Status& reason,
     }
   }
   flush_pending_.erase(fd);
+  burst_held_.erase(fd);
   reset_pending_.erase(fd);
   if (!reason.ok()) {
     pending_errors_.emplace_back(conn->peer, reason);
@@ -1011,7 +1083,8 @@ void EpollTransport::MaintainLocked(Timestamp steady_now) {
   // missed edge cannot strand buffered frames forever).
   for (const auto& [fd, conn] : conns_) {
     if (conn->kind == ConnKind::kHttp) continue;
-    if (!conn->outq.empty() && !conn->connecting) {
+    if (conn->queued() > 0 && !conn->connecting &&
+        burst_held_.count(fd) == 0) {
       flush_pending_.insert(fd);
       WakeLoop();
     }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -51,6 +50,14 @@ namespace gsn::network {
 /// link lost. Idle connections (no bytes either way for
 /// `idle_timeout_micros`, which also bounds stalled half-requests) are
 /// reaped by a periodic sweep.
+///
+/// Writes: a connection's queue is one buffer, and a flush writes all
+/// of it with one send. A send wakes the loop, except inside a
+/// Transport::Burst: then its link is held, and a burst's close hands
+/// every held link to the loop with one wake, so a round's frames to
+/// one peer leave in one write. A frame that brings a held queue to
+/// its bound is written at once by the sending thread, so a burst
+/// never overflows a link that is draining.
 ///
 /// Thread-safe; delivery callbacks run on the event-loop thread.
 class EpollTransport : public Transport {
@@ -136,6 +143,8 @@ class EpollTransport : public Transport {
   std::vector<ConnectionStats> Connections() const override;
   std::string transport_name() const override { return "epoll"; }
   void SetErrorCallback(ErrorCallback callback) override;
+  void OpenBurst() override;
+  void CloseBurst() override;
   /// Abruptly tears down every live connection to `peer` (the chaos
   /// "connection reset" fault). Closes happen on the loop thread; the
   /// peer plane redials with backoff afterwards.
@@ -175,9 +184,10 @@ class EpollTransport : public Transport {
     bool read_closed = false;  // peer half-closed its write side
     bool want_close = false;   // close once the write queue drains
     std::string inbuf;
-    std::deque<std::string> outq;  // front may be partially written
+    /// Queued output: frames and responses append, and a flush writes
+    /// from out_off on.
+    std::string outbuf;
     size_t out_off = 0;
-    size_t out_bytes = 0;  // queued bytes across outq
     int64_t frames_in = 0;
     int64_t frames_out = 0;
     int64_t requests_served = 0;
@@ -186,6 +196,8 @@ class EpollTransport : public Transport {
     /// Deadline for an in-flight non-blocking connect (0 = none); a
     /// connecting conn past it is failed and redialed with backoff.
     Timestamp connect_deadline_steady = 0;
+
+    size_t queued() const { return outbuf.size() - out_off; }
   };
 
   /// Redial bookkeeping for one dial-table peer whose link failed.
@@ -214,6 +226,10 @@ class EpollTransport : public Transport {
   /// Drains the write queue until EAGAIN; closes on error or when
   /// want_close hits an empty queue.
   void FlushLocked(Conn* conn);
+  /// Writes the queue until it is empty or the socket would block, and
+  /// returns the error that stopped it. Never closes, so a sending
+  /// thread may call it.
+  Status WriteLocked(Conn* conn);
   /// `allow_redial` is false for deliberate closes (idle reaping) that
   /// must not bounce the link back up.
   void CloseConnLocked(Conn* conn, const Status& reason,
@@ -265,6 +281,11 @@ class EpollTransport : public Transport {
   std::map<std::string, std::pair<std::string, uint16_t>> peer_addrs_;
   /// Fds with freshly queued output (Send from non-loop threads).
   std::set<int> flush_pending_;  // guarded by mu_
+  /// Bursts open now, and the peer links given frames while one was:
+  /// the loop leaves these until a burst closes and moves them to
+  /// flush_pending_.
+  int open_bursts_ = 0;     // guarded by mu_
+  std::set<int> burst_held_;  // guarded by mu_
   /// Fds queued for forced close by ResetPeer (closed on loop thread).
   std::set<int> reset_pending_;  // guarded by mu_
   /// Redial bookkeeping per failed dial-table peer.

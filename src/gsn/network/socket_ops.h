@@ -42,8 +42,9 @@ class SocketOps {
 /// syscall — except short writes, which perform a real send of a
 /// truncated length (the classic partial-write path). Counters record
 /// every injected fault so tests can assert the storm actually
-/// happened. Thread-safe (EpollTransport calls Connect from sender
-/// threads and everything else from the loop thread).
+/// happened. Thread-safe (EpollTransport calls Connect, and Send for
+/// a burst's healthy-link write, from sender threads and everything
+/// else from the loop thread).
 class FaultInjectingSocketOps : public SocketOps {
  public:
   struct Config {

@@ -125,6 +125,31 @@ class Transport {
   virtual std::string transport_name() const = 0;
 
   virtual void SetErrorCallback(ErrorCallback /*callback*/) {}
+
+  /// Scope in which sends may leave together (docs/TRANSPORT.md,
+  /// "Bursts"): the transport may hold a send until a burst closes,
+  /// then write each peer's share at once. Bursts nest and may be
+  /// opened on any thread; a send made while any is open is held at
+  /// most until the next close. Frames, their order per peer and every
+  /// delivery guarantee stay as they are.
+  class Burst {
+   public:
+    explicit Burst(Transport* transport) : transport_(transport) {
+      if (transport_ != nullptr) transport_->OpenBurst();
+    }
+    ~Burst() {
+      if (transport_ != nullptr) transport_->CloseBurst();
+    }
+    Burst(const Burst&) = delete;
+    Burst& operator=(const Burst&) = delete;
+
+   private:
+    Transport* const transport_;
+  };
+
+  /// The hooks behind Burst, no-ops unless the transport holds sends.
+  virtual void OpenBurst() {}
+  virtual void CloseBurst() {}
 };
 
 }  // namespace gsn::network
