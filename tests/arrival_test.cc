@@ -891,35 +891,50 @@ TEST(ArrivalRealtimeTest, FailedRemoteConsumerDoesNotSpinThePump) {
   EXPECT_LT(rounds, 20);
 }
 
-// ROADMAP item 1's probe under a 100 ms pump: a 1 kHz producer feeds a
-// local consumer that divides by zero until the producer's seq reaches
-// 1000. The consumer is paused for restart backoff, resumes, and then
-// catches up with every push that arrived while it was paused.
+// A paused push-only consumer keeps its wake. Under a 100 ms pump, a
+// 1 kHz producer feeds a local consumer that divides by zero until seq
+// reaches 300, so the consumer's first run fails and a one-second
+// restart backoff pauses it. The producer pushes past 300 during the
+// pause and is undeployed before the consumer's resume_at: nothing
+// pushes after that, so only the wake the pause kept can drain the
+// consumer once it resumes.
 TEST(ArrivalRealtimeTest, PausedLocalConsumerCatchesUpAfterResume) {
   Container::Options options = OneShard("paused", SystemClock::Shared());
-  options.supervision.retry.initial_backoff_micros = 150 * kMicrosPerMilli;
+  options.supervision.retry.initial_backoff_micros = kMicrosPerSecond;
   options.supervision.retry.multiplier = 1.0;
   options.supervision.retry.jitter = 0.0;
   options.supervision.retry.max_attempts = 1000;
   Container container(std::move(options));
   auto producer = container.Deploy(GeneratorXml("zz-gen", "gen", 1));
   ASSERT_TRUE(producer.ok());
-  ASSERT_TRUE(container
-                  .Deploy(ConsumerXml("aa-div", "local", "gen",
-                                      "select seq from src where "
-                                      "1 / (seq / 1000) > -1"))
-                  .ok());
+  // The consumer's queue keeps only the newest push, so once the
+  // producer is past 300 no older element can fail it again.
+  std::string consumer =
+      ConsumerXml("aa-div", "local", "gen",
+                  "select seq from src where 1 / (seq / 300) > -1");
+  consumer.insert(consumer.find("storage-size"),
+                  "queue-capacity=\"1\" shed-policy=\"drop-oldest\" ");
+  ASSERT_TRUE(container.Deploy(consumer).ok());
   std::atomic<int64_t> last_produced{0};
   (*producer)->AddListener(
       [&](const vsensor::VirtualSensor&, const StreamElement& element) {
         last_produced.store(element.values[0].int_value());
       });
+  const auto paused = [&] {
+    auto status = container.GetSensorStatus("aa-div");
+    return status.ok() && status->state == Container::SensorState::kRestarting;
+  };
   RealtimePump pump(&container, 100 * kMicrosPerMilli);
   const int64_t start = telemetry::SteadyClock::Instance()->NowMicros();
   pump.Start();
+  ASSERT_TRUE(WaitFor(paused, 5000));
+  // A push past 300 that lands after the pause began, then no more.
+  const int64_t seen = std::max<int64_t>(last_produced.load(), 299);
+  ASSERT_TRUE(WaitFor([&] { return last_produced.load() > seen; }, 5000));
+  ASSERT_TRUE(container.Undeploy("zz-gen").ok());
+  ASSERT_TRUE(paused());
   const bool resumed = WaitFor(
-      [&] { return !Rows(&container, "aa-div").empty(); }, 8000);
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      [&] { return !Rows(&container, "aa-div").empty(); }, 5000);
   pump.Stop();
   const double seconds =
       static_cast<double>(telemetry::SteadyClock::Instance()->NowMicros() -
@@ -931,10 +946,7 @@ TEST(ArrivalRealtimeTest, PausedLocalConsumerCatchesUpAfterResume) {
   EXPECT_GT(status->stats.errors, 0);
   EXPECT_EQ(status->state, Container::SensorState::kRunning);
   EXPECT_LT(static_cast<double>(WakeRounds(&container)), 20 * seconds);
-  // No more pushes: the last rounds drain what is queued, and the
-  // consumer's newest row is the producer's newest output.
-  ASSERT_TRUE(container.Undeploy("zz-gen").ok());
-  ASSERT_TRUE(container.Tick().ok());
+  // The consumer's newest row is the producer's newest output.
   auto newest = container.Query("select max(seq) from \"aa-div\"");
   ASSERT_TRUE(newest.ok());
   EXPECT_EQ(newest->rows()[0][0].int_value(), last_produced.load());
