@@ -8,6 +8,13 @@
 // layer must hold a thousand live browsers/integrators on one node
 // without thread-per-connection costs.
 //
+// A one-way point follows on the peer plane: 100-byte frames at a fixed
+// 1600/s from one EpollTransport to another that never writes back, so
+// no reply carries an ACK and a held frame shows in the tail. It runs
+// twice, sending frames one at a time and then 16 at a time inside one
+// Transport::Burst, and reports one-way p50/p99 and the process CPU per
+// frame (both transports share the process).
+//
 //   build/bench/bench_transport [--quick] [--json]
 //
 // --json writes BENCH_transport.json, gated in CI by
@@ -17,15 +24,19 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gsn/network/epoll_transport.h"
@@ -225,6 +236,107 @@ bool RunPoint(uint16_t port, int clients, int requests_per_client,
   return true;
 }
 
+struct OneWayResult {
+  int burst = 0;
+  int64_t frames = 0;
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+  double cpu_us_per_frame = 0.0;
+};
+
+constexpr int kOneWayRate = 1600;  // frames per second
+constexpr size_t kOneWayPayload = 100;
+
+/// Records each frame's one-way time: its payload starts with the
+/// steady-clock nanoseconds at which it was sent.
+class StampNode : public gsn::network::NetworkNode {
+ public:
+  void OnMessage(const gsn::network::Message& message) override {
+    const int64_t now = Clock::now().time_since_epoch().count();
+    int64_t sent = 0;
+    std::memcpy(&sent, message.payload.data(), sizeof(sent));
+    std::lock_guard<std::mutex> lock(mu_);
+    latencies_ns_.push_back(now - sent);
+    cv_.notify_all();
+  }
+  bool WaitFor(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return latencies_ns_.size() >= n; });
+  }
+  std::vector<int64_t> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::move(latencies_ns_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<int64_t> latencies_ns_;
+};
+
+double CpuMicros() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) *
+             1e6 +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec);
+}
+
+/// Sends `frames` frames at kOneWayRate, `burst` at a time (one
+/// Transport::Burst per group when `burst` > 1).
+bool RunOneWay(int burst, int frames, OneWayResult* out) {
+  gsn::network::EpollTransport sender;
+  gsn::network::EpollTransport receiver;
+  StampNode sink;
+  if (!sender.Start().ok() || !receiver.Start().ok() ||
+      !receiver.ListenPeer(0).ok() ||
+      !receiver.RegisterNode("sink", &sink).ok()) {
+    return false;
+  }
+  sender.AddPeer("sink", "127.0.0.1", receiver.peer_port());
+  std::string payload(kOneWayPayload, 'x');
+  const auto send = [&] {
+    const int64_t now = Clock::now().time_since_epoch().count();
+    std::memcpy(payload.data(), &now, sizeof(now));
+    return sender.Send(0, "source", "sink", "oneway", payload).ok();
+  };
+  // The first frame dials the link; it is not measured.
+  if (!send() || !sink.WaitFor(1)) return false;
+  (void)sink.Take();
+
+  const auto period = std::chrono::nanoseconds(1000000000LL * burst /
+                                               kOneWayRate);
+  const double cpu_start = CpuMicros();
+  auto due = Clock::now();
+  for (int sent = 0; sent < frames; sent += burst) {
+    std::this_thread::sleep_until(due);
+    due += period;
+    gsn::network::Transport::Burst scope(burst > 1 ? &sender : nullptr);
+    for (int i = 0; i < burst; ++i) {
+      if (!send()) return false;
+    }
+  }
+  const bool all = sink.WaitFor(static_cast<size_t>(frames));
+  const double cpu_us = CpuMicros() - cpu_start;
+  sender.Stop();
+  receiver.Stop();
+  std::vector<int64_t> latencies = sink.Take();
+  if (!all || latencies.size() != static_cast<size_t>(frames)) {
+    std::fprintf(stderr, "FAIL: %zu/%d one-way frames at burst %d\n",
+                 latencies.size(), frames, burst);
+    return false;
+  }
+  std::sort(latencies.begin(), latencies.end());
+  out->burst = burst;
+  out->frames = frames;
+  out->p50_us = static_cast<double>(latencies[latencies.size() / 2]) / 1e3;
+  out->p99_us =
+      static_cast<double>(latencies[latencies.size() * 99 / 100]) / 1e3;
+  out->cpu_us_per_frame = cpu_us / frames;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -330,6 +442,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  std::printf("# one-way peer frames: %zu B at %d/s, receiver never writes\n",
+              kOneWayPayload, kOneWayRate);
+  std::printf("%-10s %12s %10s %10s %16s\n", "burst", "frames", "p50_us",
+              "p99_us", "cpu_us_per_frame");
+  std::vector<OneWayResult> oneway;
+  for (const int burst : {1, 16}) {
+    OneWayResult point;
+    if (!RunOneWay(burst, quick ? kOneWayRate : 10 * kOneWayRate, &point)) {
+      return 1;
+    }
+    std::printf("%-10d %12lld %10.1f %10.1f %16.2f\n", point.burst,
+                static_cast<long long>(point.frames), point.p50_us,
+                point.p99_us, point.cpu_us_per_frame);
+    oneway.push_back(point);
+  }
+
   if (json) {
     FILE* f = std::fopen("BENCH_transport.json", "w");
     if (f == nullptr) return 1;
@@ -348,11 +476,22 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"faulty\": {\"clients\": %d, \"elements\": %lld, "
                  "\"mean_ms\": %.4f, \"p95_ms\": %.4f, \"rps\": %.0f, "
-                 "\"injected_faults\": %lld}\n",
+                 "\"injected_faults\": %lld},\n",
                  faulty_point.clients,
                  static_cast<long long>(faulty_point.elements),
                  faulty_point.mean_ms, faulty_point.p95_ms, faulty_point.rps,
                  static_cast<long long>(injected_faults));
+    std::fprintf(f, "  \"oneway\": [\n");
+    for (size_t i = 0; i < oneway.size(); ++i) {
+      const OneWayResult& p = oneway[i];
+      std::fprintf(f,
+                   "    {\"burst\": %d, \"frames\": %lld, \"p50_us\": %.1f, "
+                   "\"p99_us\": %.1f, \"cpu_us_per_frame\": %.2f}%s\n",
+                   p.burst, static_cast<long long>(p.frames), p.p50_us,
+                   p.p99_us, p.cpu_us_per_frame,
+                   i + 1 < oneway.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_transport.json\n");
