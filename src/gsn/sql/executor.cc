@@ -893,6 +893,14 @@ Result<DataType> InferType(const Expr& expr, const Schema& input) {
   return InferTypeOrDefault(expr, input);
 }
 
+Result<Value> EvaluateConstant(const Expr& expr) {
+  // Never a real resolver: a subquery over a real table would freeze
+  // its rows into a cached prepared statement.
+  const MapResolver no_tables;
+  Evaluator eval(&no_tables);
+  return eval.Eval(expr, RowBinding{});
+}
+
 // ---------------------------------------------------------------------------
 // Execution pipeline
 // ---------------------------------------------------------------------------

@@ -77,6 +77,11 @@ bool LikeMatch(std::string_view text, std::string_view pattern);
 /// structures. Returns error only for malformed expressions.
 Result<DataType> InferType(const Expr& expr, const Schema& input);
 
+/// Evaluates `expr` as the executor would, with no row and no tables:
+/// the optimizer's only way to fold. Fails when `expr` needs a column,
+/// an aggregate or a table, or raises an execution error.
+Result<Value> EvaluateConstant(const Expr& expr);
+
 // ---------------------------------------------------------------------------
 // Adaptive join execution (paper §4: "an adaptive query execution plan")
 // ---------------------------------------------------------------------------

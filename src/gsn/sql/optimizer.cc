@@ -1,143 +1,10 @@
 #include "gsn/sql/optimizer.h"
 
-#include <optional>
-
 #include "gsn/sql/executor.h"
 
 namespace gsn::sql {
 
 namespace {
-
-/// Evaluates an expression consisting only of literals and
-/// deterministic operators. Returns nullopt when the tree references
-/// columns, calls functions, contains subqueries, or when evaluation
-/// would raise a runtime error (those must surface at execution time).
-std::optional<Value> EvalPure(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-      return e.literal;
-    case ExprKind::kUnary: {
-      const std::optional<Value> v = EvalPure(*e.children[0]);
-      if (!v) return std::nullopt;
-      if (e.unary_op == UnaryOp::kNot) {
-        if (v->is_null()) return Value::Null();
-        Result<Value> b = v->CastTo(DataType::kBool);
-        if (!b.ok()) return std::nullopt;
-        return Value::Bool(!b->bool_value());
-      }
-      if (v->is_null()) return Value::Null();
-      if (v->is_int()) return Value::Int(-v->int_value());
-      if (v->is_double()) return Value::Double(-v->double_value());
-      return std::nullopt;
-    }
-    case ExprKind::kBinary: {
-      const std::optional<Value> lhs = EvalPure(*e.children[0]);
-      if (!lhs) return std::nullopt;
-      if (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr) {
-        const std::optional<Value> rhs = EvalPure(*e.children[1]);
-        if (!rhs) return std::nullopt;
-        auto as_bool = [](const Value& v) -> std::optional<std::optional<bool>> {
-          if (v.is_null()) return std::optional<bool>();  // known NULL
-          Result<Value> b = v.CastTo(DataType::kBool);
-          if (!b.ok()) return std::nullopt;  // not foldable
-          return std::optional<bool>(b->bool_value());
-        };
-        const auto l = as_bool(*lhs);
-        const auto r = as_bool(*rhs);
-        if (!l || !r) return std::nullopt;
-        if (e.binary_op == BinaryOp::kAnd) {
-          if ((*l && !**l) || (*r && !**r)) return Value::Bool(false);
-          if (*l && *r) return Value::Bool(true);
-          return Value::Null();
-        }
-        if ((*l && **l) || (*r && **r)) return Value::Bool(true);
-        if (*l && *r) return Value::Bool(false);
-        return Value::Null();
-      }
-      const std::optional<Value> rhs = EvalPure(*e.children[1]);
-      if (!rhs) return std::nullopt;
-      Result<Value> folded = EvalBinaryValues(e.binary_op, *lhs, *rhs);
-      if (!folded.ok()) return std::nullopt;  // e.g. 1/0: error at runtime
-      return *std::move(folded);
-    }
-    case ExprKind::kIsNull: {
-      const std::optional<Value> v = EvalPure(*e.children[0]);
-      if (!v) return std::nullopt;
-      return Value::Bool(v->is_null() != e.negated);
-    }
-    case ExprKind::kBetween: {
-      const std::optional<Value> v = EvalPure(*e.children[0]);
-      const std::optional<Value> lo = EvalPure(*e.children[1]);
-      const std::optional<Value> hi = EvalPure(*e.children[2]);
-      if (!v || !lo || !hi) return std::nullopt;
-      Result<Value> ge = EvalBinaryValues(BinaryOp::kGreaterEq, *v, *lo);
-      Result<Value> le = EvalBinaryValues(BinaryOp::kLessEq, *v, *hi);
-      if (!ge.ok() || !le.ok()) return std::nullopt;
-      if (ge->is_null() || le->is_null()) return Value::Null();
-      return Value::Bool((ge->bool_value() && le->bool_value()) != e.negated);
-    }
-    case ExprKind::kInList: {
-      const std::optional<Value> v = EvalPure(*e.children[0]);
-      if (!v) return std::nullopt;
-      if (v->is_null()) return Value::Null();
-      bool saw_null = false;
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        const std::optional<Value> item = EvalPure(*e.children[i]);
-        if (!item) return std::nullopt;
-        Result<Value> eq = EvalBinaryValues(BinaryOp::kEq, *v, *item);
-        if (!eq.ok()) return std::nullopt;
-        if (eq->is_null()) {
-          saw_null = true;
-        } else if (eq->bool_value()) {
-          return Value::Bool(!e.negated);
-        }
-      }
-      if (saw_null) return Value::Null();
-      return Value::Bool(e.negated);
-    }
-    case ExprKind::kCast: {
-      const std::optional<Value> v = EvalPure(*e.children[0]);
-      if (!v) return std::nullopt;
-      Result<Value> cast = v->CastTo(e.cast_type);
-      if (!cast.ok()) return std::nullopt;
-      return *std::move(cast);
-    }
-    case ExprKind::kCase: {
-      size_t idx = 0;
-      std::optional<Value> operand;
-      if (e.case_has_operand) {
-        operand = EvalPure(*e.children[idx++]);
-        if (!operand) return std::nullopt;
-      }
-      for (size_t w = 0; w < e.case_num_whens; ++w) {
-        const std::optional<Value> when = EvalPure(*e.children[idx]);
-        if (!when) return std::nullopt;
-        bool hit = false;
-        if (e.case_has_operand) {
-          Result<Value> eq = EvalBinaryValues(BinaryOp::kEq, *operand, *when);
-          if (!eq.ok()) return std::nullopt;
-          hit = !eq->is_null() && eq->bool_value();
-        } else if (!when->is_null()) {
-          Result<Value> b = when->CastTo(DataType::kBool);
-          if (!b.ok()) return std::nullopt;
-          hit = b->bool_value();
-        }
-        if (hit) return EvalPure(*e.children[idx + 1]);
-        idx += 2;
-      }
-      if (e.case_has_else) return EvalPure(*e.children[idx]);
-      return Value::Null();
-    }
-    default:
-      return std::nullopt;
-  }
-}
-
-/// True if the literal is a known (non-NULL) boolean with value `want`.
-bool IsBoolLiteral(const Expr& e, bool want) {
-  return e.kind == ExprKind::kLiteral && e.literal.is_bool() &&
-         e.literal.bool_value() == want;
-}
 
 void ReplaceWithLiteral(Expr* e, Value v) {
   e->kind = ExprKind::kLiteral;
@@ -150,67 +17,66 @@ void ReplaceWithLiteral(Expr* e, Value v) {
   e->case_has_operand = false;
 }
 
-/// Replaces `*e` with one of its children (AND/OR identity shrink).
-void ReplaceWithChild(Expr* e, size_t child_index) {
-  std::unique_ptr<Expr> keep = std::move(e->children[child_index]);
-  *e = std::move(*keep);
-}
+void OptimizeStmt(SelectStmt* stmt);
 
-Result<bool> FoldExpr(Expr* e);
-
-Result<bool> FoldChildren(Expr* e) {
+/// Folds bottom-up: a node whose children are all literals becomes the
+/// value the executor gives it, when that evaluation succeeds. Anything
+/// else stays as written: a column, an aggregate, a table, an error.
+bool FoldExpr(Expr* e) {
   bool changed = false;
+  bool all_literal = true;
   for (auto& child : e->children) {
-    if (child) {
-      GSN_ASSIGN_OR_RETURN(bool c, FoldExpr(child.get()));
-      changed |= c;
-    }
+    changed |= FoldExpr(child.get());
+    all_literal &= child->kind == ExprKind::kLiteral;
   }
-  if (e->subquery) {
-    GSN_RETURN_IF_ERROR(Optimize(e->subquery.get()));
-  }
-  return changed;
+  if (e->subquery) OptimizeStmt(e->subquery.get());
+  if (e->kind == ExprKind::kLiteral || !all_literal) return changed;
+  Result<Value> value = EvaluateConstant(*e);
+  if (!value.ok()) return changed;
+  ReplaceWithLiteral(e, *std::move(value));
+  return true;
 }
 
-Result<bool> FoldExpr(Expr* e) {
-  GSN_ASSIGN_OR_RETURN(bool changed, FoldChildren(e));
-
-  if (e->kind != ExprKind::kLiteral) {
-    std::optional<Value> folded = EvalPure(*e);
-    if (folded) {
-      ReplaceWithLiteral(e, *std::move(folded));
-      return true;
-    }
-  }
-
-  // Boolean identities with one literal side. `x AND FALSE` / `x OR
-  // TRUE` are folded even when x is non-trivial: GSN queries are
-  // machine-generated from descriptors and rely on this shrink.
-  if (e->kind == ExprKind::kBinary &&
-      (e->binary_op == BinaryOp::kAnd || e->binary_op == BinaryOp::kOr)) {
-    const bool is_and = e->binary_op == BinaryOp::kAnd;
-    for (size_t i = 0; i < 2; ++i) {
-      if (IsBoolLiteral(*e->children[i], !is_and)) {
-        // AND with FALSE, OR with TRUE: dominating value.
-        ReplaceWithLiteral(e, Value::Bool(!is_and));
-        return true;
-      }
-      if (IsBoolLiteral(*e->children[i], is_and)) {
-        // AND with TRUE, OR with FALSE: identity — keep the other side.
-        ReplaceWithChild(e, 1 - i);
-        return true;
-      }
-    }
-  }
-  return changed;
+/// Optimizes the subqueries of an expression that stays as written.
+void OptimizeSubqueries(Expr* e) {
+  for (auto& child : e->children) OptimizeSubqueries(child.get());
+  if (e->subquery) OptimizeStmt(e->subquery.get());
 }
 
+/// A WHERE or HAVING that folds to TRUE filters nothing: drop it.
 void FoldPredicate(std::unique_ptr<Expr>* predicate) {
   if (!*predicate) return;
-  Result<bool> folded = FoldExpr(predicate->get());
-  (void)folded;
-  // WHERE TRUE is a no-op: drop it. FALSE/NULL stay (executor filters).
-  if (IsBoolLiteral(**predicate, true)) predicate->reset();
+  FoldExpr(predicate->get());
+  const Expr& p = **predicate;
+  if (p.kind == ExprKind::kLiteral && p.literal.is_bool() &&
+      p.literal.bool_value()) {
+    predicate->reset();
+  }
+}
+
+void OptimizeStmt(SelectStmt* stmt) {
+  // Select items, GROUP BY and ORDER BY stay as written: their text
+  // names the output columns and their literals are ORDER BY ordinals.
+  for (SelectItem& item : stmt->items) {
+    if (!item.is_star) OptimizeSubqueries(item.expr.get());
+  }
+  for (auto& g : stmt->group_by) OptimizeSubqueries(g.get());
+  for (OrderByItem& ob : stmt->order_by) OptimizeSubqueries(ob.expr.get());
+  for (auto& ref : stmt->from) {
+    // Derived tables and join conditions.
+    std::vector<TableRef*> stack{ref.get()};
+    while (!stack.empty()) {
+      TableRef* r = stack.back();
+      stack.pop_back();
+      if (r->subquery) OptimizeStmt(r->subquery.get());
+      if (r->join_condition) FoldExpr(r->join_condition.get());
+      if (r->left) stack.push_back(r->left.get());
+      if (r->right) stack.push_back(r->right.get());
+    }
+  }
+  FoldPredicate(&stmt->where);
+  FoldPredicate(&stmt->having);
+  if (stmt->set_rhs) OptimizeStmt(stmt->set_rhs.get());
 }
 
 }  // namespace
@@ -218,34 +84,7 @@ void FoldPredicate(std::unique_ptr<Expr>* predicate) {
 Result<bool> FoldConstants(Expr* expr) { return FoldExpr(expr); }
 
 Status Optimize(SelectStmt* stmt) {
-  for (SelectItem& item : stmt->items) {
-    if (!item.is_star) {
-      GSN_RETURN_IF_ERROR(FoldExpr(item.expr.get()).status());
-    }
-  }
-  for (auto& ref : stmt->from) {
-    // Derived tables and join conditions.
-    std::vector<TableRef*> stack{ref.get()};
-    while (!stack.empty()) {
-      TableRef* r = stack.back();
-      stack.pop_back();
-      if (r->subquery) GSN_RETURN_IF_ERROR(Optimize(r->subquery.get()));
-      if (r->join_condition) {
-        GSN_RETURN_IF_ERROR(FoldExpr(r->join_condition.get()).status());
-      }
-      if (r->left) stack.push_back(r->left.get());
-      if (r->right) stack.push_back(r->right.get());
-    }
-  }
-  FoldPredicate(&stmt->where);
-  for (auto& g : stmt->group_by) {
-    GSN_RETURN_IF_ERROR(FoldExpr(g.get()).status());
-  }
-  FoldPredicate(&stmt->having);
-  for (OrderByItem& ob : stmt->order_by) {
-    GSN_RETURN_IF_ERROR(FoldExpr(ob.expr.get()).status());
-  }
-  if (stmt->set_rhs) GSN_RETURN_IF_ERROR(Optimize(stmt->set_rhs.get()));
+  OptimizeStmt(stmt);
   return Status::OK();
 }
 

@@ -9,24 +9,26 @@
 
 namespace gsn::sql {
 
-/// Rule-based rewrite pass run between parse and execute (the "query
-/// planning" stage of the paper's query processor). Current rules:
+/// Rewrite pass run between parse and execute (the "query planning"
+/// stage of the paper's query processor). It owns no SQL semantics:
 ///
-///   * constant folding — literal-only subtrees collapse to literals
-///     (`1 + 2*3` → `7`, `'a' || 'b'` → `'ab'`, `NOT TRUE` → `FALSE`);
-///   * boolean short-circuits — `x AND FALSE` → `FALSE`,
-///     `x AND TRUE` → `x`, `x OR TRUE` → `TRUE`, `x OR FALSE` → `x`
-///     (only when `x` cannot error: column refs and literals);
-///   * trivial-predicate elimination — a WHERE/HAVING that folds to
-///     TRUE is dropped; one that folds to FALSE/NULL is preserved (the
-///     executor then filters everything, keeping semantics).
+///   * constant folding: in WHERE, HAVING and join conditions, a node
+///     whose children are all literals becomes the value the executor
+///     gives it with no row and no tables (`1 + 2*3` -> `7`,
+///     `abs(-2)` -> `2`). A node that needs a column, an aggregate or
+///     a table, or whose evaluation fails (`1/0`, `'a' and true`),
+///     stays as written, so the executor reports the error exactly as
+///     the unoptimized statement would;
+///   * trivial-predicate elimination: a WHERE or HAVING that folds to
+///     TRUE is dropped; FALSE or NULL stays and filters every row.
 ///
-/// Folding never performs an operation that could fail at runtime:
-/// division by zero and type errors are left in place so the executor
-/// reports them exactly as the unoptimized query would.
+/// Select items, GROUP BY and ORDER BY stay as written, since their
+/// text names the output columns and their literals are ORDER BY
+/// ordinals; subqueries anywhere are optimized. So an optimized
+/// statement gives the same columns, rows and errors as the original.
 Status Optimize(SelectStmt* stmt);
 
-/// Folds constants within one expression tree (exposed for tests).
+/// Folds one expression tree by the rule above (exposed for tests).
 /// Returns true if the tree changed.
 Result<bool> FoldConstants(Expr* expr);
 

@@ -7,10 +7,7 @@
 #include "gsn/util/strings.h"
 
 namespace gsn::sql {
-namespace {
 
-/// Decides `lhs op rhs` under executor comparison semantics; nullopt
-/// when the comparison is not decidable (NULL, cross-kind error).
 std::optional<bool> Truth(BinaryOp op, const Value& lhs, const Value& rhs) {
   Result<Value> v = EvalBinaryValues(op, lhs, rhs);
   if (!v.ok() || v->is_null()) return std::nullopt;
@@ -18,6 +15,8 @@ std::optional<bool> Truth(BinaryOp op, const Value& lhs, const Value& rhs) {
   if (!b.ok()) return std::nullopt;
   return b->bool_value();
 }
+
+namespace {
 
 void SplitTopLevelConjuncts(const Expr* e, std::vector<const Expr*>* out) {
   if (e == nullptr) return;

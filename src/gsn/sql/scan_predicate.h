@@ -2,6 +2,7 @@
 #define GSN_SQL_SCAN_PREDICATE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,11 @@ struct ScanStats {
 /// when nothing is pushable (including `where == nullptr`).
 ScanPredicate ExtractScanPredicate(const Expr* where, const std::string& alias,
                                    bool sole_table);
+
+/// Decides `lhs op rhs` under the executor's comparison semantics;
+/// nullopt when it is not decidable (NULL, cross-kind error). Zone maps
+/// are built and consulted through it.
+std::optional<bool> Truth(BinaryOp op, const Value& lhs, const Value& rhs);
 
 /// True when a chunk with non-null values in [min_value, max_value]
 /// may contain a row satisfying `bound`, under the executor's SQL

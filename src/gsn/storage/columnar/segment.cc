@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "gsn/sql/executor.h"
 #include "gsn/storage/persistence_log.h"
 #include "gsn/types/codec.h"
 #include "gsn/util/strings.h"
@@ -55,16 +54,6 @@ Result<uint8_t> GetU8(std::string_view data, size_t* pos) {
 
 // -- zone maps --------------------------------------------------------------
 
-/// Decides `lhs op rhs` under executor semantics; nullopt = undecidable.
-std::optional<bool> Truth(sql::BinaryOp op, const Value& lhs,
-                          const Value& rhs) {
-  Result<Value> v = sql::EvalBinaryValues(op, lhs, rhs);
-  if (!v.ok() || v->is_null()) return std::nullopt;
-  Result<Value> b = v->CastTo(DataType::kBool);
-  if (!b.ok()) return std::nullopt;
-  return b->bool_value();
-}
-
 /// Running min/max over a chunk's non-null values, under the same
 /// comparison semantics WHERE uses. Any undecidable comparison (mixed
 /// kinds, blobs) invalidates the zone — the chunk is then never pruned.
@@ -81,13 +70,13 @@ struct ZoneBuilder {
       any = true;
       return;
     }
-    std::optional<bool> lt = Truth(sql::BinaryOp::kLess, v, min);
+    std::optional<bool> lt = sql::Truth(sql::BinaryOp::kLess, v, min);
     if (!lt.has_value()) {
       valid = false;
       return;
     }
     if (*lt) min = v;
-    std::optional<bool> gt = Truth(sql::BinaryOp::kGreater, v, max);
+    std::optional<bool> gt = sql::Truth(sql::BinaryOp::kGreater, v, max);
     if (!gt.has_value()) {
       valid = false;
       return;

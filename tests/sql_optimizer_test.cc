@@ -44,13 +44,28 @@ TEST(OptimizerTest, ColumnsBlockFolding) {
   EXPECT_EQ(Fold("temp + (1 + 2)"), "(temp + 3)");
 }
 
+// No boolean identity is applied past an operand that is not a
+// literal: the executor casts each operand of AND/OR to a boolean and
+// may fail there, so `x AND TRUE` is not `x` and `x AND FALSE` is not
+// FALSE. All-literal operands fold by the executor's Kleene logic.
 TEST(OptimizerTest, BooleanIdentities) {
-  EXPECT_EQ(Fold("temp > 3 and true"), "(temp > 3)");
-  EXPECT_EQ(Fold("temp > 3 and false"), "false");
-  EXPECT_EQ(Fold("temp > 3 or false"), "(temp > 3)");
-  EXPECT_EQ(Fold("temp > 3 or true"), "true");
-  // Nested: (a AND TRUE) AND TRUE -> a.
-  EXPECT_EQ(Fold("(temp > 3 and true) and true"), "(temp > 3)");
+  EXPECT_EQ(Fold("temp > 3 and true"), "((temp > 3) AND true)");
+  EXPECT_EQ(Fold("false and temp > 3"), "(false AND (temp > 3))");
+  EXPECT_EQ(Fold("temp > 3 or false"), "((temp > 3) OR false)");
+  EXPECT_EQ(Fold("temp > 3 or true"), "((temp > 3) OR true)");
+  EXPECT_EQ(Fold("(temp > 3 and true) and 1 < 2"),
+            "(((temp > 3) AND true) AND true)");
+  EXPECT_EQ(Fold("true and null"), "NULL");
+}
+
+TEST(OptimizerTest, FunctionsOfLiteralsFold) {
+  EXPECT_EQ(Fold("abs(-2)"), "2");
+  EXPECT_EQ(Fold("upper('a') || lower('B')"), "'Ab'");
+  EXPECT_EQ(Fold("coalesce(null, 3)"), "3");
+  // Aggregates need rows, and errors surface at execution.
+  EXPECT_EQ(Fold("count(1)"), "COUNT(1)");
+  EXPECT_EQ(Fold("sqrt(-1)"), "SQRT(-1)");
+  EXPECT_EQ(Fold("nosuch(1)"), "NOSUCH(1)");
 }
 
 TEST(OptimizerTest, RuntimeErrorsAreNotFolded) {
@@ -83,10 +98,30 @@ TEST(OptimizerTest, OptimizesSubqueriesAndJoins) {
   ASSERT_TRUE(stmt.ok());
   ASSERT_TRUE(Optimize(stmt->get()).ok());
   const std::string rendered = (*stmt)->ToString();
-  EXPECT_NE(rendered.find("SELECT 2 AS two"), std::string::npos) << rendered;
-  // Inner WHERE true dropped; join condition folded on its rhs.
+  // The inner select item stays as written; its WHERE true is dropped
+  // and the join condition folds on its rhs.
+  EXPECT_NE(rendered.find("SELECT (1 + 1) AS two"), std::string::npos)
+      << rendered;
   EXPECT_EQ(rendered.find("WHERE"), std::string::npos);
   EXPECT_NE(rendered.find("d.two = 2"), std::string::npos);
+}
+
+// Select items name the output columns and ORDER BY literals are
+// ordinals, so neither is folded; predicates inside their subqueries
+// still are.
+TEST(OptimizerTest, SelectItemsGroupByAndOrderByStayAsWritten) {
+  auto stmt = ParseSelect(
+      "select 1 + 1, (select count(*) from u where 2 > 1) from t "
+      "group by 1 + 1 order by 1 + 1");
+  ASSERT_TRUE(stmt.ok());
+  ASSERT_TRUE(Optimize(stmt->get()).ok());
+  const std::string rendered = (*stmt)->ToString();
+  EXPECT_NE(rendered.find("SELECT (1 + 1), (SELECT COUNT(*) FROM u)"),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("GROUP BY (1 + 1) ORDER BY (1 + 1)"),
+            std::string::npos)
+      << rendered;
 }
 
 TEST(OptimizerTest, OptimizedQueryResultsUnchanged) {
