@@ -160,14 +160,24 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
 
 namespace {
 
+/// Ints, bools and timestamps: compared and computed as int64.
+bool IsIntegral(const Value& v) {
+  return v.is_int() || v.is_bool() || v.is_timestamp();
+}
+
 Result<Value> CompareValues(BinaryOp op, const Value& lhs, const Value& rhs) {
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
-  // Numeric (incl. bool) and timestamp values compare numerically;
-  // strings and binaries compare within their kind.
+  // Numeric (incl. bool) and timestamp values compare numerically,
+  // exactly when both are integral; strings and binaries compare
+  // within their kind.
   int cmp;
   const bool lhs_num = lhs.is_numeric() || lhs.is_timestamp();
   const bool rhs_num = rhs.is_numeric() || rhs.is_timestamp();
-  if (lhs_num && rhs_num) {
+  if (IsIntegral(lhs) && IsIntegral(rhs)) {
+    GSN_ASSIGN_OR_RETURN(int64_t a, lhs.AsInt());
+    GSN_ASSIGN_OR_RETURN(int64_t b, rhs.AsInt());
+    cmp = a < b ? -1 : (a > b ? 1 : 0);
+  } else if (lhs_num && rhs_num) {
     GSN_ASSIGN_OR_RETURN(double a, lhs.AsDouble());
     GSN_ASSIGN_OR_RETURN(double b, rhs.AsDouble());
     cmp = a < b ? -1 : (a > b ? 1 : 0);
@@ -205,10 +215,7 @@ Result<Value> ArithmeticValues(BinaryOp op, const Value& lhs,
   // "can be manipulated through SQL queries").
   const bool ts_result = (lhs.is_timestamp() || rhs.is_timestamp()) &&
                          (op == BinaryOp::kAdd || op == BinaryOp::kSub);
-  const bool both_integral =
-      (lhs.is_int() || lhs.is_bool() || lhs.is_timestamp()) &&
-      (rhs.is_int() || rhs.is_bool() || rhs.is_timestamp());
-  if (both_integral) {
+  if (IsIntegral(lhs) && IsIntegral(rhs)) {
     GSN_ASSIGN_OR_RETURN(int64_t a, lhs.AsInt());
     GSN_ASSIGN_OR_RETURN(int64_t b, rhs.AsInt());
     int64_t r = 0;

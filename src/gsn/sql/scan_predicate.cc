@@ -61,6 +61,15 @@ bool ComparisonOp(BinaryOp op, ScanBound::Op* out) {
   }
 }
 
+/// True for an integral value at or beyond 2^53, where one double
+/// stands for more than one integer.
+bool BeyondDoublePrecision(const Value& v) {
+  constexpr int64_t kExact = int64_t{1} << 53;
+  if (!v.is_int() && !v.is_timestamp()) return false;
+  const int64_t x = v.is_int() ? v.int_value() : v.timestamp_value();
+  return x >= kExact || x <= -kExact;
+}
+
 const char* OpName(ScanBound::Op op) {
   switch (op) {
     case ScanBound::Op::kEq: return "=";
@@ -127,6 +136,12 @@ ScanPredicate ExtractScanPredicate(const Expr* where, const std::string& alias,
 bool RangeMayMatch(const Value& min_value, const Value& max_value,
                    const ScanBound& bound) {
   if (min_value.is_null() || max_value.is_null()) return true;
+  // Earlier builds compared integers as doubles, so a zone they wrote
+  // may hold, at or beyond 2^53, the wrong one of two integers that
+  // share a double. Such zones prune nothing.
+  if (BeyondDoublePrecision(min_value) || BeyondDoublePrecision(max_value)) {
+    return true;
+  }
   std::optional<bool> t;
   switch (bound.op) {
     case ScanBound::Op::kEq:

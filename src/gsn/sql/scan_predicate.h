@@ -86,7 +86,8 @@ std::optional<bool> Truth(BinaryOp op, const Value& lhs, const Value& rhs);
 /// may contain a row satisfying `bound`, under the executor's SQL
 /// comparison semantics (numeric/timestamp compare as numbers, strings
 /// within kind). Conservatively true whenever the comparison is not
-/// decidable (cross-kind, invalid zone, errors).
+/// decidable (cross-kind, invalid zone, errors), and for integral zone
+/// edges at or beyond 2^53, which earlier builds compared as doubles.
 bool RangeMayMatch(const Value& min_value, const Value& max_value,
                    const ScanBound& bound);
 

@@ -172,6 +172,38 @@ TEST(SegmentTest, ZoneMapsPruneGroupsExactly) {
   EXPECT_TRUE(out.empty());
 }
 
+// Earlier builds picked integer zone edges through doubles: from
+// {2^53 + 1, 2^53} they kept 2^53 + 1 as the min. Zone edges at or
+// beyond 2^53 therefore never prune; below it, pruning is exact.
+TEST(SegmentTest, ZoneEdgesBeyondDoublePrecisionNeverPrune) {
+  const int64_t big = int64_t{1} << 53;
+  const Value edge = Value::Int(big + 1);
+  EXPECT_TRUE(sql::RangeMayMatch(
+      edge, edge, Bound("v", sql::ScanBound::Op::kEq, Value::Int(big))));
+  EXPECT_TRUE(sql::RangeMayMatch(
+      edge, edge, Bound("v", sql::ScanBound::Op::kLess, edge)));
+  EXPECT_FALSE(sql::RangeMayMatch(
+      Value::Int(10), Value::Int(20),
+      Bound("v", sql::ScanBound::Op::kEq, Value::Int(5))));
+
+  Schema schema;
+  schema.AddField("v", DataType::kInt);
+  const Relation::RowList rows = {Relation::MakeRow({edge}),
+                                  Relation::MakeRow({Value::Int(big)})};
+  auto encoded = storage::columnar::EncodeSegment("t", schema, rows, 100);
+  ASSERT_TRUE(encoded.ok());
+  sql::ScanPredicate predicate;
+  predicate.bounds.push_back(
+      Bound("v", sql::ScanBound::Op::kEq, Value::Int(big)));
+  Relation::RowList out;
+  storage::columnar::SegmentScanStats stats;
+  ASSERT_TRUE(storage::columnar::ScanSegmentContents(encoded->contents, schema,
+                                                     predicate, &out, &stats)
+                  .ok());
+  EXPECT_EQ(stats.groups_pruned, 0);
+  EXPECT_EQ(out.size(), 2u);
+}
+
 TEST(SegmentTest, TornTailIsNotAValidSegment) {
   const Schema schema = WideRowSchema();
   auto encoded =

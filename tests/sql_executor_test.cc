@@ -517,6 +517,39 @@ TEST(EvalBinaryTest, TimestampPlusIntIsTimestamp) {
   EXPECT_EQ(r->timestamp_value(), 150);
 }
 
+// Integral values compare as int64, as MIN, MAX, DISTINCT and ORDER BY
+// do: 2^53 and 2^53 + 1 share a double but are two different ids.
+TEST(EvalBinaryTest, IntegersCompareExactlyPastDoublePrecision) {
+  Schema schema;
+  schema.AddField("v", DataType::kInt);
+  Relation ids(schema);
+  ASSERT_TRUE(ids.AddRow({Value::Int(9007199254740992)}).ok());
+  ASSERT_TRUE(ids.AddRow({Value::Int(9007199254740993)}).ok());
+  MapResolver resolver;
+  resolver.Put("ids", std::move(ids));
+  Executor exec(&resolver);
+  for (const char* where : {
+           "v = 9007199254740993",
+           "v < 9007199254740993",
+           "v > 9007199254740992",
+           "v in (9007199254740993)",
+           "v between 9007199254740993 and 9007199254740994",
+           "v = (select max(v) from ids)",
+           "nullif(v, 9007199254740992) is null",
+       }) {
+    Result<Relation> r =
+        exec.Query(std::string("select count(*) from ids where ") + where);
+    ASSERT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+    EXPECT_EQ(r->rows()[0][0].int_value(), 1) << where;
+  }
+  // Timestamps are integral too.
+  auto lt = EvalBinaryValues(BinaryOp::kLess,
+                             Value::TimestampVal(9007199254740992),
+                             Value::Int(9007199254740993));
+  ASSERT_TRUE(lt.ok());
+  EXPECT_TRUE(lt->bool_value());
+}
+
 TEST(EvalBinaryTest, IncomparableTypesError) {
   EXPECT_FALSE(
       EvalBinaryValues(BinaryOp::kLess, Value::Int(1), Value::String("a")).ok());
