@@ -10,6 +10,7 @@
 #include "gsn/container/local_stream_wrapper.h"
 #include "gsn/sql/parser.h"
 #include "gsn/types/codec.h"
+#include "gsn/util/hash.h"
 #include "gsn/util/logging.h"
 #include "gsn/util/strings.h"
 
@@ -634,12 +635,8 @@ int Container::ShardIndexFor(const std::string& key) const {
   // runs so recovery with the same shard count lands sensors on the
   // same shard (and with a different count, simply elsewhere — no
   // state outlives the process that cares which shard a sensor used).
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return static_cast<int>(h % static_cast<uint64_t>(shards_.size()));
+  return static_cast<int>(Fnv1a64(key) %
+                          static_cast<uint64_t>(shards_.size()));
 }
 
 Container::Shard& Container::ShardFor(const std::string& key) const {

@@ -14,6 +14,7 @@
 #include <string_view>
 #include <utility>
 
+#include "gsn/types/codec.h"
 #include "gsn/util/logging.h"
 
 namespace gsn::network {
@@ -24,24 +25,9 @@ Timestamp SteadyMicros() {
   return telemetry::SteadyClock::Instance()->NowMicros();
 }
 
-void PutU32(std::string* out, uint32_t value) {
-  out->push_back(static_cast<char>(value & 0xff));
-  out->push_back(static_cast<char>((value >> 8) & 0xff));
-  out->push_back(static_cast<char>((value >> 16) & 0xff));
-  out->push_back(static_cast<char>((value >> 24) & 0xff));
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
+/// Peer-plane frames above this are a protocol error (close): a hostile
+/// length must not make a connection buffer it.
+constexpr uint32_t kMaxFrameBytes = 16 * 1024 * 1024;
 
 /// Wire frame of the peer plane: u32 body length, then four
 /// length-prefixed strings (from, to, topic, payload). `to` is empty
@@ -53,22 +39,12 @@ std::string EncodeFrame(const std::string& from, const std::string& to,
       16 + from.size() + to.size() + topic.size() + payload.size();
   std::string frame;
   frame.reserve(4 + body_bytes);
-  PutU32(&frame, static_cast<uint32_t>(body_bytes));
-  PutString(&frame, from);
-  PutString(&frame, to);
-  PutString(&frame, topic);
-  PutString(&frame, payload);
+  Codec::EncodeU32(static_cast<uint32_t>(body_bytes), &frame);
+  Codec::EncodeString(from, &frame);
+  Codec::EncodeString(to, &frame);
+  Codec::EncodeString(topic, &frame);
+  Codec::EncodeString(payload, &frame);
   return frame;
-}
-
-bool GetString(std::string_view body, size_t* pos, std::string* out) {
-  if (body.size() - *pos < 4) return false;
-  const uint32_t len = GetU32(body.data() + *pos);
-  *pos += 4;
-  if (body.size() - *pos < len) return false;
-  out->assign(body.data() + *pos, len);
-  *pos += len;
-  return true;
 }
 
 /// Peer frames are small and one-way: with Nagle on, each would wait
@@ -103,8 +79,7 @@ EpollTransport::EpollTransport() : EpollTransport(Options()) {}
 EpollTransport::EpollTransport(Options options)
     : options_(std::move(options)),
       ops_(options_.socket_ops != nullptr ? options_.socket_ops
-                                          : SocketOps::Real()),
-      redial_rng_(options_.redial_seed) {
+                                          : SocketOps::Real()) {
   if (options_.metrics != nullptr) {
     const telemetry::Labels labels = {{"role", options_.metrics_role}};
     connections_gauge_ = options_.metrics->GetGauge(
@@ -578,7 +553,7 @@ void EpollTransport::NoteDialSuccessLocked(const std::string& peer) {
 
 void EpollTransport::ScheduleRedialLocked(const std::string& peer,
                                           Timestamp steady_now) {
-  if (!options_.auto_redial || !running_.load()) return;
+  if (!running_.load()) return;
   if (peer_addrs_.count(peer) == 0) return;  // not a dial-table peer
   DialState& ds = dial_states_[peer];
   ds.attempts += 1;
@@ -832,21 +807,27 @@ void EpollTransport::ProcessPeerInput(Conn* conn) {
   size_t off = 0;
   for (;;) {
     if (in.size() - off < 4) break;
-    const uint32_t body_len = GetU32(in.data() + off);
-    if (body_len > options_.max_frame_bytes) {
+    size_t pos = off;
+    const uint32_t body_len = *Codec::DecodeU32(in, &pos);
+    if (body_len > kMaxFrameBytes) {
       CloseConnLocked(conn, Status::ParseError("oversized frame"));
       return;
     }
-    if (in.size() - off - 4 < body_len) break;
-    const std::string_view body = in.substr(off + 4, body_len);
-    off += 4 + static_cast<size_t>(body_len);
+    if (in.size() - pos < body_len) break;
+    const std::string_view body = in.substr(pos, body_len);
+    off = pos + body_len;
     ++conn->frames_in;
-    size_t pos = 0;
     Message message;
-    if (!GetString(body, &pos, &message.from) ||
-        !GetString(body, &pos, &message.to) ||
-        !GetString(body, &pos, &message.topic) ||
-        !GetString(body, &pos, &message.payload) || pos != body.size()) {
+    pos = 0;
+    bool decoded = true;
+    for (std::string* field :
+         {&message.from, &message.to, &message.topic, &message.payload}) {
+      Result<std::string> value = Codec::DecodeString(body, &pos);
+      decoded = value.ok();
+      if (!decoded) break;
+      *field = *std::move(value);
+    }
+    if (!decoded || pos != body.size()) {
       CloseConnLocked(conn, Status::ParseError("malformed frame"));
       return;
     }

@@ -68,8 +68,6 @@ class EpollTransport : public Transport {
     /// One item may exceed the bound, so an oversized response still
     /// reaches a healthy reader.
     size_t max_write_queue_bytes = 4 * 1024 * 1024;
-    /// Peer-plane frames above this are a protocol error (close).
-    size_t max_frame_bytes = 16 * 1024 * 1024;
     /// Connections idle this long are closed (0 disables). Also serves
     /// as the read timeout for stalled half-written requests.
     Timestamp idle_timeout_micros = 60 * kMicrosPerSecond;
@@ -94,11 +92,9 @@ class EpollTransport : public Transport {
     /// Automatic redial of failed dial-table peer links: exponential
     /// backoff per RetryPolicy, attempts reset when a connect
     /// completes. Once exhausted, auto-redial stops until the next
-    /// explicit Send restarts the cycle.
-    bool auto_redial = true;
+    /// explicit Send restarts the cycle; `max_attempts = 1` leaves
+    /// every redial to an explicit Send.
     RetryPolicy redial_policy;
-    /// Seed for redial backoff jitter (deterministic in tests).
-    uint64_t redial_seed = 1;
   };
 
   using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
@@ -290,7 +286,7 @@ class EpollTransport : public Transport {
   std::set<int> reset_pending_;  // guarded by mu_
   /// Redial bookkeeping per failed dial-table peer.
   std::map<std::string, DialState> dial_states_;  // guarded by mu_
-  Rng redial_rng_;  // guarded by mu_ (backoff jitter)
+  Rng redial_rng_{1};  // guarded by mu_ (backoff jitter, fixed seed)
   /// Listen fds paused after EMFILE, with their re-arm deadline.
   std::map<int, Timestamp> paused_listeners_;  // guarded by mu_
   /// True once the peer plane is in use (listener bound or dial table

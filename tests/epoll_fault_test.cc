@@ -247,7 +247,8 @@ TEST(EpollFaultTest, StalledConnectHitsTheDeadline) {
   EpollTransport::Options options;
   options.socket_ops = &ops;
   options.connect_timeout_micros = 100 * kMicrosPerMilli;
-  options.auto_redial = false;  // pin the count to the one explicit dial
+  // No automatic redial: pin the count to the one explicit dial.
+  options.redial_policy.max_attempts = 1;
   EpollTransport t(std::move(options));
   ASSERT_TRUE(t.Start().ok());
   ErrorSink errors;
