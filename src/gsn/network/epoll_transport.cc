@@ -29,6 +29,11 @@ Timestamp SteadyMicros() {
 /// length must not make a connection buffer it.
 constexpr uint32_t kMaxFrameBytes = 16 * 1024 * 1024;
 
+/// 1,000 simultaneous connects overflowed a backlog of 511, and a
+/// dropped SYN waits about 1 s for its retransmit. The kernel caps this
+/// at net.core.somaxconn (the SOMAXCONN macro is 128 on older glibc).
+constexpr int kListenBacklog = 4096;
+
 /// Wire frame of the peer plane: u32 body length, then four
 /// length-prefixed strings (from, to, topic, payload). `to` is empty
 /// for broadcasts.
@@ -176,7 +181,7 @@ Result<int> EpollTransport::MakeListener(uint16_t port, uint16_t* bound_port) {
     ::close(fd);
     return Status::IoError("bind() failed on port " + std::to_string(port));
   }
-  if (::listen(fd, 511) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     ::close(fd);
     return Status::IoError("listen() failed");
   }
