@@ -53,7 +53,8 @@ void FillTable(gsn::storage::Table* table, size_t ses_bytes,
 /// One client's random query: ~3 filtering predicates (history bound,
 /// value threshold, sequence stride), as in the paper's workload.
 std::string RandomQuery(Timestamp now, gsn::Rng* rng) {
-  const Timestamp history = rng->NextInt(kMicrosPerSecond, 30 * kMicrosPerMinute);
+  const Timestamp history =
+      rng->NextInt(kMicrosPerSecond, 30 * kMicrosPerMinute);
   const double threshold = rng->NextDouble(-1.0, 1.0);
   const int64_t stride = rng->NextInt(2, 10);
   return "select count(*), avg(value), max(seq) from stream where timed > " +

@@ -198,7 +198,8 @@ const char* Container::SensorStateName(SensorState state) {
 }
 
 void Container::RecoverFromManifest() {
-  const int64_t recovery_start = telemetry::SteadyClock::Instance()->NowMicros();
+  const int64_t recovery_start =
+      telemetry::SteadyClock::Instance()->NowMicros();
   std::error_code ec;
   std::filesystem::create_directories(options_.data_dir, ec);
   if (ec) {
@@ -245,9 +246,9 @@ void Container::RecoverFromManifest() {
       kMicrosPerSecond);
   if (!live.empty() || torn) {
     GSN_LOG(kInfo, "container")
-        << options_.node_id << ": recovered " << live.size() - recovery_failures_
-        << "/" << live.size() << " sensors from " << recovered_records_
-        << " manifest event(s)";
+        << options_.node_id << ": recovered "
+        << live.size() - recovery_failures_ << "/" << live.size()
+        << " sensors from " << recovered_records_ << " manifest event(s)";
   }
 }
 
@@ -510,8 +511,8 @@ Result<std::unique_ptr<wrappers::Wrapper>> Container::MakeWrapperForSource(
         options_.seed * 7919 +
         (wrapper_seed_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
     ++deployment->system_sources;
-    return wrappers::SystemWrapper::Make(config,
-                                         [this] { return SystemSnapshotNow(); });
+    return wrappers::SystemWrapper::Make(
+        config, [this] { return SystemSnapshotNow(); });
   }
 
   if (!StrEqualsIgnoreCase(source_spec.address.wrapper, "remote")) {

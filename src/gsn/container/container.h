@@ -286,7 +286,7 @@ class Container {
   /// when a node joins the federation after deploys happened).
   void AnnounceAll();
 
-  // -- Introspection ------------------------------------------------------------
+  // -- Introspection --------------------------------------------------------
 
   /// One edge of the container's data-flow graph: device wrappers into
   /// sensors, sensors into remote subscriber nodes.

@@ -102,7 +102,8 @@ void FederationEngine::Publish(
   // anti-entropy announcement.
   std::lock_guard<telemetry::TimedMutex> lock(mu_);
   pending_publishes_.push_back(
-      {sensor_name, 1, now + network::RetryPolicy{}.BackoffForAttempt(1, &rng_)});
+      {sensor_name, 1,
+       now + network::RetryPolicy{}.BackoffForAttempt(1, &rng_)});
 }
 
 std::vector<DirectoryEntry> FederationEngine::Discover(
@@ -652,7 +653,8 @@ void FederationEngine::RunRound(Timestamp now) {
         }
         ++sub.subscribe_attempts;
         retries_subscribe_->Increment();
-        sends.push_back(SubscribeTo(peer, sub_id, sub.wrapper->remote_sensor()));
+        sends.push_back(
+            SubscribeTo(peer, sub_id, sub.wrapper->remote_sensor()));
         sub.next_subscribe_at =
             now + sub.retry.BackoffForAttempt(sub.subscribe_attempts, &rng_);
         continue;

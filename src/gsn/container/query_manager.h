@@ -243,7 +243,8 @@ class QueryManager {
   bool cache_enabled_ = true;
   /// LRU prepared-statement cache: most recently used at the front of
   /// `lru_`; `cache_` indexes list nodes by query text.
-  using LruList = std::list<std::pair<std::string, std::shared_ptr<sql::SelectStmt>>>;
+  using LruList =
+      std::list<std::pair<std::string, std::shared_ptr<sql::SelectStmt>>>;
   LruList lru_;
   std::map<std::string, LruList::iterator> cache_;
   size_t cache_capacity_ = kDefaultCacheCapacity;

@@ -119,7 +119,8 @@ std::string Expr::ToString() const {
     case ExprKind::kIsNull:
       return children[0]->ToString() + (negated ? " IS NOT NULL" : " IS NULL");
     case ExprKind::kBetween:
-      return children[0]->ToString() + (negated ? " NOT BETWEEN " : " BETWEEN ") +
+      return children[0]->ToString() +
+             (negated ? " NOT BETWEEN " : " BETWEEN ") +
              children[1]->ToString() + " AND " + children[2]->ToString();
     case ExprKind::kInList: {
       std::string out =

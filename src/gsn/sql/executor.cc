@@ -439,8 +439,8 @@ class Evaluator {
     // Kleene logic with short-circuiting for AND/OR.
     if (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr) {
       GSN_ASSIGN_OR_RETURN(Value lv, Eval(*e.children[0], binding));
-      Result<Value> lb =
-          lv.is_null() ? Result<Value>(Value::Null()) : lv.CastTo(DataType::kBool);
+      Result<Value> lb = lv.is_null() ? Result<Value>(Value::Null())
+                                      : lv.CastTo(DataType::kBool);
       GSN_RETURN_IF_ERROR(lb.status());
       const bool l_known = !lb->is_null();
       if (e.binary_op == BinaryOp::kAnd) {
@@ -449,8 +449,8 @@ class Evaluator {
         if (l_known && lb->bool_value()) return Value::Bool(true);
       }
       GSN_ASSIGN_OR_RETURN(Value rv, Eval(*e.children[1], binding));
-      Result<Value> rb =
-          rv.is_null() ? Result<Value>(Value::Null()) : rv.CastTo(DataType::kBool);
+      Result<Value> rb = rv.is_null() ? Result<Value>(Value::Null())
+                                      : rv.CastTo(DataType::kBool);
       GSN_RETURN_IF_ERROR(rb.status());
       const bool r_known = !rb->is_null();
       if (e.binary_op == BinaryOp::kAnd) {
@@ -580,7 +580,9 @@ class Evaluator {
       }
       GSN_ASSIGN_OR_RETURN(double d, args[0].AsDouble());
       if (name == "SIGN") return Value::Int(d > 0 ? 1 : (d < 0 ? -1 : 0));
-      if (name == "FLOOR") return Value::Int(static_cast<int64_t>(std::floor(d)));
+      if (name == "FLOOR") {
+        return Value::Int(static_cast<int64_t>(std::floor(d)));
+      }
       if (name == "SQRT") {
         if (d < 0) return Status::ExecutionError("SQRT of negative value");
         return Value::Double(std::sqrt(d));
@@ -598,7 +600,9 @@ class Evaluator {
       }
       const double scale = std::pow(10.0, static_cast<double>(digits));
       const double r = std::round(d * scale) / scale;
-      if (args.size() == 1 && args[0].is_int()) return Value::Int(args[0].int_value());
+      if (args.size() == 1 && args[0].is_int()) {
+        return Value::Int(args[0].int_value());
+      }
       return args.size() == 1 ? Value::Int(static_cast<int64_t>(r))
                               : Value::Double(r);
     }
@@ -854,7 +858,8 @@ DataType InferTypeOrDefault(const Expr& e, const Schema& input) {
           const DataType l = InferTypeOrDefault(*e.children[0], input);
           const DataType r = InferTypeOrDefault(*e.children[1], input);
           if ((l == DataType::kTimestamp || r == DataType::kTimestamp) &&
-              (e.binary_op == BinaryOp::kAdd || e.binary_op == BinaryOp::kSub)) {
+              (e.binary_op == BinaryOp::kAdd ||
+               e.binary_op == BinaryOp::kSub)) {
             return DataType::kTimestamp;
           }
           if (l == DataType::kDouble || r == DataType::kDouble) {

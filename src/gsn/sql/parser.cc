@@ -94,7 +94,8 @@ class Parser {
     // a set chain apply to the combined result (held on the head stmt).
     if (AtKeyword("UNION") || AtKeyword("INTERSECT") || AtKeyword("EXCEPT")) {
       if (ConsumeKeywordIf("UNION")) {
-        stmt->set_op = ConsumeKeywordIf("ALL") ? SetOp::kUnionAll : SetOp::kUnion;
+        stmt->set_op =
+            ConsumeKeywordIf("ALL") ? SetOp::kUnionAll : SetOp::kUnion;
       } else if (ConsumeKeywordIf("INTERSECT")) {
         stmt->set_op = SetOp::kIntersect;
       } else {
@@ -349,8 +350,9 @@ class Parser {
 
     // [NOT] BETWEEN / IN / LIKE.
     bool negated = false;
-    if (AtKeyword("NOT") && (Next().IsKeyword("BETWEEN") ||
-                             Next().IsKeyword("IN") || Next().IsKeyword("LIKE"))) {
+    if (AtKeyword("NOT") &&
+        (Next().IsKeyword("BETWEEN") || Next().IsKeyword("IN") ||
+         Next().IsKeyword("LIKE"))) {
       Advance();
       negated = true;
     }

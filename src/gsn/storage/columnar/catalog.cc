@@ -170,7 +170,8 @@ Status SegmentCatalog::ReplayJournalLocked(const std::string& journal) {
     if (path.extension() != std::string(kSegmentFileSuffix)) continue;
     std::error_code ec2;
     if (live_paths.count(fs::weakly_canonical(path, ec2).string())) continue;
-    GSN_LOG(kWarn, "columnar") << "removing orphan segment file " << path.string();
+    GSN_LOG(kWarn, "columnar")
+        << "removing orphan segment file " << path.string();
     fs::remove(path, ec2);
     ++orphans_removed_;
   }
@@ -282,16 +283,18 @@ Status SegmentCatalog::ScanSegments(const std::vector<SegmentMeta>& metas,
     if (stats != nullptr) ++stats->segments_scanned;
     Result<std::string> contents = ReadLogFile(SegmentPath(meta));
     if (!contents.ok()) {
-      GSN_LOG(kWarn, "columnar") << "skipping unreadable segment " << SegmentPath(meta)
-                    << ": " << contents.status().ToString();
+      GSN_LOG(kWarn, "columnar")
+          << "skipping unreadable segment " << SegmentPath(meta) << ": "
+          << contents.status().ToString();
       continue;
     }
     SegmentScanStats seg_stats;
     Status scanned = ScanSegmentContents(*contents, row_schema, predicate,
                                          out, &seg_stats);
     if (!scanned.ok()) {
-      GSN_LOG(kWarn, "columnar") << "skipping corrupt segment " << SegmentPath(meta)
-                    << ": " << scanned.ToString();
+      GSN_LOG(kWarn, "columnar") << "skipping corrupt segment "
+                                 << SegmentPath(meta) << ": "
+                                 << scanned.ToString();
       continue;
     }
     if (stats != nullptr) {

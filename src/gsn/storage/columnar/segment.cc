@@ -48,7 +48,9 @@ int64_t UnZigZag(uint64_t v) {
 }
 
 Result<uint8_t> GetU8(std::string_view data, size_t* pos) {
-  if (*pos >= data.size()) return Status::IntegrityError("truncated segment record");
+  if (*pos >= data.size()) {
+    return Status::IntegrityError("truncated segment record");
+  }
   return static_cast<uint8_t>(data[(*pos)++]);
 }
 
@@ -246,7 +248,8 @@ Status DecodeChunkData(ChunkEncoding encoding, DataType kind,
         GSN_ASSIGN_OR_RETURN(uint64_t run, GetVarint(data, &pos));
         if (code >= dict.size() || run == 0 ||
             out->size() + run > non_null) {
-          return Status::IntegrityError("corrupt dictionary run in segment chunk");
+          return Status::IntegrityError(
+              "corrupt dictionary run in segment chunk");
         }
         for (uint64_t i = 0; i < run; ++i) {
           out->push_back(Value::String(dict[code]));
@@ -436,12 +439,16 @@ Result<SegmentHeader> ParseSegmentHeader(std::string_view contents) {
   std::vector<std::string_view> payloads;
   bool torn = false;
   ScanLogRecords(contents, &payloads, &torn);
-  if (payloads.empty()) return Status::IntegrityError("segment has no header record");
+  if (payloads.empty()) {
+    return Status::IntegrityError("segment has no header record");
+  }
   std::string_view payload = payloads[0];
   size_t pos = 0;
   SegmentHeader h;
   GSN_ASSIGN_OR_RETURN(uint8_t tag, GetU8(payload, &pos));
-  if (tag != kHeaderRecord) return Status::IntegrityError("bad segment header tag");
+  if (tag != kHeaderRecord) {
+    return Status::IntegrityError("bad segment header tag");
+  }
   GSN_ASSIGN_OR_RETURN(h.version, Codec::DecodeU32(payload, &pos));
   if (h.version != kSegmentVersion) {
     return Status::IntegrityError("unsupported segment version " +
@@ -505,7 +512,9 @@ Status ScanSegmentContents(std::string_view contents, const Schema& row_schema,
     std::string_view payload = payloads[1 + g];
     size_t pos = 0;
     GSN_ASSIGN_OR_RETURN(uint8_t tag, GetU8(payload, &pos));
-    if (tag != kGroupRecord) return Status::IntegrityError("bad group record tag");
+    if (tag != kGroupRecord) {
+      return Status::IntegrityError("bad group record tag");
+    }
     GSN_ASSIGN_OR_RETURN(uint32_t n, Codec::DecodeU32(payload, &pos));
     GSN_ASSIGN_OR_RETURN(uint32_t field_count, Codec::DecodeU32(payload, &pos));
     if (field_count != fields) {

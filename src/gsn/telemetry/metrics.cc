@@ -138,8 +138,8 @@ int64_t Histogram::Snapshot::Quantile(double q) const {
       int64_t hi = BucketUpperBound(b);
       hi = std::min(hi, max);
       if (hi <= lo) return hi;
-      const double within =
-          (rank - static_cast<double>(cumulative)) / static_cast<double>(in_bucket);
+      const double within = (rank - static_cast<double>(cumulative)) /
+                            static_cast<double>(in_bucket);
       return lo + static_cast<int64_t>(static_cast<double>(hi - lo) * within);
     }
     cumulative += in_bucket;

@@ -125,9 +125,17 @@ class Relation {
       reference operator[](difference_type n) const { return *p_[n]; }
 
       const_iterator& operator++() { ++p_; return *this; }
-      const_iterator operator++(int) { const_iterator t = *this; ++p_; return t; }
+      const_iterator operator++(int) {
+        const_iterator t = *this;
+        ++p_;
+        return t;
+      }
       const_iterator& operator--() { --p_; return *this; }
-      const_iterator operator--(int) { const_iterator t = *this; --p_; return t; }
+      const_iterator operator--(int) {
+        const_iterator t = *this;
+        --p_;
+        return t;
+      }
       const_iterator& operator+=(difference_type n) { p_ += n; return *this; }
       const_iterator& operator-=(difference_type n) { p_ -= n; return *this; }
       friend const_iterator operator+(const_iterator it, difference_type n) {

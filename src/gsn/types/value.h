@@ -80,7 +80,9 @@ class Value {
   bool bool_value() const { return std::get<bool>(data_); }
   int64_t int_value() const { return std::get<int64_t>(data_); }
   double double_value() const { return std::get<double>(data_); }
-  const std::string& string_value() const { return std::get<std::string>(data_); }
+  const std::string& string_value() const {
+    return std::get<std::string>(data_);
+  }
   const Blob& binary_value() const { return std::get<Blob>(data_); }
   Timestamp timestamp_value() const { return std::get<Ts>(data_).micros; }
 

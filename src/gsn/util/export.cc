@@ -172,8 +172,8 @@ Result<std::string> AsciiPlot(const Relation& relation,
     out += "|" + line + "\n";
   }
   std::snprintf(label, sizeof(label), "%g", min_y);
-  out += std::string(label) + " +" + std::string(static_cast<size_t>(width), '-') +
-         "\n";
+  out += std::string(label) + " +" +
+         std::string(static_cast<size_t>(width), '-') + "\n";
   std::snprintf(label, sizeof(label), "x: %g .. %g  (%zu points, column %s)",
                 min_x, max_x, points.size(), value_column.c_str());
   out += std::string(label) + "\n";

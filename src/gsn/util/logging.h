@@ -63,7 +63,8 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-#define GSN_LOG(level, component) ::gsn::LogMessage(::gsn::LogLevel::level, component)
+#define GSN_LOG(level, component) \
+  ::gsn::LogMessage(::gsn::LogLevel::level, component)
 
 }  // namespace gsn
 

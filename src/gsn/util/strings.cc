@@ -28,13 +28,17 @@ std::string StrTrim(std::string_view input) {
 
 std::string StrToLower(std::string_view input) {
   std::string out(input);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
   return out;
 }
 
 std::string StrToUpper(std::string_view input) {
   std::string out(input);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  for (char& c : out) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
   return out;
 }
 
@@ -74,7 +78,9 @@ Result<int64_t> ParseInt64(std::string_view s) {
   errno = 0;
   char* end = nullptr;
   long long v = std::strtoll(str.c_str(), &end, 10);
-  if (errno == ERANGE) return Status::ParseError("integer out of range: " + str);
+  if (errno == ERANGE) {
+    return Status::ParseError("integer out of range: " + str);
+  }
   if (end != str.c_str() + str.size()) {
     return Status::ParseError("not an integer: " + str);
   }

@@ -35,7 +35,8 @@ Result<StreamSourceSpec> ParseStreamSource(const xml::Element& e) {
                          ParseDouble(e.Attr("sampling-rate")));
   }
   if (e.HasAttr("storage-size")) {
-    GSN_ASSIGN_OR_RETURN(source.window, ParseWindowSpec(e.Attr("storage-size")));
+    GSN_ASSIGN_OR_RETURN(source.window,
+                         ParseWindowSpec(e.Attr("storage-size")));
   } else {
     // Default window: the latest element only.
     source.window.kind = WindowSpec::Kind::kCount;
@@ -106,8 +107,9 @@ Result<VirtualSensorSpec> ParseDescriptor(std::string_view xml_text) {
   GSN_ASSIGN_OR_RETURN(xml::Document doc, xml::Parse(xml_text));
   const xml::Element* root = doc.root();
   if (root->name() != "virtual-sensor") {
-    return Status::ParseError("descriptor root must be <virtual-sensor>, got <" +
-                              root->name() + ">");
+    return Status::ParseError(
+        "descriptor root must be <virtual-sensor>, got <" + root->name() +
+        ">");
   }
 
   VirtualSensorSpec spec;

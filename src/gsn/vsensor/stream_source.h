@@ -43,8 +43,9 @@ class StreamSource {
   /// context: a fresh root trace ("wrapper.produce") for untraced
   /// elements, or a "source.admit" child span when the element already
   /// carries one (remote deliveries continuing the producer's trace).
-  StreamSource(StreamSourceSpec spec, std::unique_ptr<wrappers::Wrapper> wrapper,
-               uint64_t seed, telemetry::MetricRegistry* metrics = nullptr,
+  StreamSource(StreamSourceSpec spec,
+               std::unique_ptr<wrappers::Wrapper> wrapper, uint64_t seed,
+               telemetry::MetricRegistry* metrics = nullptr,
                telemetry::Tracer* tracer = nullptr, std::string node = "");
 
   StreamSource(const StreamSource&) = delete;

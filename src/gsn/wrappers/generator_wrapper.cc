@@ -12,7 +12,8 @@ Result<std::unique_ptr<Wrapper>> GeneratorWrapper::Make(
       config.GetDuration("interval", interval_ms * kMicrosPerMilli));
   GSN_ASSIGN_OR_RETURN(int64_t payload_bytes,
                        config.GetInt("payload-bytes", 15));
-  GSN_ASSIGN_OR_RETURN(int64_t value_period, config.GetInt("value-period", 100));
+  GSN_ASSIGN_OR_RETURN(int64_t value_period,
+                       config.GetInt("value-period", 100));
   if (payload_bytes < 0) {
     return Status::InvalidArgument("generator payload-bytes must be >= 0");
   }

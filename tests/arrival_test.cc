@@ -96,7 +96,8 @@ std::string ConsumerXml(const std::string& name, const std::string& wrapper,
 
 void Chaos(Container* node, const std::string& line) {
   const std::string reply = ManagementInterface(node).Execute("chaos " + line);
-  EXPECT_EQ(reply.rfind("ERROR", 0), std::string::npos) << line << ": " << reply;
+  EXPECT_EQ(reply.rfind("ERROR", 0), std::string::npos)
+      << line << ": " << reply;
 }
 
 /// Every stored (seq, timed) of `table`, in order.
@@ -766,8 +767,10 @@ class EpollPair {
     if (!ok_) return;
     producer_net_.AddPeer("consumer", "127.0.0.1", consumer_net_.peer_port());
     consumer_net_.AddPeer("producer", "127.0.0.1", producer_net_.peer_port());
-    producer_ = std::make_unique<Container>(Options("producer", &producer_net_));
-    consumer_ = std::make_unique<Container>(Options("consumer", &consumer_net_));
+    producer_ =
+        std::make_unique<Container>(Options("producer", &producer_net_));
+    consumer_ =
+        std::make_unique<Container>(Options("consumer", &consumer_net_));
   }
   ~EpollPair() {
     consumer_.reset();

@@ -120,7 +120,8 @@ TEST_F(CatalogTest, ContinuousQueryOverCatalog) {
   // catalog query still runs against live counters when invoked.
   ASSERT_TRUE(id.ok());
   auto id2 = container_->query_manager().RegisterContinuous(
-      "select count(*) from watched", [](const std::string&, const Relation&) {});
+      "select count(*) from watched",
+      [](const std::string&, const Relation&) {});
   ASSERT_TRUE(id2.ok());
   Run(10);
   // Execute the catalog query directly to confirm live values.

@@ -312,11 +312,13 @@ TEST_F(OperatorApiGoldenTest, DeployUndeployAndDrain) {
             "200 application/json\n" R"({"undeployed":"spare"})");
   EXPECT_EQ(Post("/api/v1/undeploy", {{"name", "spare"}}),
             "404 application/json\n"
-            R"({"error":{"code":"NotFound","message":"no such sensor: spare"}})");
+            R"({"error":{"code":"NotFound",)"
+            R"("message":"no such sensor: spare"}})");
   EXPECT_EQ(Post("/api/v1/drain"),
             "200 application/json\n" R"({"drained":true})");
   EXPECT_EQ(Get("/api/v1/readyz"),
-            "503 application/json\n" R"({"ready":false,"reasons":["draining"]})");
+            "503 application/json\n"
+            R"({"ready":false,"reasons":["draining"]})");
 }
 
 TEST_F(OperatorApiGoldenTest, IndexAndErrorEnvelopes) {
@@ -364,7 +366,8 @@ TEST_F(OperatorApiGoldenTest, IndexAndErrorEnvelopes) {
             R"("message":"no such resource: /api/v1/nope"}})");
   EXPECT_EQ(Get("/api/v1/sensors/ghost"),
             "404 application/json\n"
-            R"({"error":{"code":"NotFound","message":"no such sensor: ghost"}})");
+            R"({"error":{"code":"NotFound",)"
+            R"("message":"no such sensor: ghost"}})");
   EXPECT_EQ(Post("/api/v1/sensors"),
             "405 application/json\n"
             R"({"error":{"code":"MethodNotAllowed",)"
@@ -376,11 +379,13 @@ TEST_F(OperatorApiGoldenTest, IndexAndErrorEnvelopes) {
   EXPECT_EQ(Get("/metrics"),
             "410 application/json\n"
             R"({"error":{"code":"gone",)"
-            R"("message":"unversioned paths were removed; use /api/v1/metrics"}})");
+            R"("message":"unversioned paths were removed; )"
+            R"(use /api/v1/metrics"}})");
   EXPECT_EQ(Get("/sensors/poison"),
             "410 application/json\n"
             R"({"error":{"code":"gone","message":)"
-            R"("unversioned paths were removed; use /api/v1/sensors/poison"}})");
+            R"("unversioned paths were removed; )"
+            R"(use /api/v1/sensors/poison"}})");
   EXPECT_EQ(Get("/api/v1/chaos"),
             "404 application/json\n"
             R"({"error":{"code":"NotFound","message":)"

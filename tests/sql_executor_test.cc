@@ -113,7 +113,8 @@ TEST_F(ExecutorTest, PaperAvgQuery) {
   // against the fixture's temp column.
   Relation r = MustQuery("select avg(temp) from readings");
   ASSERT_EQ(r.NumRows(), 1u);
-  EXPECT_DOUBLE_EQ(r.rows()[0][0].double_value(), (20 + 22 + 30 + 26 + 18) / 5.0);
+  EXPECT_DOUBLE_EQ(r.rows()[0][0].double_value(),
+                   (20 + 22 + 30 + 26 + 18) / 5.0);
 }
 
 TEST_F(ExecutorTest, AggregateFunctions) {
@@ -391,9 +392,10 @@ TEST_F(ExecutorTest, Except) {
 }
 
 TEST_F(ExecutorTest, SetOpArityMismatchIsError) {
-  EXPECT_FALSE(
-      exec_.Query("select node, temp from readings union select node from nodes")
-          .ok());
+  EXPECT_FALSE(exec_
+                   .Query("select node, temp from readings union "
+                          "select node from nodes")
+                   .ok());
 }
 
 // ------------------------------------------------------------ expressions
@@ -552,7 +554,8 @@ TEST(EvalBinaryTest, IntegersCompareExactlyPastDoublePrecision) {
 
 TEST(EvalBinaryTest, IncomparableTypesError) {
   EXPECT_FALSE(
-      EvalBinaryValues(BinaryOp::kLess, Value::Int(1), Value::String("a")).ok());
+      EvalBinaryValues(BinaryOp::kLess, Value::Int(1), Value::String("a"))
+          .ok());
 }
 
 }  // namespace

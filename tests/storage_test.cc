@@ -271,7 +271,8 @@ TEST(CodecTest, ElementRoundTrip) {
   StreamElement e;
   e.timed = 987654;
   e.values = {Value::Int(1), Value::String("x"), Value::Null()};
-  auto decoded = Codec::DecodeElementFromString(Codec::EncodeElementToString(e));
+  auto decoded =
+      Codec::DecodeElementFromString(Codec::EncodeElementToString(e));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->timed, e.timed);
   ASSERT_EQ(decoded->values.size(), 3u);

@@ -143,7 +143,8 @@ TEST_F(TelemetrySystemWrapperTest, SelfChainedMonitorDoesNotAmplify) {
   }
 
   auto mon = container_->Query("select count(*) from mon");
-  auto alert = container_->Query("select count(*), max(sheds) from \"mon-alert\"");
+  auto alert =
+      container_->Query("select count(*), max(sheds) from \"mon-alert\"");
   ASSERT_TRUE(mon.ok());
   ASSERT_TRUE(alert.ok());
   const int64_t mon_count = mon->rows()[0][0].int_value();

@@ -226,7 +226,8 @@ TEST(HashTest, Sha256KnownVectors) {
   EXPECT_EQ(Sha256::HexDigest("abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
   EXPECT_EQ(
-      Sha256::HexDigest("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      Sha256::HexDigest("abcdbcdecdefdefgefghfghighijhijk"
+                        "ijkljklmklmnlmnomnopnopq"),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 

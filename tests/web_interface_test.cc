@@ -198,8 +198,8 @@ TEST_F(WebInterfaceTest, TransportEndpointReportsPlanes) {
 
 TEST_F(WebInterfaceTest, QueryJsonAndCsv) {
   DeployAndRun();
-  const HttpResponse json =
-      Get("/api/v1/query", {{"sql", "select count(*) as n from \"web-sensor\""}});
+  const HttpResponse json = Get(
+      "/api/v1/query", {{"sql", "select count(*) as n from \"web-sensor\""}});
   EXPECT_EQ(json.status, 200);
   EXPECT_NE(json.body.find("\"n\":9"), std::string::npos) << json.body;
 
@@ -224,7 +224,8 @@ TEST_F(WebInterfaceTest, ExplainAndDiscoverAndTopology) {
   EXPECT_NE(plan.body.find("Scan web-sensor"), std::string::npos)
       << plan.body;
 
-  const HttpResponse discover = Get("/api/v1/discover", {{"type", "temperature"}});
+  const HttpResponse discover =
+      Get("/api/v1/discover", {{"type", "temperature"}});
   EXPECT_EQ(discover.status, 200);
   EXPECT_NE(discover.body.find("\"sensor\":\"web-sensor\""),
             std::string::npos);
