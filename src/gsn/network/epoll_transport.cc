@@ -29,8 +29,8 @@ Timestamp SteadyMicros() {
 /// length must not make a connection buffer it.
 constexpr uint32_t kMaxFrameBytes = 16 * 1024 * 1024;
 
-/// 1,000 simultaneous connects overflowed a backlog of 511, and a
-/// dropped SYN waits about 1 s for its retransmit. The kernel caps this
+/// Room for a burst of 1,000 simultaneous connects: a SYN dropped by a
+/// full queue waits about 1 s for its retransmit. The kernel caps this
 /// at net.core.somaxconn (the SOMAXCONN macro is 128 on older glibc).
 constexpr int kListenBacklog = 4096;
 
